@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 for user/input errors, 3 for malformed data.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,9 +26,6 @@ _METRIC_TOKENS = {
     "wpsnr": (metrics.WPSNR,),
     "ssim": (metrics.SSIM,),
 }
-_METRIC_ORDER = (
-    metrics.PSNR_Y, metrics.PSNR_U, metrics.PSNR_V, metrics.WPSNR, metrics.SSIM,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,13 +157,10 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except DataFormatError as exc:
+    except (DataFormatError, UnicodeDecodeError) as exc:
         print(f"codecbench: format error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, OSError) as exc:
-        print(f"codecbench: error: {exc}", file=sys.stderr)
-        return 2
-    except CodecBenchError as exc:
+    except (CodecBenchError, OSError) as exc:
         print(f"codecbench: error: {exc}", file=sys.stderr)
         return 2
 
@@ -244,23 +239,16 @@ def _parse_metric_selection(text: str) -> tuple[str, ...]:
         selected.update(_METRIC_TOKENS[token])
     if not selected:
         raise InputError("empty metric selection")
-    return tuple(m for m in _METRIC_ORDER if m in selected)
+    return tuple(m for m in metrics.COMPUTABLE_METRICS if m in selected)
 
 
 def cmd_metrics(args) -> int:
     metric_ids = _parse_metric_selection(args.metrics)
+    if not math.isfinite(args.clamp_db):
+        raise InputError(f"--clamp-db must be finite, got {args.clamp_db}")
     with _open_video(args.reference, args) as ref, _open_video(args.test, args) as test:
-        ri, ti = ref.info, test.info
-        if (ri.width, ri.height) != (ti.width, ti.height):
-            raise InputError(
-                f"geometry mismatch: reference is {ri.width}x{ri.height}, "
-                f"test is {ti.width}x{ti.height}"
-            )
-        if ri.bit_depth != ti.bit_depth:
-            raise InputError(
-                f"bit depth mismatch: reference is {ri.bit_depth}-bit, "
-                f"test is {ti.bit_depth}-bit"
-            )
+        ri = ref.info
+        metrics._check_compatible(ri, test.info)
         results = metrics.sequence_quality(
             ref, test, metric_ids, clamp_db=args.clamp_db, jobs=args.jobs
         )
@@ -286,7 +274,7 @@ def cmd_metrics(args) -> int:
         )
 
     if args.per_frame:
-        _write_per_frame_csv(args.per_frame, results, frame_count)
+        _write_per_frame_csv(args, results, frame_count)
 
     inputs = [args.reference, args.test] + ([args.external] if args.external else [])
     doc = report.make_report(
@@ -325,12 +313,13 @@ def cmd_metrics(args) -> int:
     return _emit(args, doc, ["metric", "mean", "frames", "clamp_applied"], csv_rows, summary)
 
 
-def _write_per_frame_csv(path, results, frame_count):
+def _write_per_frame_csv(args, results, frame_count):
     ids = [mid for mid, sq in results.items() if len(sq.frame_values) == frame_count]
     rows = []
     for i in range(frame_count):
         rows.append([i] + [results[mid].frame_values[i] for mid in ids])
-    report.write_text(path, report.render_csv(["frame"] + ids, rows))
+    text = report.render_csv(["frame"] + ids, rows, full_precision=args.full_precision)
+    report.write_text(args.per_frame, text)
 
 
 def cmd_bdrate(args) -> int:

@@ -131,25 +131,15 @@ def ssim_frame(
     """
     _check_compatible(ref.info, test.info)
     idx = "yuv".index(plane)
-    return _ssim_plane(
-        ref.planes[idx], test.planes[idx], ref.info.sample_max,
-        window_size, sigma, k1, k2,
-    )
-
-
-def _ssim_plane(ref, test, sample_max, window_size=_SSIM_WINDOW,
-                sigma=_SSIM_SIGMA, k1=_SSIM_K1, k2=_SSIM_K2) -> float:
-    if ref.shape != test.shape:
-        raise DimensionError(f"plane shapes differ: {ref.shape} vs {test.shape}")
-    if min(ref.shape) < window_size:
+    r = ref.planes[idx].astype(np.float64)
+    e = test.planes[idx].astype(np.float64)
+    if min(r.shape) < window_size:
         raise InputError(
-            f"plane {ref.shape} smaller than the {window_size}x{window_size} window"
+            f"plane {r.shape} smaller than the {window_size}x{window_size} window"
         )
     kernel = _gaussian_kernel(window_size, sigma)
-    c1 = (k1 * sample_max) ** 2
-    c2 = (k2 * sample_max) ** 2
-    r = ref.astype(np.float64)
-    e = test.astype(np.float64)
+    c1 = (k1 * ref.info.sample_max) ** 2
+    c2 = (k2 * ref.info.sample_max) ** 2
     mu_r = _windowed_mean(r, kernel)
     mu_e = _windowed_mean(e, kernel)
     var_r = _windowed_mean(r * r, kernel) - mu_r * mu_r
@@ -170,18 +160,12 @@ def frame_quality(
     from clamped plane values so it stays finite.
     """
     _check_compatible(ref.info, test.info)
-    stats = []
-    clamped = []
-    for i, name in enumerate("YUV"):
-        m = mse(ref.planes[i], test.planes[i])
-        p = psnr_from_mse(m, ref.info.bit_depth)
-        stats.append(PlaneStats(name, m, p))
-        clamped.append(p if math.isfinite(p) else clamp_db)
+    planes, values, _ = _frame_pair_metrics((ref, test), COMPUTABLE_METRICS, clamp_db)
     return FrameQuality(
         frame_index=ref.frame_index,
-        planes=tuple(stats),
-        wpsnr=wpsnr(*clamped),
-        ssim=ssim_frame(ref, test),
+        planes=(planes[0], planes[1], planes[2]),
+        wpsnr=values[WPSNR],
+        ssim=values[SSIM],
     )
 
 
@@ -201,38 +185,32 @@ def _check_compatible(a, b):
         )
 
 
+# Planes whose PSNR each metric reads.
+_METRIC_PLANES = {PSNR_Y: (0,), PSNR_U: (1,), PSNR_V: (2,), WPSNR: (0, 1, 2), SSIM: ()}
+
+
 def _frame_pair_metrics(pair, metric_ids, clamp_db):
+    """The per-frame kernel: MSE/PSNR of only the planes the selection reads,
+    then each selected value (infinite PSNR replaced by clamp_db) and
+    whether a clamp went into it."""
     ref, test = pair
-    want_planes = set()
-    if PSNR_Y in metric_ids or WPSNR in metric_ids:
-        want_planes.add(0)
-    if PSNR_U in metric_ids or WPSNR in metric_ids:
-        want_planes.add(1)
-    if PSNR_V in metric_ids or WPSNR in metric_ids:
-        want_planes.add(2)
-
-    psnr_raw = {}
-    for i in sorted(want_planes):
-        psnr_raw[i] = psnr_from_mse(
-            mse(ref.planes[i], test.planes[i]), ref.info.bit_depth
-        )
-
-    def clamp(p):
-        return p if math.isfinite(p) else clamp_db
+    planes = {}
+    for i in sorted({i for mid in metric_ids for i in _METRIC_PLANES[mid]}):
+        m = mse(ref.planes[i], test.planes[i])
+        planes[i] = PlaneStats("YUV"[i], m, psnr_from_mse(m, ref.info.bit_depth))
+    psnr = {i: p.psnr if math.isfinite(p.psnr) else clamp_db for i, p in planes.items()}
 
     values = {}
     clamped = {}
-    for mid, plane in ((PSNR_Y, 0), (PSNR_U, 1), (PSNR_V, 2)):
-        if mid in metric_ids:
-            values[mid] = clamp(psnr_raw[plane])
-            clamped[mid] = not math.isfinite(psnr_raw[plane])
-    if WPSNR in metric_ids:
-        values[WPSNR] = wpsnr(*(clamp(psnr_raw[i]) for i in range(3)))
-        clamped[WPSNR] = any(not math.isfinite(psnr_raw[i]) for i in range(3))
-    if SSIM in metric_ids:
-        values[SSIM] = ssim_frame(ref, test)
-        clamped[SSIM] = False
-    return values, clamped
+    for mid in metric_ids:
+        if mid == SSIM:
+            values[mid] = ssim_frame(ref, test)
+        elif mid == WPSNR:
+            values[mid] = wpsnr(psnr[0], psnr[1], psnr[2])
+        else:
+            values[mid] = psnr[_METRIC_PLANES[mid][0]]
+        clamped[mid] = any(not math.isfinite(planes[i].psnr) for i in _METRIC_PLANES[mid])
+    return planes, values, clamped
 
 
 def _paired(ref_source, test_source):
@@ -275,7 +253,7 @@ def _ordered_map(fn, items, jobs):
 def sequence_quality(
     ref_source,
     test_source,
-    metric_ids=(PSNR_Y, PSNR_U, PSNR_V, WPSNR, SSIM),
+    metric_ids=COMPUTABLE_METRICS,
     clamp_db: float = DEFAULT_CLAMP_DB,
     jobs: int = 1,
 ) -> dict[str, SequenceQuality]:
@@ -296,7 +274,7 @@ def sequence_quality(
     def work(pair):
         return _frame_pair_metrics(pair, metric_ids, clamp_db)
 
-    for values, clamped in _ordered_map(work, _paired(ref_source, test_source), jobs):
+    for _, values, clamped in _ordered_map(work, _paired(ref_source, test_source), jobs):
         for mid in metric_ids:
             per_frame[mid].append(values[mid])
             clamp_hit[mid] = clamp_hit[mid] or clamped[mid]
@@ -331,48 +309,47 @@ def _sobel_magnitude(luma: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
+def _si_ti(frames, want_si=True, want_ti=True):
+    """One pass over the sequence: the max per-frame SI and the max TI over
+    successive frame pairs (None when not wanted or not defined), and the
+    number of frames seen."""
+    si = ti = previous = None
+    count = 0
+    for count, frame in enumerate(frames, start=1):
+        if want_si:
+            value = float(np.std(_sobel_magnitude(frame.y)))
+            si = value if si is None else max(si, value)
+        if want_ti:
+            y = frame.y.astype(np.float64)
+            if previous is not None:
+                value = float(np.std(y - previous))
+                ti = value if ti is None else max(ti, value)
+            previous = y
+    return si, ti, count
+
+
 def spatial_info(frames) -> float:
     """Max over frames of the stddev of the Sobel-filtered luma plane."""
-    best = None
-    for frame in frames:
-        value = float(np.std(_sobel_magnitude(frame.y)))
-        best = value if best is None else max(best, value)
-    if best is None:
+    si, _, count = _si_ti(frames, want_ti=False)
+    if count == 0:
         raise EmptyInputError("spatial_info requires at least one frame")
-    return best
+    return si
 
 
 def temporal_info(frames) -> float:
     """Max over successive frame pairs of the stddev of the luma difference."""
-    best = None
-    previous = None
-    for frame in frames:
-        y = frame.y.astype(np.float64)
-        if previous is not None:
-            best_pair = float(np.std(y - previous))
-            best = best_pair if best is None else max(best, best_pair)
-        previous = y
-    if best is None:
+    _, ti, count = _si_ti(frames, want_si=False)
+    if count < 2:
         raise InputError("temporal_info requires at least two frames")
-    return best
+    return ti
 
 
 def content_features(frames) -> ContentFeatures:
     """SI and TI in a single pass over the sequence."""
-    si = None
-    ti = None
-    previous = None
-    for frame in frames:
-        si_frame = float(np.std(_sobel_magnitude(frame.y)))
-        si = si_frame if si is None else max(si, si_frame)
-        y = frame.y.astype(np.float64)
-        if previous is not None:
-            ti_frame = float(np.std(y - previous))
-            ti = ti_frame if ti is None else max(ti, ti_frame)
-        previous = y
-    if si is None:
+    si, ti, count = _si_ti(frames)
+    if count == 0:
         raise EmptyInputError("content_features requires at least one frame")
-    if ti is None:
+    if count < 2:
         raise InputError("content_features requires at least two frames for TI")
     return ContentFeatures(si=si, ti=ti)
 

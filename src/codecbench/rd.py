@@ -10,6 +10,7 @@ measured point.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,10 @@ class RDPoint:
     label: str = ""
 
     def __post_init__(self):
-        if not self.bitrate > 0:
-            raise CurveError(f"bitrate must be positive, got {self.bitrate}")
+        if not (self.bitrate > 0 and math.isfinite(self.bitrate)):
+            raise CurveError(f"bitrate must be positive and finite, got {self.bitrate}")
+        if not math.isfinite(self.quality):
+            raise CurveError(f"quality must be finite, got {self.quality}")
 
 
 @dataclass(frozen=True)

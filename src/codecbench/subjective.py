@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .errors import DataFormatError, MissingDataError, StatsError
 
@@ -127,15 +128,31 @@ class AnovaResult:
 
 def mos(matrix: ScoreMatrix, stimulus: str) -> float:
     """Mean opinion score over present scores for one stimulus."""
+    return _column_mos(matrix.column(stimulus), stimulus)
+
+
+def ci95(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> float:
+    """Half-width of the confidence interval around the MOS."""
+    return _column_ci95(matrix.column(stimulus), stimulus, constant)
+
+
+def mos_point(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> MosPoint:
     col = matrix.column(stimulus)
+    return MosPoint(
+        stimulus=stimulus,
+        mos=_column_mos(col, stimulus),
+        ci95=_column_ci95(col, stimulus, constant),
+        n=int(col.size),
+    )
+
+
+def _column_mos(col: np.ndarray, stimulus: str) -> float:
     if col.size == 0:
         raise StatsError(f"stimulus {stimulus!r} has no scores")
     return float(np.mean(col))
 
 
-def ci95(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> float:
-    """Half-width of the confidence interval around the MOS."""
-    col = matrix.column(stimulus)
+def _column_ci95(col: np.ndarray, stimulus: str, constant: float) -> float:
     if col.size < 2:
         raise StatsError(
             f"stimulus {stimulus!r} needs at least 2 scores for a CI, "
@@ -144,16 +161,6 @@ def ci95(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> f
     mean = float(np.mean(col))
     delta = math.sqrt(float(np.mean((col - mean) ** 2)))
     return constant * delta / math.sqrt(col.size)
-
-
-def mos_point(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> MosPoint:
-    col = matrix.column(stimulus)
-    return MosPoint(
-        stimulus=stimulus,
-        mos=mos(matrix, stimulus),
-        ci95=ci95(matrix, stimulus, constant),
-        n=int(col.size),
-    )
 
 
 def pearson(x, y) -> float:
@@ -175,16 +182,9 @@ def pearson(x, y) -> float:
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties receive the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:
@@ -311,72 +311,7 @@ def f_survival(f_stat: float, df1: int, df2: int) -> float:
     if math.isinf(f_stat):
         return 0.0
     x = df2 / (df2 + df1 * f_stat)
-    return _betainc_reg(df2 / 2.0, df1 / 2.0, x)
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Continued-fraction evaluation (modified Lentz), switched at the
-    symmetry point so the fraction always converges quickly; relative
-    error is far below 1e-10 for the degree-of-freedom ranges ANOVA uses.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    max_iterations = 300
-    eps = 3e-16
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iterations + 1):
-        m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
+    return float(betainc(df2 / 2.0, df1 / 2.0, x))
 
 
 def load_scores_csv(path) -> ScoreMatrix:

@@ -10,7 +10,7 @@ Interlaced streams are rejected rather than deinterlaced.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,8 +132,9 @@ class FrameBuffer:
             for plane, name in zip(self.planes, "YUV"):
                 if plane.size and int(plane.max()) > limit:
                     raise SampleRangeError(
-                        f"{name} plane sample {int(plane.max())} exceeds "
-                        f"{self.info.bit_depth}-bit maximum {limit}"
+                        f"frame {self.frame_index}: {name} plane sample "
+                        f"{int(plane.max())} exceeds {self.info.bit_depth}-bit "
+                        f"maximum {limit}"
                     )
         if self.frame_index < 0:
             raise DimensionError(f"negative frame index {self.frame_index}")
@@ -153,15 +154,12 @@ class FrameBuffer:
 
 def _read_line(stream, limit: int = 8192) -> tuple[bytes, bool]:
     """Read bytes up to (excluding) 0x0A. Returns (data, saw_newline)."""
-    out = bytearray()
-    while len(out) < limit:
-        b = stream.read(1)
-        if not b:
-            return bytes(out), False
-        if b == b"\n":
-            return bytes(out), True
-        out += b
-    raise HeaderError(f"header line exceeds {limit} bytes")
+    line = stream.readline(limit)
+    if line.endswith(b"\n"):
+        return line[:-1], True
+    if len(line) >= limit:
+        raise HeaderError(f"header line exceeds {limit} bytes")
+    return line, False
 
 
 def _read_exact(stream, n: int) -> bytes:
@@ -278,10 +276,6 @@ def read_frame(
 
     dtype = np.dtype("u1") if info.bit_depth == 8 else np.dtype("<u2")
     samples = np.frombuffer(payload, dtype=dtype)
-    if info.bit_depth != 8 and int(samples.max(initial=0)) > info.sample_max:
-        raise SampleRangeError(
-            f"frame {frame_index}: 10-bit sample {int(samples.max())} >= 1024"
-        )
     planes = []
     offset = 0
     for shape in info.plane_shapes:
@@ -292,6 +286,8 @@ def read_frame(
 
 
 class _ReaderBase:
+    _container: str
+
     def __init__(self, source):
         self._owns = isinstance(source, (str, bytes, os.PathLike))
         self._fp = open(source, "rb") if self._owns else source
@@ -307,6 +303,12 @@ class _ReaderBase:
     def __exit__(self, *exc):
         self.close()
 
+    def read_frame(self) -> FrameBuffer | None:
+        frame = read_frame(self._fp, self.info, self._index, self._container)
+        if frame is not None:
+            self._index += 1
+        return frame
+
     def __iter__(self):
         while True:
             frame = self.read_frame()
@@ -318,6 +320,8 @@ class _ReaderBase:
 class Y4MReader(_ReaderBase):
     """Sequential frame reader over a Y4M file or binary stream."""
 
+    _container = "y4m"
+
     def __init__(self, source):
         super().__init__(source)
         try:
@@ -326,37 +330,19 @@ class Y4MReader(_ReaderBase):
             self.close()
             raise
 
-    def read_frame(self) -> FrameBuffer | None:
-        frame = read_frame(self._fp, self.info, self._index, container="y4m")
-        if frame is not None:
-            self._index += 1
-        return frame
-
 
 class RawReader(_ReaderBase):
     """Sequential reader over headerless planar YUV; geometry must be given."""
+
+    _container = "raw"
 
     def __init__(self, source, info: SequenceInfo):
         super().__init__(source)
         if info.frame_count is None:
             size = _stream_size(self._fp)
             if size is not None:
-                info = SequenceInfo(
-                    info.width,
-                    info.height,
-                    info.fps_num,
-                    info.fps_den,
-                    info.bit_depth,
-                    info.chroma,
-                    frame_count=size // info.frame_bytes,
-                )
+                info = replace(info, frame_count=size // info.frame_bytes)
         self.info = info
-
-    def read_frame(self) -> FrameBuffer | None:
-        frame = read_frame(self._fp, self.info, self._index, container="raw")
-        if frame is not None:
-            self._index += 1
-        return frame
 
 
 def _stream_size(fp) -> int | None:

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from codecbench.cli import main
 from codecbench.report import round_floats
-from codecbench.video_io import write_y4m
+from codecbench.video_io import CHROMA_444, write_y4m
 
 from conftest import make_info, offset_frame, random_frame
 
@@ -54,6 +57,21 @@ class TestMetricsCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "32x32" in err and "16x16" in err
+        # Same size and bit depth, other chroma layout: caught before streaming.
+        write_y4m(other, [random_frame(make_info(32, 32, chroma=CHROMA_444), rng)])
+        assert main(["metrics", str(ref), str(other), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "chroma mismatch" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_clamp_exit_2(self, tmp_path, rng, capsys, value):
+        ref, test = write_pair(tmp_path, rng)
+        rc = main(["metrics", str(ref), str(test), f"--clamp-db={value}", "--quiet"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("codecbench: error: --clamp-db")
+        assert len(captured.err.splitlines()) == 1
 
     def test_raw_without_geometry_flags_exit_2(self, tmp_path, rng, capsys):
         raw = tmp_path / "clip.yuv"
@@ -99,6 +117,31 @@ class TestMetricsCommand:
         lines = per_frame.read_text().strip().splitlines()
         assert lines[0] == "frame,PSNR_Y"
         assert len(lines) == 4
+
+    def test_per_frame_csv_full_precision(self, tmp_path, rng):
+        ref, test = write_pair(tmp_path, rng, delta=2)
+        per_frame, out = tmp_path / "frames.csv", tmp_path / "r.json"
+        rc = main([
+            "metrics", str(ref), str(test), "--metrics", "ssim",
+            "--per-frame", str(per_frame), "--output", str(out), "--quiet",
+            "--full-precision",
+        ])
+        assert rc == 0
+        values = [float(line.split(",")[1])
+                  for line in per_frame.read_text().splitlines()[1:]]
+        assert any(round_floats(v) != v for v in values)
+        mean = json.loads(out.read_text())["results"]["metrics"][0]["mean"]
+        assert mean == sum(values) / len(values)
+
+    def test_non_utf8_external_exit_3(self, tmp_path, rng, capsys):
+        ref, test = write_pair(tmp_path, rng)
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"frame,score\n0,9\xff\n")
+        rc = main(["metrics", str(ref), str(test), "--external", str(scores), "-q"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("codecbench: format error:")
+        assert len(err.splitlines()) == 1
 
     def test_external_scores_attached(self, tmp_path, rng):
         ref, test = write_pair(tmp_path, rng)
@@ -212,6 +255,21 @@ class TestBdrateCommand:
             -20.0, abs=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "content",
+        [(RD_HEADER + "HM,s1,PSNR,,1000,30\nHM,s1,PSNR,,2000,nan\n").encode(),
+         RD_HEADER.encode() + b"HM,s1,PSNR,\xe9,1000,30\n"],
+        ids=["nan_quality", "non_utf8"],
+    )
+    def test_bad_points_exit_3(self, tmp_path, capsys, content):
+        points = tmp_path / "points.csv"
+        points.write_bytes(content)
+        rc = main(["bdrate", str(points), "--anchor", "HM", "--test", "VTM", "-q"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("codecbench: format error:")
+        assert len(err.splitlines()) == 1
+
     def test_orphan_curves_exit_2(self, tmp_path, capsys):
         points = tmp_path / "points.csv"
         write_rd_csv(points, [
@@ -303,6 +361,15 @@ class TestMosCommand:
         rc = main(["mos", str(scores), "--pvs-meta", str(meta), "--quiet"])
         assert rc == 2
         assert "p2" in capsys.readouterr().err
+
+    def test_non_utf8_scores_exit_3(self, tmp_path, capsys):
+        scores, meta = write_panel(tmp_path)
+        scores.write_bytes(scores.read_bytes().replace(b"s9", b"s\xe9"))
+        rc = main(["mos", str(scores), "--pvs-meta", str(meta), "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("codecbench: format error:")
+        assert len(err.splitlines()) == 1
 
     def test_too_few_subjects_exit_2(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -450,3 +517,17 @@ class TestRounding:
         doc = json.loads(text)
         assert doc["f"] == "inf"
         assert doc["list"][0] == "nan"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs ~0.4 s of start-up on top of what the CLI imports.
+    import codecbench
+
+    src = os.path.dirname(os.path.dirname(codecbench.__file__))
+    probe = "import sys, codecbench.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

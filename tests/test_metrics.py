@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from codecbench import metrics
 from codecbench.errors import (
     DataFormatError,
     DimensionError,
@@ -11,6 +13,7 @@ from codecbench.errors import (
     LengthError,
 )
 from codecbench.metrics import (
+    COMPUTABLE_METRICS,
     PSNR_U,
     PSNR_V,
     PSNR_Y,
@@ -193,6 +196,55 @@ class TestFrameQuality:
         assert fq.wpsnr == 100.0
         assert fq.ssim == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "selection",
+        [s for n in range(1, 6) for s in itertools.combinations(COMPUTABLE_METRICS, n)],
+    )
+    def test_matches_sequence_quality_per_frame(self, rng, selection):
+        info = make_info(16, 16)
+        ref = [random_frame(info, rng, i) for i in range(3)]
+        test = [random_frame(info, rng, 0), random_frame(info, rng, 1),
+                offset_frame(ref[2], 0)]
+        test[2].planes[1][0, 0] ^= 1  # lossless Y and V, lossy U
+        result = sequence_quality(ref, test, selection, clamp_db=90.0)
+        for i, (a, b) in enumerate(zip(ref, test)):
+            fq = frame_quality(a, b, clamp_db=90.0)
+            clamp = [p.psnr if math.isfinite(p.psnr) else 90.0 for p in fq.planes]
+            expected = {
+                PSNR_Y: clamp[0], PSNR_U: clamp[1], PSNR_V: clamp[2],
+                WPSNR: fq.wpsnr, SSIM: fq.ssim,
+            }
+            for mid in selection:
+                assert result[mid].frame_values[i] == expected[mid]
+        for mid in selection:
+            assert result[mid].clamp_applied == (mid in (PSNR_Y, PSNR_V, WPSNR))
+
+    @pytest.mark.parametrize(
+        "selection,mse_calls,ssim_calls",
+        [((PSNR_Y,), 1, 0), ((SSIM,), 0, 1), ((PSNR_U, SSIM), 1, 1),
+         ((PSNR_Y, WPSNR), 3, 0), (COMPUTABLE_METRICS, 3, 1)],
+    )
+    def test_kernel_computes_only_the_selection(
+        self, rng, monkeypatch, selection, mse_calls, ssim_calls
+    ):
+        calls = {"mse": 0, "ssim_frame": 0}
+
+        def counted(name):
+            original = getattr(metrics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, wrapper)
+
+        counted("mse")
+        counted("ssim_frame")
+        info = make_info(16, 16)
+        frames = [random_frame(info, rng, i) for i in range(2)]
+        sequence_quality(frames, frames[::-1], selection)
+        assert calls == {"mse": 2 * mse_calls, "ssim_frame": 2 * ssim_calls}
+
 
 class TestSequenceQuality:
     def test_identical_sequences_clamp(self, rng):
@@ -304,6 +356,8 @@ class TestSpatialTemporalInfo:
     def test_si_empty(self):
         with pytest.raises(EmptyInputError):
             spatial_info([])
+        with pytest.raises(EmptyInputError):
+            content_features([])
 
     def test_ti_static_zero(self, rng):
         info = make_info(16, 16)
@@ -337,6 +391,31 @@ class TestSpatialTemporalInfo:
         features = content_features(extended)
         assert features.si == spatial_info(frames)
         assert features.ti == temporal_info(frames)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_reductions_match_per_frame_values(self, rng, count):
+        info = make_info(16, 16)
+        frames = [random_frame(info, rng, i) for i in range(count)]
+        si = [float(np.std(metrics._sobel_magnitude(f.y))) for f in frames]
+        lumas = [f.y.astype(np.float64) for f in frames]
+        ti = [float(np.std(b - a)) for a, b in zip(lumas, lumas[1:])]
+        assert spatial_info(iter(frames)) == max(si)
+        if count == 1:
+            with pytest.raises(InputError):
+                temporal_info(frames)
+            with pytest.raises(InputError) as exc:
+                content_features(frames)
+            assert not isinstance(exc.value, EmptyInputError)
+            return
+        assert temporal_info(iter(frames)) == max(ti)
+        assert content_features(iter(frames)) == metrics.ContentFeatures(max(si), max(ti))
+
+    def test_ti_on_frames_too_small_for_sobel(self):
+        info = make_info(2, 2)
+        frames = [make_frame(info, [[0, 0], [0, 0]]), make_frame(info, [[0, 2], [0, 2]])]
+        assert temporal_info(frames) == 1.0
+        with pytest.raises(InputError):
+            spatial_info(frames)
 
 
 class TestExternalScores:

@@ -52,6 +52,13 @@ class TestValidateCurve:
         with pytest.raises(CurveError, match="duplicate"):
             curve([(1000, 30), (1000, 35), (2000, 40)])
 
+    @pytest.mark.parametrize(
+        "bad", [(4000, float("nan")), (4000, float("inf")), (float("inf"), 50)]
+    )
+    def test_non_finite_point(self, bad):
+        with pytest.raises(CurveError, match="finite"):
+            curve(BASE + [bad])
+
     def test_non_positive_bitrate(self):
         with pytest.raises(CurveError):
             RDPoint(0.0, 30)
@@ -181,6 +188,16 @@ class TestLoadCsv:
             "codec,sequence,metric,label,bitrate_kbps,quality\nA,s,m,x,fast,30\n"
         )
         with pytest.raises(DataFormatError, match="2"):
+            load_rd_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, cell):
+        path = tmp_path / "points.csv"
+        path.write_text(
+            "codec,sequence,metric,label,bitrate_kbps,quality\n"
+            f"A,s,m,,1000,30\nA,s,m,,2000,{cell}\nA,s,m,,4000,40\n"
+        )
+        with pytest.raises(DataFormatError, match=":3: .*finite"):
             load_rd_csv(path)
 
     def test_short_curve_rejected(self, tmp_path):

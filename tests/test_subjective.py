@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import f as f_distribution
+from scipy.stats import rankdata
 
 from codecbench.errors import DataFormatError, MissingDataError, StatsError
 from codecbench.subjective import (
@@ -151,6 +155,19 @@ class TestCorrelations:
         assert spearman([1, 2, 3], [9, 9, 1]) == pytest.approx(
             pearson([1, 2, 3], [2.5, 2.5, 1.0]), abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=40)
+    )
+    def test_spearman_is_pearson_of_rankdata_on_ties(self, pairs):
+        x = np.array([p[0] for p in pairs], dtype=np.float64)
+        y = np.array([p[1] for p in pairs], dtype=np.float64)
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            with pytest.raises(StatsError):
+                spearman(x, y)
+            return
+        assert spearman(x, y) == pearson(rankdata(x), rankdata(y))
 
     def test_spearman_monotone_transform_invariance(self, rng):
         x = rng.uniform(0, 100, 10)
@@ -306,6 +323,16 @@ class TestFSurvival:
             f = float(rng.uniform(0.05, 20))
             assert f_survival(f, d1, d2) == pytest.approx(
                 f_sf_numeric(f, d1, d2), rel=1e-8, abs=1e-12
+            )
+
+    def test_matches_scipy_at_table_scale(self, rng):
+        # Degrees of freedom of a per-factor ANOVA over ~2000 stimuli.
+        for _ in range(200):
+            d1 = int(rng.integers(1, 50))
+            d2 = int(rng.integers(40, 2001))
+            f = float(rng.uniform(0.05, 20))
+            assert f_survival(f, d1, d2) == pytest.approx(
+                f_distribution.sf(f, d1, d2), rel=1e-10, abs=1e-300
             )
 
     def test_zero_statistic(self):

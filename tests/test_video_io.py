@@ -97,6 +97,14 @@ class TestParseHeader:
         with pytest.raises(HeaderError):
             parse(b"YUV4MPEG2 W64 H64 F25:1 C420")
 
+    def test_header_line_limit(self):
+        # At most 8191 bytes before the newline, as with the FRAME line.
+        base = b"YUV4MPEG2 W64 H64 F25:1 C420 X"
+        fits = base + b"a" * (8191 - len(base))
+        assert parse(fits + b"\n").width == 64
+        with pytest.raises(HeaderError, match="8192"):
+            parse(fits + b"a\n")
+
     def test_extension_tags_ignored(self):
         info = parse(b"YUV4MPEG2 W64 H64 F25:1 C420 XCOLORRANGE=FULL\n")
         assert info.width == 64
@@ -159,8 +167,8 @@ class TestReadFrame:
     def test_ten_bit_range_error(self):
         info = make_info(4, 4, bit_depth=10)
         samples = np.full(4 * 4 * 3 // 2, 1024, dtype="<u2")
-        with pytest.raises(SampleRangeError, match="1024"):
-            read_frame(io.BytesIO(samples.tobytes()), info, 0, container="raw")
+        with pytest.raises(SampleRangeError, match="frame 5: Y plane sample 1024"):
+            read_frame(io.BytesIO(samples.tobytes()), info, 5, container="raw")
 
     def test_raw_truncation(self):
         info = make_info(8, 8)
