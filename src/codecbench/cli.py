@@ -28,8 +28,16 @@ _METRIC_TOKENS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line with exit code 2, like every
+    other error, instead of the usage block; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"codecbench: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--output", "-o", default="-",
         help="report destination ('-' for stdout, default)",
@@ -46,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serialize floats at full precision instead of 6 significant digits",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="codecbench",
         description="Codec evaluation toolkit: objective quality metrics, "
         "Bjøntegaard deltas, subjective score statistics and profiler-based "
@@ -87,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--external-name", metavar="NAME",
         help="metric key inside the external file (default: vmaf for JSON)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker threads, capped at the CPU count (default 1)",
+    )
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser(
@@ -246,11 +257,15 @@ def cmd_metrics(args) -> int:
     metric_ids = _parse_metric_selection(args.metrics)
     if not math.isfinite(args.clamp_db):
         raise InputError(f"--clamp-db must be finite, got {args.clamp_db}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    # Results do not depend on the worker count, so the cap is safe.
+    jobs = min(args.jobs, os.cpu_count() or 1)
     with _open_video(args.reference, args) as ref, _open_video(args.test, args) as test:
         ri = ref.info
         metrics._check_compatible(ri, test.info)
         results = metrics.sequence_quality(
-            ref, test, metric_ids, clamp_db=args.clamp_db, jobs=args.jobs
+            ref, test, metric_ids, clamp_db=args.clamp_db, jobs=jobs
         )
 
     frame_count = len(next(iter(results.values())).frame_values)

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -40,21 +39,6 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
-
-
-@dataclass(frozen=True)
-class PlaneStats:
-    plane_id: str
-    mse: float
-    psnr: float  # math.inf marks a lossless plane
-
-
-@dataclass(frozen=True)
-class FrameQuality:
-    frame_index: int
-    planes: tuple[PlaneStats, PlaneStats, PlaneStats]
-    wpsnr: float
-    ssim: float
 
 
 @dataclass(frozen=True)
@@ -101,72 +85,43 @@ def wpsnr(psnr_y: float, psnr_u: float, psnr_v: float) -> float:
     return (6.0 * psnr_y + psnr_u + psnr_v) / 8.0
 
 
-@lru_cache(maxsize=8)
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    k = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
-    return k / k.sum()
+_SSIM_AXIS = np.arange(_SSIM_WINDOW, dtype=np.float64) - (_SSIM_WINDOW - 1) / 2.0
+_SSIM_KERNEL = np.exp(-(_SSIM_AXIS * _SSIM_AXIS) / (2.0 * _SSIM_SIGMA * _SSIM_SIGMA))
+_SSIM_KERNEL /= _SSIM_KERNEL.sum()
 
 
-def _windowed_mean(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _windowed_mean(values: np.ndarray) -> np.ndarray:
     # Separable correlation; rows first (contiguous axis), then crop to the
     # fully supported interior so no padding convention leaks in.
-    r = kernel.size // 2
-    rows = correlate1d(values, kernel, axis=1, mode="constant")[:, r:-r]
-    return correlate1d(rows, kernel, axis=0, mode="constant")[r:-r, :]
+    r = _SSIM_WINDOW // 2
+    rows = correlate1d(values, _SSIM_KERNEL, axis=1, mode="constant")[:, r:-r]
+    return correlate1d(rows, _SSIM_KERNEL, axis=0, mode="constant")[r:-r, :]
 
 
-def ssim_frame(
-    ref: FrameBuffer,
-    test: FrameBuffer,
-    plane: str = "y",
-    window_size: int = _SSIM_WINDOW,
-    sigma: float = _SSIM_SIGMA,
-    k1: float = _SSIM_K1,
-    k2: float = _SSIM_K2,
-) -> float:
-    """Mean structural similarity over all fully supported windows.
+def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
+    """Mean luma structural similarity over all fully supported windows.
 
-    Luma-only by default; pass plane="u"/"v" for a chroma plane.
+    Fixed parameters (Wang et al. 2004): 11x11 Gaussian window, sigma 1.5,
+    K1 0.01, K2 0.03.
     """
     _check_compatible(ref.info, test.info)
-    idx = "yuv".index(plane)
-    r = ref.planes[idx].astype(np.float64)
-    e = test.planes[idx].astype(np.float64)
-    if min(r.shape) < window_size:
+    r = ref.y.astype(np.float64)
+    e = test.y.astype(np.float64)
+    if min(r.shape) < _SSIM_WINDOW:
         raise InputError(
-            f"plane {r.shape} smaller than the {window_size}x{window_size} window"
+            f"plane {r.shape} smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window"
         )
-    kernel = _gaussian_kernel(window_size, sigma)
-    c1 = (k1 * ref.info.sample_max) ** 2
-    c2 = (k2 * ref.info.sample_max) ** 2
-    mu_r = _windowed_mean(r, kernel)
-    mu_e = _windowed_mean(e, kernel)
-    var_r = _windowed_mean(r * r, kernel) - mu_r * mu_r
-    var_e = _windowed_mean(e * e, kernel) - mu_e * mu_e
-    cov = _windowed_mean(r * e, kernel) - mu_r * mu_e
+    c1 = (_SSIM_K1 * ref.info.sample_max) ** 2
+    c2 = (_SSIM_K2 * ref.info.sample_max) ** 2
+    mu_r = _windowed_mean(r)
+    mu_e = _windowed_mean(e)
+    var_r = _windowed_mean(r * r) - mu_r * mu_r
+    var_e = _windowed_mean(e * e) - mu_e * mu_e
+    cov = _windowed_mean(r * e) - mu_r * mu_e
     ssim_map = ((2.0 * mu_r * mu_e + c1) * (2.0 * cov + c2)) / (
         (mu_r * mu_r + mu_e * mu_e + c1) * (var_r + var_e + c2)
     )
     return float(ssim_map.mean())
-
-
-def frame_quality(
-    ref: FrameBuffer, test: FrameBuffer, clamp_db: float = DEFAULT_CLAMP_DB
-) -> FrameQuality:
-    """Full per-frame stats: plane MSE/PSNR, weighted PSNR, luma SSIM.
-
-    Plane PSNR keeps the infinity marker; the weighted PSNR is computed
-    from clamped plane values so it stays finite.
-    """
-    _check_compatible(ref.info, test.info)
-    planes, values, _ = _frame_pair_metrics((ref, test), COMPUTABLE_METRICS, clamp_db)
-    return FrameQuality(
-        frame_index=ref.frame_index,
-        planes=(planes[0], planes[1], planes[2]),
-        wpsnr=values[WPSNR],
-        ssim=values[SSIM],
-    )
 
 
 def _check_compatible(a, b):
@@ -194,11 +149,11 @@ def _frame_pair_metrics(pair, metric_ids, clamp_db):
     then each selected value (infinite PSNR replaced by clamp_db) and
     whether a clamp went into it."""
     ref, test = pair
-    planes = {}
-    for i in sorted({i for mid in metric_ids for i in _METRIC_PLANES[mid]}):
-        m = mse(ref.planes[i], test.planes[i])
-        planes[i] = PlaneStats("YUV"[i], m, psnr_from_mse(m, ref.info.bit_depth))
-    psnr = {i: p.psnr if math.isfinite(p.psnr) else clamp_db for i, p in planes.items()}
+    exact = {
+        i: psnr_from_mse(mse(ref.planes[i], test.planes[i]), ref.info.bit_depth)
+        for i in sorted({i for mid in metric_ids for i in _METRIC_PLANES[mid]})
+    }
+    psnr = {i: p if math.isfinite(p) else clamp_db for i, p in exact.items()}
 
     values = {}
     clamped = {}
@@ -209,8 +164,8 @@ def _frame_pair_metrics(pair, metric_ids, clamp_db):
             values[mid] = wpsnr(psnr[0], psnr[1], psnr[2])
         else:
             values[mid] = psnr[_METRIC_PLANES[mid][0]]
-        clamped[mid] = any(not math.isfinite(planes[i].psnr) for i in _METRIC_PLANES[mid])
-    return planes, values, clamped
+        clamped[mid] = any(not math.isfinite(exact[i]) for i in _METRIC_PLANES[mid])
+    return values, clamped
 
 
 def _paired(ref_source, test_source):
@@ -274,7 +229,7 @@ def sequence_quality(
     def work(pair):
         return _frame_pair_metrics(pair, metric_ids, clamp_db)
 
-    for _, values, clamped in _ordered_map(work, _paired(ref_source, test_source), jobs):
+    for values, clamped in _ordered_map(work, _paired(ref_source, test_source), jobs):
         for mid in metric_ids:
             per_frame[mid].append(values[mid])
             clamp_hit[mid] = clamp_hit[mid] or clamped[mid]

@@ -87,10 +87,12 @@ def validate_curve(
             f"need at least 3 points, got {len(pts)}"
         )
     for i in range(len(pts) - 1):
-        if pts[i].bitrate == pts[i + 1].bitrate:
+        # Distinct rates can still share a log10 value, the interpolation axis.
+        if math.log10(pts[i].bitrate) == math.log10(pts[i + 1].bitrate):
             raise CurveError(
-                f"curve {codec_id}/{sequence_id}/{metric_id}: "
-                f"duplicate bitrate {pts[i].bitrate}"
+                f"curve {codec_id}/{sequence_id}/{metric_id}: duplicate "
+                f"log10 bitrate between points {i} and {i + 1} "
+                f"({pts[i].bitrate} and {pts[i + 1].bitrate})"
             )
         if pts[i].quality >= pts[i + 1].quality:
             raise CurveError(
@@ -102,7 +104,17 @@ def validate_curve(
     return RDCurve(codec_id, sequence_id, metric_id, tuple(pts))
 
 
-def _overlap_and_integrals(x_anchor, y_anchor, x_test, y_test):
+def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
+    """Mean of test minus anchor over the overlap of their x ranges, each
+    curve's y(x) a PCHIP fit integrated in closed form; ``axes(curve)``
+    gives its (x, y) arrays. Returns the mean, the overlap and a warning
+    per point outside the overlap."""
+    if anchor.metric_id != test.metric_id:
+        raise CurveError(
+            f"metric mismatch: anchor uses {anchor.metric_id!r}, "
+            f"test uses {test.metric_id!r}"
+        )
+    (x_anchor, y_anchor), (x_test, y_test) = axes(anchor), axes(test)
     lo = max(float(x_anchor.min()), float(x_test.min()))
     hi = min(float(x_anchor.max()), float(x_test.max()))
     width = hi - lo
@@ -112,32 +124,23 @@ def _overlap_and_integrals(x_anchor, y_anchor, x_test, y_test):
         raise CurveError(
             f"overlap width {width:.6g} is below the minimum {MIN_OVERLAP}"
         )
-    anchor = PchipInterpolator(x_anchor, y_anchor)
-    test = PchipInterpolator(x_test, y_test)
-    ia = anchor.antiderivative()
-    it = test.antiderivative()
-    mean_diff = ((it(hi) - it(lo)) - (ia(hi) - ia(lo))) / width
-    return float(mean_diff), (lo, hi)
-
-
-def _outside_warnings(curve: RDCurve, axis_values, lo, hi, role, axis_name):
-    out = []
-    for point, value in zip(curve.points, axis_values):
-        if value < lo or value > hi:
-            out.append(
-                f"{role} point (bitrate={point.bitrate:g}, "
-                f"quality={point.quality:g}) lies outside the "
-                f"{axis_name} overlap [{lo:.6g}, {hi:.6g}]"
-            )
-    return out
-
-
-def _check_pair(anchor: RDCurve, test: RDCurve):
-    if anchor.metric_id != test.metric_id:
-        raise CurveError(
-            f"metric mismatch: anchor uses {anchor.metric_id!r}, "
-            f"test uses {test.metric_id!r}"
-        )
+    try:
+        # Finite points too close together give infinite slopes.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            ia = PchipInterpolator(x_anchor, y_anchor).antiderivative()
+            it = PchipInterpolator(x_test, y_test).antiderivative()
+            mean_diff = ((it(hi) - it(lo)) - (ia(hi) - ia(lo))) / width
+    except FloatingPointError as exc:
+        raise CurveError(f"curves cannot be interpolated in float64: {exc}") from None
+    warnings = tuple(
+        f"{role} point (bitrate={point.bitrate:g}, "
+        f"quality={point.quality:g}) lies outside the "
+        f"{axis_name} overlap [{lo:.6g}, {hi:.6g}]"
+        for role, curve, xs in (("anchor", anchor, x_anchor), ("test", test, x_test))
+        for point, value in zip(curve.points, xs)
+        if value < lo or value > hi
+    )
+    return float(mean_diff), (lo, hi), warnings
 
 
 def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
@@ -145,33 +148,30 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
 
     Negative values mean the test codec needs less rate than the anchor.
     """
-    _check_pair(anchor, test)
-    d, (lo, hi) = _overlap_and_integrals(
-        anchor.qualities, anchor.log_rates, test.qualities, test.log_rates
+    d, overlap, warnings = _bd_delta(
+        anchor, test, "quality", lambda c: (c.qualities, c.log_rates)
     )
-    warnings = _outside_warnings(anchor, anchor.qualities, lo, hi, "anchor", "quality")
-    warnings += _outside_warnings(test, test.qualities, lo, hi, "test", "quality")
+    try:
+        percent = (10.0 ** d - 1.0) * 100.0
+    except OverflowError:
+        raise CurveError(
+            f"BD-rate overflows: mean log10 rate difference {d:.6g}"
+        ) from None
     return BDResult(
-        bd_rate_percent=(10.0 ** d - 1.0) * 100.0,
+        bd_rate_percent=percent,
         bd_quality=None,
-        overlap=(lo, hi),
-        warnings=tuple(warnings),
+        overlap=overlap,
+        warnings=warnings,
     )
 
 
 def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average quality difference at equal rate, in metric units."""
-    _check_pair(anchor, test)
-    d, (lo, hi) = _overlap_and_integrals(
-        anchor.log_rates, anchor.qualities, test.log_rates, test.qualities
+    d, overlap, warnings = _bd_delta(
+        anchor, test, "log-rate", lambda c: (c.log_rates, c.qualities)
     )
-    warnings = _outside_warnings(anchor, anchor.log_rates, lo, hi, "anchor", "log-rate")
-    warnings += _outside_warnings(test, test.log_rates, lo, hi, "test", "log-rate")
     return BDResult(
-        bd_rate_percent=None,
-        bd_quality=d,
-        overlap=(lo, hi),
-        warnings=tuple(warnings),
+        bd_rate_percent=None, bd_quality=d, overlap=overlap, warnings=warnings
     )
 
 

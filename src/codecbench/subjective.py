@@ -63,12 +63,16 @@ class ScoreMatrix:
         present = self.scores[~np.isnan(self.scores)]
         if present.size and (present.min() < 0 or present.max() > 100):
             raise DataFormatError("scores must lie in [0, 100]")
+        # Column of each stimulus; the first occurrence wins, as with index().
+        self._column_of = {}
+        for i, stimulus in enumerate(self.stimuli):
+            self._column_of.setdefault(stimulus, i)
 
     def column(self, stimulus: str) -> np.ndarray:
         """Present (non-missing) scores for one stimulus."""
         try:
-            idx = self.stimuli.index(stimulus)
-        except ValueError:
+            idx = self._column_of[stimulus]
+        except KeyError:
             raise MissingDataError(f"unknown stimulus {stimulus!r}") from None
         col = self.scores[:, idx]
         return col[~np.isnan(col)]

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import codecbench
+from codecbench import metrics
 from codecbench.cli import main
 from codecbench.report import round_floats
 from codecbench.video_io import CHROMA_444, write_y4m
@@ -72,6 +74,37 @@ class TestMetricsCommand:
         assert captured.out == ""
         assert captured.err.startswith("codecbench: error: --clamp-db")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, rng, capsys, value):
+        ref, test = write_pair(tmp_path, rng)
+        rc = main(["metrics", str(ref), str(test), "--jobs", value, "--quiet"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = f"codecbench: error: --jobs must be at least 1, got {value}\n"
+        assert captured.err == expected
+
+    @pytest.mark.parametrize("requested,expected", [(1, 1), (3, 3), (4, 3), (10**6, 3)])
+    def test_jobs_capped_at_cpu_count(
+        self, tmp_path, rng, monkeypatch, requested, expected
+    ):
+        ref, test = write_pair(tmp_path, rng, frames=1)
+        seen = []
+
+        def record(ref_source, test_source, metric_ids, clamp_db, jobs):
+            seen.append(jobs)
+            return {m: metrics.SequenceQuality(m, (1.0,), 1.0) for m in metric_ids}
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(metrics, "sequence_quality", record)
+        out = tmp_path / "report.json"
+        rc = main([
+            "metrics", str(ref), str(test), "--jobs", str(requested),
+            "--output", str(out), "--quiet",
+        ])
+        assert rc == 0
+        assert seen == [expected]
 
     def test_raw_without_geometry_flags_exit_2(self, tmp_path, rng, capsys):
         raw = tmp_path / "clip.yuv"
@@ -495,6 +528,40 @@ class TestProfileCommand:
         prof.write_text("events: Ir\nfl=a.c\nfn=foo\n1 banana\n")
         assert main(["profile", str(prof), "--quiet"]) == 3
         assert "line 4" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["metrics", "a.y4m", "b.y4m", "--clamp-db", "-inf"],
+             "argument --clamp-db: expected one argument"),
+            (["encode", "a.y4m"], "argument COMMAND: invalid choice: 'encode'"),
+            (["mos", "--pvs-meta", "meta.csv"],
+             "the following arguments are required: scores"),
+        ],
+        ids=["split_clamp_db", "unknown_subcommand", "missing_positional"],
+    )
+    def test_one_line_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"codecbench: error: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_help_and_version_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"codecbench {codecbench.__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: codecbench metrics [-h]")
+        assert "--jobs JOBS" in captured.out and captured.err == ""
 
 
 class TestRounding:

@@ -20,7 +20,6 @@ from codecbench.metrics import (
     SSIM,
     WPSNR,
     content_features,
-    frame_quality,
     ingest_external_scores,
     mse,
     psnr_from_mse,
@@ -177,24 +176,37 @@ class TestSsim:
             ssim_frame(frame, frame)
 
 
+def exact_psnr(a, b):
+    """Per-plane PSNR of one frame pair in closed form (inf when lossless)."""
+    depth = a.info.bit_depth
+    return [psnr_from_mse(mse(p, q), depth) for p, q in zip(a.planes, b.planes)]
+
+
 class TestFrameQuality:
     def test_wpsnr_consistency(self, rng):
         info = make_info(32, 32)
         a = random_frame(info, rng)
         b = random_frame(info, rng)
-        fq = frame_quality(a, b)
-        psnrs = [p.psnr for p in fq.planes]
+        result = sequence_quality([a], [b])
+        psnrs = exact_psnr(a, b)
         assert all(math.isfinite(p) for p in psnrs)
-        assert fq.wpsnr == pytest.approx(wpsnr(*psnrs), abs=1e-12)
-        assert fq.ssim <= 1.0
+        for mid, p in zip((PSNR_Y, PSNR_U, PSNR_V), psnrs):
+            assert result[mid].frame_values == (p,)
+        assert result[WPSNR].frame_values == (wpsnr(*psnrs),)
+        assert result[SSIM].frame_values == (ssim_frame(a, b),)
+        assert result[SSIM].value <= 1.0
+        assert not any(sq.clamp_applied for sq in result.values())
 
     def test_plane_psnr_keeps_infinity(self, rng):
         info = make_info(32, 32)
         a = random_frame(info, rng)
-        fq = frame_quality(a, a)
-        assert all(p.mse == 0 and math.isinf(p.psnr) for p in fq.planes)
-        assert fq.wpsnr == 100.0
-        assert fq.ssim == pytest.approx(1.0, abs=1e-12)
+        assert all(math.isinf(p) for p in exact_psnr(a, a))
+        result = sequence_quality([a], [a])
+        for mid in (PSNR_Y, PSNR_U, PSNR_V, WPSNR):
+            assert result[mid].frame_values == (100.0,)
+            assert result[mid].clamp_applied
+        assert result[SSIM].frame_values[0] == pytest.approx(1.0, abs=1e-12)
+        assert not result[SSIM].clamp_applied
 
     @pytest.mark.parametrize(
         "selection",
@@ -208,11 +220,10 @@ class TestFrameQuality:
         test[2].planes[1][0, 0] ^= 1  # lossless Y and V, lossy U
         result = sequence_quality(ref, test, selection, clamp_db=90.0)
         for i, (a, b) in enumerate(zip(ref, test)):
-            fq = frame_quality(a, b, clamp_db=90.0)
-            clamp = [p.psnr if math.isfinite(p.psnr) else 90.0 for p in fq.planes]
+            clamp = [p if math.isfinite(p) else 90.0 for p in exact_psnr(a, b)]
             expected = {
                 PSNR_Y: clamp[0], PSNR_U: clamp[1], PSNR_V: clamp[2],
-                WPSNR: fq.wpsnr, SSIM: fq.ssim,
+                WPSNR: wpsnr(*clamp), SSIM: ssim_frame(a, b),
             }
             for mid in selection:
                 assert result[mid].frame_values[i] == expected[mid]

@@ -52,6 +52,10 @@ class TestValidateCurve:
         with pytest.raises(CurveError, match="duplicate"):
             curve([(1000, 30), (1000, 35), (2000, 40)])
 
+    def test_rates_equal_on_log_scale(self):
+        with pytest.raises(CurveError, match="duplicate log10 bitrate between points 0"):
+            curve([(1e-300, 30), (1.0000000000000002e-300, 35), (1.0, 40)])
+
     @pytest.mark.parametrize(
         "bad", [(4000, float("nan")), (4000, float("inf")), (float("inf"), 50)]
     )
@@ -95,30 +99,66 @@ class TestBdRate:
             bd_rate(in_bps_a, in_bps_t).bd_rate_percent, abs=1e-9
         )
 
-    def test_metric_mismatch(self):
+
+# Each error path once per delta. bd_rate integrates over quality, so its
+# test curve is BASE shifted in quality; bd_quality integrates over
+# log-rate, so its test curve is BASE shifted in rate. BASE doubles the
+# rate every 5 dB, so both shifts move the curve equally far along the axis.
+def shifted(delta_db, bd):
+    if bd is bd_rate:
+        return curve([(r, q + delta_db) for r, q in BASE])
+    return curve([(r * 2 ** (delta_db / 5), q) for r, q in BASE])
+
+
+BD_AXES = pytest.mark.parametrize(
+    "bd,axis", [(bd_rate, "quality"), (bd_quality, "log-rate")],
+    ids=["bd_rate", "bd_quality"],
+)
+
+
+class TestBdErrors:
+    @BD_AXES
+    def test_metric_mismatch(self, bd, axis):
         anchor = curve(BASE, metric="PSNR")
         test = curve(BASE, metric="SSIM")
         with pytest.raises(CurveError, match="metric"):
+            bd(anchor, test)
+
+    @BD_AXES
+    def test_no_overlap(self, bd, axis):
+        with pytest.raises(CurveError, match="do not overlap"):
+            bd(curve(BASE), shifted(100, bd))
+
+    @BD_AXES
+    def test_overlap_too_narrow(self, bd, axis):
+        with pytest.raises(CurveError, match="below the minimum"):
+            bd(curve(BASE), shifted(14.95, bd))
+
+    @BD_AXES
+    def test_points_outside_overlap_warn(self, bd, axis):
+        test = shifted(3, bd)
+        top = test.points[-1]
+        result = bd(curve(BASE), test)
+        assert len(result.warnings) == 2
+        assert result.warnings[0].startswith("anchor point (bitrate=1000, quality=30)")
+        assert result.warnings[1].startswith(
+            f"test point (bitrate={top.bitrate:g}, quality={top.quality:g})"
+        )
+        assert all(f"outside the {axis} overlap" in w for w in result.warnings)
+
+
+class TestBdFloatRange:
+    def test_infinite_slope(self):
+        anchor = curve([(1.0, -1.0), (2.0, 0.0), (3.0, 1.0)])
+        test = curve([(1.0, 1e-300), (2.0, 1.0000000000000002e-300), (3.0, 1.0)])
+        with pytest.raises(CurveError, match="cannot be interpolated in float64"):
             bd_rate(anchor, test)
 
-    def test_no_overlap(self):
-        anchor = curve(BASE)
-        test = curve([(r, q + 100) for r, q in BASE])
-        with pytest.raises(CurveError, match="overlap"):
+    def test_bd_rate_overflow(self):
+        anchor = curve([(1e-290, 0), (1e-280, 1), (1e-270, 2)])
+        test = curve([(1e250, 0), (1e260, 1), (1e270, 2)])
+        with pytest.raises(CurveError, match="BD-rate overflows"):
             bd_rate(anchor, test)
-
-    def test_overlap_too_narrow(self):
-        anchor = curve(BASE)
-        test = curve([(r, q + 14.95) for r, q in BASE])
-        with pytest.raises(CurveError, match="overlap"):
-            bd_rate(anchor, test)
-
-    def test_points_outside_overlap_warn(self):
-        anchor = curve(BASE)
-        test = curve([(r, q + 3) for r, q in BASE])
-        result = bd_rate(anchor, test)
-        assert result.warnings
-        assert any("outside" in w for w in result.warnings)
 
 
 class TestBdQuality:

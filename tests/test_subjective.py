@@ -72,6 +72,18 @@ class TestMos:
             mos(m, "p0")
 
 
+class TestColumn:
+    def test_unknown_stimulus(self):
+        m = matrix_from([[60, 70], [80, 90]])
+        with pytest.raises(MissingDataError, match="'p9'"):
+            m.column("p9")
+
+    def test_repeated_stimulus_returns_first_column(self):
+        m = matrix_from([[60, 70, 10], [80, 90, 20]], stimuli=("a", "b", "a"))
+        assert m.column("a").tolist() == [60.0, 80.0]
+        assert m.column("b").tolist() == [70.0, 90.0]
+
+
 class TestCi95:
     def test_constant_scores(self):
         m = matrix_from([[70], [70], [70]])
