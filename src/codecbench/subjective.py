@@ -44,7 +44,11 @@ class StimulusInfo:
 
 @dataclass(eq=False)
 class ScoreMatrix:
-    """Subjects x stimuli grid of raw scores on [0, 100]; NaN marks missing."""
+    """Subjects x stimuli grid of raw scores on [0, 100]; NaN marks missing.
+
+    Each stimulus's MOS is memoised on first use, so edit `scores` before
+    taking any MOS from the matrix, or build a new matrix.
+    """
 
     subjects: tuple[str, ...]
     stimuli: tuple[str, ...]
@@ -67,6 +71,7 @@ class ScoreMatrix:
         self._column_of = {}
         for i, stimulus in enumerate(self.stimuli):
             self._column_of.setdefault(stimulus, i)
+        self._mos_of = {}
 
     def column(self, stimulus: str) -> np.ndarray:
         """Present (non-missing) scores for one stimulus."""
@@ -132,7 +137,13 @@ class AnovaResult:
 
 def mos(matrix: ScoreMatrix, stimulus: str) -> float:
     """Mean opinion score over present scores for one stimulus."""
-    return _column_mos(matrix.column(stimulus), stimulus)
+    # Each MOS point and every ANOVA factor read the same per-stimulus MOS.
+    value = matrix._mos_of.get(stimulus)
+    if value is None:
+        value = matrix._mos_of[stimulus] = _column_mos(
+            matrix.column(stimulus), stimulus
+        )
+    return value
 
 
 def ci95(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> float:
@@ -144,7 +155,7 @@ def mos_point(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT)
     col = matrix.column(stimulus)
     return MosPoint(
         stimulus=stimulus,
-        mos=_column_mos(col, stimulus),
+        mos=mos(matrix, stimulus),
         ci95=_column_ci95(col, stimulus, constant),
         n=int(col.size),
     )

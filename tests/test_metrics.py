@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import correlate1d
 
 from codecbench import metrics
 from codecbench.errors import (
@@ -29,6 +32,7 @@ from codecbench.metrics import (
     temporal_info,
     wpsnr,
 )
+from codecbench.video_io import CHROMA_444, FrameBuffer
 
 from conftest import make_frame, make_info, offset_frame, random_frame
 
@@ -54,6 +58,13 @@ class TestMse:
             a = rng.integers(0, 1024, 50)
             b = rng.integers(0, 1024, 50)
             assert mse(a, b) == mse(b, a)
+
+    @pytest.mark.parametrize("dtype, high", [(np.uint8, 256), (np.uint16, 1024)])
+    def test_bitwise_equal_to_two_cast_form(self, rng, dtype, high):
+        a = rng.integers(0, high, (135, 241)).astype(dtype)
+        b = rng.integers(0, high, (135, 241)).astype(dtype)
+        expected = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+        assert mse(a, b) == expected
 
 
 class TestPsnr:
@@ -129,6 +140,41 @@ def ssim_brute_force(ref, test, sample_max, size=11, sigma=1.5, k1=0.01, k2=0.03
     return float(np.mean(values))
 
 
+def ssim_untiled_five_maps(ref, test):
+    """Whole-plane SSIM from five windowed maps, the formula before strips."""
+    size = 11
+    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2
+    g = np.exp(-(ax * ax) / (2 * 1.5 * 1.5))
+    g /= g.sum()
+
+    def windowed_mean(values):
+        r = size // 2
+        rows = correlate1d(values, g, axis=1, mode="constant")[:, r:-r]
+        return correlate1d(rows, g, axis=0, mode="constant")[r:-r, :]
+
+    c1 = (0.01 * ref.info.sample_max) ** 2
+    c2 = (0.03 * ref.info.sample_max) ** 2
+    r = ref.y.astype(np.float64)
+    e = test.y.astype(np.float64)
+    mu_r = windowed_mean(r)
+    mu_e = windowed_mean(e)
+    var_r = windowed_mean(r * r) - mu_r * mu_r
+    var_e = windowed_mean(e * e) - mu_e * mu_e
+    cov = windowed_mean(r * e) - mu_r * mu_e
+    ssim_map = ((2.0 * mu_r * mu_e + c1) * (2.0 * cov + c2)) / (
+        (mu_r * mu_r + mu_e * mu_e + c1) * (var_r + var_e + c2)
+    )
+    return float(ssim_map.mean())
+
+
+def noisy_copy(frame, rng, amplitude):
+    """The frame with uniform luma noise in [-amplitude, amplitude], clipped."""
+    noise = rng.integers(-amplitude, amplitude + 1, frame.y.shape)
+    y = np.clip(frame.y.astype(np.int64) + noise, 0, frame.info.sample_max)
+    planes = (y.astype(frame.info.dtype),) + frame.planes[1:]
+    return FrameBuffer(info=frame.info, planes=planes, frame_index=frame.frame_index)
+
+
 class TestSsim:
     def test_identity(self, rng):
         info = make_info(32, 32)
@@ -174,6 +220,41 @@ class TestSsim:
         frame = random_frame(info, rng)
         with pytest.raises(InputError):
             ssim_frame(frame, frame)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        # 11 and 12 give one and two output rows; the others put the last
+        # row just before, on, or just after a 32-row strip boundary.
+        height=st.sampled_from((11, 12, 41, 42, 43, 75, 76)),
+        width=st.integers(11, 20),
+        bit_depth=st.sampled_from((8, 10)),
+        amplitude=st.sampled_from((1, 16, 1023)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_strip_seams_against_brute_force(
+        self, height, width, bit_depth, amplitude, seed
+    ):
+        rng = np.random.default_rng(seed)
+        info = make_info(width, height, bit_depth=bit_depth, chroma=CHROMA_444)
+        a = random_frame(info, rng)
+        b = noisy_copy(a, rng, amplitude)
+        slow = ssim_brute_force(a.y, b.y, info.sample_max)
+        assert ssim_frame(a, b) == pytest.approx(slow, abs=1e-9)
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_identity_is_exactly_one(self, rng, bit_depth):
+        info = make_info(48, 80, bit_depth=bit_depth)
+        constant = make_frame(info, np.full((80, 48), info.sample_max // 3))
+        assert ssim_frame(constant, constant) == 1.0
+        frame = random_frame(info, rng)
+        assert ssim_frame(frame, frame) == 1.0
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_within_1e_12_of_untiled_formula_at_1080p(self, rng, bit_depth):
+        info = make_info(1920, 1080, bit_depth=bit_depth)
+        a = random_frame(info, rng)
+        b = noisy_copy(a, rng, 4 << (bit_depth - 8))
+        assert abs(ssim_frame(a, b) - ssim_untiled_five_maps(a, b)) <= 1e-12
 
 
 def exact_psnr(a, b):

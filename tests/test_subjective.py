@@ -8,8 +8,10 @@ from scipy.integrate import quad
 from scipy.stats import f as f_distribution
 from scipy.stats import rankdata
 
+from codecbench import subjective
 from codecbench.errors import DataFormatError, MissingDataError, StatsError
 from codecbench.subjective import (
+    FACTORS,
     ScoreMatrix,
     StimulusInfo,
     anova_oneway,
@@ -325,6 +327,37 @@ class TestAnova:
         m = matrix_from([[50.0, 60.0]], meta={})
         with pytest.raises(MissingDataError):
             anova_oneway(m, "codec")
+
+    def test_mos_taken_once_per_stimulus(self, rng, monkeypatch):
+        scores = rng.uniform(0, 100, (6, 24))
+        scores[rng.uniform(size=scores.shape) < 0.2] = math.nan
+        stimuli = tuple(f"p{j}" for j in range(24))
+        meta = {
+            pvs: StimulusInfo(
+                codec=f"c{j % 2}", resolution=f"r{j % 3}",
+                bitrate_kbps=float(j % 4), content=f"t{j % 6}",
+            )
+            for j, pvs in enumerate(stimuli)
+        }
+        taken = []
+        column_mos = subjective._column_mos
+
+        def counting(col, stimulus):
+            taken.append(stimulus)
+            return column_mos(col, stimulus)
+
+        monkeypatch.setattr(subjective, "_column_mos", counting)
+        m = matrix_from(scores, meta=meta, stimuli=stimuli)
+        points = [mos_point(m, pvs) for pvs in stimuli]
+        results = [anova_oneway(m, factor) for factor in FACTORS]
+        assert sorted(taken) == sorted(stimuli)
+
+        for point in points:
+            col = scores[:, stimuli.index(point.stimulus)]
+            assert point.mos == float(np.mean(col[~np.isnan(col)]))
+        for factor, result in zip(FACTORS, results):
+            fresh = matrix_from(scores, meta=meta, stimuli=stimuli)
+            assert anova_oneway(fresh, factor) == result
 
 
 class TestFSurvival:
