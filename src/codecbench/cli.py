@@ -28,6 +28,10 @@ _METRIC_TOKENS = {
 }
 
 
+# Float flags that a nan or inf would silently corrupt; checked in one place.
+_FINITE_FLAGS = ("clamp_db", "threshold", "ci_constant")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line with exit code 2, like every
     other error, instead of the usage block; subparsers inherit the class."""
@@ -167,6 +171,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.argv = argv
     try:
+        _check_finite_flags(args)
         return args.func(args)
     except (DataFormatError, UnicodeDecodeError) as exc:
         print(f"codecbench: format error: {exc}", file=sys.stderr)
@@ -176,12 +181,26 @@ def main(argv=None) -> int:
         return 2
 
 
+def _write_csv(args, path, header, rows):
+    """Write every CSV the CLI produces, honouring --full-precision."""
+    text = report.render_csv(header, rows, full_precision=args.full_precision)
+    report.write_text(path, text)
+
+
+def _check_finite_flags(args):
+    for dest in _FINITE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} must be finite, got {value}")
+
+
 def _emit(args, report_doc, csv_header, csv_rows, summary_lines):
     if args.format == "json":
         text = report.render_json(report_doc, full_precision=args.full_precision)
+        report.write_text(args.output, text)
     else:
-        text = report.render_csv(csv_header, csv_rows, full_precision=args.full_precision)
-    report.write_text(args.output, text)
+        _write_csv(args, args.output, csv_header, csv_rows)
     if not args.quiet and args.output != "-":
         for line in summary_lines:
             print(line)
@@ -225,14 +244,20 @@ def _open_video(path, args):
             f"{' '.join(missing)} (no geometry autodetection)"
         )
     fps_num, fps_den = _parse_fps(args.fps)
-    info = video_io.SequenceInfo(
-        width=args.width,
-        height=args.height,
-        fps_num=fps_num,
-        fps_den=fps_den,
-        bit_depth=args.bit_depth,
-        chroma=video_io.CHROMA_420 if args.chroma == "420" else video_io.CHROMA_444,
-    )
+    try:
+        info = video_io.SequenceInfo(
+            width=args.width,
+            height=args.height,
+            fps_num=fps_num,
+            fps_den=fps_den,
+            bit_depth=args.bit_depth,
+            chroma=video_io.CHROMA_420 if args.chroma == "420" else video_io.CHROMA_444,
+        )
+    except DataFormatError as exc:
+        # The flags, not the file, are at fault: a usage error.
+        raise InputError(
+            f"invalid raw-input flags --width/--height/--fps/--chroma: {exc}"
+        ) from None
     return video_io.RawReader(path, info)
 
 
@@ -255,8 +280,6 @@ def _parse_metric_selection(text: str) -> tuple[str, ...]:
 
 def cmd_metrics(args) -> int:
     metric_ids = _parse_metric_selection(args.metrics)
-    if not math.isfinite(args.clamp_db):
-        raise InputError(f"--clamp-db must be finite, got {args.clamp_db}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     # Results do not depend on the worker count, so the cap is safe.
@@ -289,7 +312,11 @@ def cmd_metrics(args) -> int:
         )
 
     if args.per_frame:
-        _write_per_frame_csv(args, results, frame_count)
+        ids = [mid for mid, sq in results.items() if len(sq.frame_values) == frame_count]
+        _write_csv(args, args.per_frame, ["frame"] + ids, [
+            [i] + [results[mid].frame_values[i] for mid in ids]
+            for i in range(frame_count)
+        ])
 
     inputs = [args.reference, args.test] + ([args.external] if args.external else [])
     doc = report.make_report(
@@ -326,15 +353,6 @@ def cmd_metrics(args) -> int:
         for r in rows
     ]
     return _emit(args, doc, ["metric", "mean", "frames", "clamp_applied"], csv_rows, summary)
-
-
-def _write_per_frame_csv(args, results, frame_count):
-    ids = [mid for mid, sq in results.items() if len(sq.frame_values) == frame_count]
-    rows = []
-    for i in range(frame_count):
-        rows.append([i] + [results[mid].frame_values[i] for mid in ids])
-    text = report.render_csv(["frame"] + ids, rows, full_precision=args.full_precision)
-    report.write_text(args.per_frame, text)
 
 
 def cmd_bdrate(args) -> int:
@@ -388,7 +406,11 @@ def cmd_bdrate(args) -> int:
         )
 
     if args.plot_data:
-        _write_plot_csv(args.plot_data, list(anchors.values()) + list(tests.values()))
+        _write_csv(
+            args, args.plot_data,
+            ["codec", "sequence", "metric", "quality", "log10_rate_kbps", "interpolated"],
+            _plot_rows(list(anchors.values()) + list(tests.values())),
+        )
 
     doc = report.make_report(
         command=args.argv,
@@ -418,7 +440,7 @@ def cmd_bdrate(args) -> int:
     return _emit(args, doc, header, csv_rows, summary)
 
 
-def _write_plot_csv(path, curves):
+def _plot_rows(curves):
     import numpy as np
 
     rows = []
@@ -435,14 +457,7 @@ def _write_plot_csv(path, curves):
                 [curve.codec_id, curve.sequence_id, curve.metric_id,
                  float(q), float(lr), 1]
             )
-    report.write_text(
-        path,
-        report.render_csv(
-            ["codec", "sequence", "metric", "quality", "log10_rate_kbps",
-             "interpolated"],
-            rows,
-        ),
-    )
+    return rows
 
 
 def cmd_mos(args) -> int:
@@ -538,18 +553,30 @@ def _load_stage_mapping(args):
     return profiling.default_mapping(), "built-in"
 
 
-def _pie_path(base, input_path, multiple):
-    if not multiple:
-        return base
+def _pie_paths(base, inputs):
+    """One --pie-data file per input: several inputs get the input stem
+    suffixed, and two inputs with the same stem are refused before any
+    file is written."""
+    if len(inputs) == 1:
+        return [base]
     stem, ext = os.path.splitext(base)
-    input_stem = os.path.splitext(os.path.basename(input_path))[0]
-    return f"{stem}-{input_stem}{ext or '.csv'}"
+    owners = {}
+    for path in inputs:
+        input_stem = os.path.splitext(os.path.basename(path))[0]
+        pie = f"{stem}-{input_stem}{ext or '.csv'}"
+        if pie in owners:
+            raise InputError(
+                f"--pie-data: inputs {owners[pie]} and {path} would both write {pie}"
+            )
+        owners[pie] = path
+    return list(owners)
 
 
 def cmd_profile(args) -> int:
     mapping, mapping_origin = _load_stage_mapping(args)
+    pies = _pie_paths(args.pie_data, args.callgrind) if args.pie_data else None
     profiles = []
-    for path in args.callgrind:
+    for i, path in enumerate(args.callgrind):
         costs = profiling.parse_callgrind(path, event=args.event)
         profile = profiling.aggregate_stages(
             costs, mapping, bucket_threshold=args.threshold
@@ -572,15 +599,9 @@ def cmd_profile(args) -> int:
                 "other_bucket": list(profile.other_bucket),
             }
         )
-        if args.pie_data:
-            pie = _pie_path(args.pie_data, path, len(args.callgrind) > 1)
-            report.write_text(
-                pie,
-                report.render_csv(
-                    ["stage", "percent"],
-                    [[stage, percent] for stage, percent in stages],
-                ),
-            )
+        if pies:
+            _write_csv(args, pies[i], ["stage", "percent"],
+                       [[stage, percent] for stage, percent in stages])
 
     timing_section = None
     inputs = list(args.callgrind)

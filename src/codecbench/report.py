@@ -39,44 +39,36 @@ def make_report(command, inputs, results, warnings=(), notes=()) -> dict:
     }
 
 
-def round_floats(obj, sig_digits: int = DEFAULT_SIG_DIGITS):
-    """Recursively round floats to a fixed number of significant digits."""
-    if isinstance(obj, bool):
-        return obj
+def normalize_floats(obj, full_precision: bool = False):
+    """Recursively round finite floats to DEFAULT_SIG_DIGITS significant
+    digits (unless full_precision) and turn non-finite floats into strings.
+
+    JSON has no Infinity/NaN literals; degenerate statistics (e.g. a
+    perfectly separated ANOVA) serialize as "inf"/"nan" instead of crashing,
+    the same text the csv module writes for them.
+    """
     if isinstance(obj, float):
-        return float(f"{obj:.{sig_digits}g}") if math.isfinite(obj) else obj
+        if not math.isfinite(obj):
+            return str(obj)
+        return obj if full_precision else float(f"{obj:.{DEFAULT_SIG_DIGITS}g}")
     if isinstance(obj, dict):
-        return {k: round_floats(v, sig_digits) for k, v in obj.items()}
+        return {k: normalize_floats(v, full_precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig_digits) for v in obj]
-    return obj
-
-
-def _sanitize_nonfinite(obj):
-    # JSON has no Infinity/NaN literals; degenerate statistics (e.g. a
-    # perfectly separated ANOVA) serialize as strings instead of crashing.
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {k: _sanitize_nonfinite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize_nonfinite(v) for v in obj]
+        return [normalize_floats(v, full_precision) for v in obj]
     return obj
 
 
 def render_json(report: dict, full_precision: bool = False) -> str:
-    doc = report if full_precision else round_floats(report)
-    return json.dumps(_sanitize_nonfinite(doc), indent=2, allow_nan=False) + "\n"
+    doc = normalize_floats(report, full_precision)
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(header, rows, full_precision: bool = False) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        if not full_precision:
-            row = [round_floats(cell) for cell in row]
-        writer.writerow(row)
+    # Rows are rounded one at a time, so no rounded copy of the table is held.
+    writer.writerows(rows if full_precision else map(normalize_floats, rows))
     return buf.getvalue()
 
 

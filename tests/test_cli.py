@@ -9,7 +9,7 @@ import pytest
 import codecbench
 from codecbench import metrics
 from codecbench.cli import main
-from codecbench.report import round_floats
+from codecbench.report import normalize_floats
 from codecbench.video_io import CHROMA_444, write_y4m
 
 from conftest import make_info, offset_frame, random_frame
@@ -162,7 +162,7 @@ class TestMetricsCommand:
         assert rc == 0
         values = [float(line.split(",")[1])
                   for line in per_frame.read_text().splitlines()[1:]]
-        assert any(round_floats(v) != v for v in values)
+        assert any(normalize_floats(v) != v for v in values)
         mean = json.loads(out.read_text())["results"]["metrics"][0]["mean"]
         assert mean == sum(values) / len(values)
 
@@ -530,6 +530,125 @@ class TestProfileCommand:
         assert "line 4" in capsys.readouterr().err
 
 
+PIE_CALLGRIND = """\
+events: Ir
+fl=enc.cpp
+fn=InterSearch::xTZSearch
+10 200
+fn=TrQuant::transformNxN
+20 100
+"""
+
+
+def plot_floats(tmp_path, *flags):
+    """The quality and log10-rate cells of a --plot-data CSV."""
+    points = tmp_path / "points.csv"
+    rows = []
+    for rate, quality in [(1000, 30.123456789), (2000, 35.987654321), (4000, 40.5555555)]:
+        rows.append(f"HM,s1,PSNR,,{rate},{quality}\n")
+        rows.append(f"VTM,s1,PSNR,,{rate * 0.8},{quality}\n")
+    write_rd_csv(points, rows)
+    plot = tmp_path / "plot.csv"
+    rc = main([
+        "bdrate", str(points), "--anchor", "HM", "--test", "VTM",
+        "--plot-data", str(plot), "-o", str(tmp_path / "bd.json"), "-q", *flags,
+    ])
+    assert rc == 0
+    lines = plot.read_text().splitlines()[1:]
+    return [float(cell) for line in lines for cell in line.split(",")[3:5]]
+
+
+def pie_floats(tmp_path, *flags):
+    """The percent cells of a --pie-data CSV (stages at 2/3 and 1/3)."""
+    prof = tmp_path / "callgrind.out"
+    prof.write_text(PIE_CALLGRIND)
+    pie = tmp_path / "pie.csv"
+    rc = main([
+        "profile", str(prof), "--pie-data", str(pie),
+        "-o", str(tmp_path / "p.json"), "-q", *flags,
+    ])
+    assert rc == 0
+    return [float(line.split(",")[1]) for line in pie.read_text().splitlines()[1:]]
+
+
+class TestSideFilePrecision:
+    @pytest.mark.parametrize("write", [plot_floats, pie_floats], ids=["plot", "pie"])
+    def test_full_precision_reaches_side_file(self, tmp_path, write):
+        (tmp_path / "six").mkdir()
+        (tmp_path / "full").mkdir()
+        six = write(tmp_path / "six")
+        full = write(tmp_path / "full", "--full-precision")
+        assert len(six) == len(full) > 0
+        assert all(float(f"{v:.6g}") == v for v in six)
+        assert [float(f"{v:.6g}") for v in full] == six
+        assert any(a != b for a, b in zip(six, full))
+
+    def test_plot_data_keeps_input_quality(self, tmp_path):
+        assert 30.123456789 in plot_floats(tmp_path, "--full-precision")
+        assert 30.1235 in plot_floats(tmp_path)
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--width", "0"), ("--height", "0"), ("--fps", "0"), ("--fps", "25:0"),
+         ("--width", "33")],
+        ids=["width_0", "height_0", "fps_0", "fps_den_0", "odd_width_420"],
+    )
+    def test_bad_raw_geometry_exit_2(self, tmp_path, capsys, flag, value):
+        raw = tmp_path / "clip.yuv"
+        raw.write_bytes(bytes(64 * 64 * 3 // 2))
+        flags = {"--width": "64", "--height": "64", "--bit-depth": "8", "--fps": "50"}
+        flags[flag] = value
+        argv = ["metrics", str(raw), str(raw), "-q"]
+        for item in flags.items():
+            argv.extend(item)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("codecbench: error: invalid raw-input flags")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("mos", "--ci-constant"), ("mos", "--threshold"), ("profile", "--threshold")],
+    )
+    def test_non_finite_float_flag_exit_2(self, tmp_path, capsys, command, flag, value):
+        if command == "mos":
+            scores, meta = write_panel(tmp_path)
+            argv = ["mos", str(scores), "--pvs-meta", str(meta)]
+        else:
+            prof = tmp_path / "callgrind.out"
+            prof.write_text(CALLGRIND)
+            argv = ["profile", str(prof)]
+        out = tmp_path / "report.json"
+        assert main(argv + [f"{flag}={value}", "-q", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"codecbench: error: {flag} must be finite")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_pie_data_stem_collision_exit_2(self, tmp_path, capsys):
+        inputs = []
+        for name in ("a/enc.out", "b/enc.out", "b/dec.out"):
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(CALLGRIND)
+            inputs.append(str(path))
+        pie, out = tmp_path / "pie.csv", tmp_path / "p.json"
+        tail = ["--pie-data", str(pie), "-q", "-o", str(out)]
+        assert main(["profile", *inputs, *tail]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("codecbench: error: --pie-data")
+        assert inputs[0] in err and inputs[1] in err
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+        # Distinct stems still get one pie each.
+        assert main(["profile", inputs[0], inputs[2], *tail]) == 0
+        assert (tmp_path / "pie-enc.csv").exists() and (tmp_path / "pie-dec.csv").exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv,message",
@@ -566,12 +685,12 @@ class TestUsageErrors:
 
 class TestRounding:
     def test_six_significant_digits(self):
-        doc = round_floats({"x": 48.13080360867913, "nested": [1.23456789e-7]})
+        doc = normalize_floats({"x": 48.13080360867913, "nested": [1.23456789e-7]})
         assert doc["x"] == 48.1308
         assert doc["nested"][0] == 1.23457e-7
 
     def test_ints_and_bools_untouched(self):
-        doc = round_floats({"n": 12345678, "flag": True})
+        doc = normalize_floats({"n": 12345678, "flag": True})
         assert doc["n"] == 12345678
         assert doc["flag"] is True
 
@@ -584,6 +703,30 @@ class TestRounding:
         doc = json.loads(text)
         assert doc["f"] == "inf"
         assert doc["list"][0] == "nan"
+
+    def test_render_json_rounds_and_stringifies_in_one_walk(self):
+        import math
+
+        from codecbench.report import render_json
+
+        doc = {"x": 48.13080360867913, "pair": (1.23456789e-7, -math.inf), "n": 7}
+        assert json.loads(render_json(doc)) == {
+            "x": 48.1308, "pair": [1.23457e-7, "-inf"], "n": 7,
+        }
+        assert json.loads(render_json(doc, full_precision=True)) == {
+            "x": 48.13080360867913, "pair": [1.23456789e-7, "-inf"], "n": 7,
+        }
+
+    @pytest.mark.parametrize("full_precision", [False, True])
+    def test_render_csv_non_finite_cells(self, full_precision):
+        import math
+
+        from codecbench.report import render_csv
+
+        row = [math.inf, math.nan, -math.inf, 0.1 + 0.2]
+        text = render_csv(["a", "b", "c", "d"], [row], full_precision=full_precision)
+        last = "0.30000000000000004" if full_precision else "0.3"
+        assert text == f"a,b,c,d\ninf,nan,-inf,{last}\n"
 
 
 def test_cli_import_leaves_out_scipy_stats():
