@@ -53,7 +53,6 @@ from .video_io import (
     Y4MReader,
     parse_y4m_header,
     read_frame,
-    sequence_duration,
     write_y4m,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "parse_y4m_header",
     "read_frame",
     "write_y4m",
-    "sequence_duration",
     "mse",
     "psnr_from_mse",
     "wpsnr",

@@ -28,8 +28,21 @@ _METRIC_TOKENS = {
 }
 
 
-# Float flags that a nan or inf would silently corrupt; checked in one place.
-_FINITE_FLAGS = ("clamp_db", "threshold", "ci_constant")
+# Bounds of numeric flags, keyed by subcommand because mos and profile both
+# have a --threshold. Each test is one comparison chain, which nan fails.
+_FLAG_BOUNDS = {
+    "metrics": {
+        "clamp_db": ("be finite", lambda v: -math.inf < v < math.inf),
+        "jobs": ("be at least 1", lambda v: v >= 1),
+    },
+    "mos": {
+        "ci_constant": ("be finite and above 0", lambda v: 0 < v < math.inf),
+        "threshold": ("be finite and lie in [-1, 1]", lambda v: -1 <= v <= 1),
+    },
+    "profile": {
+        "threshold": ("be finite and lie in [0, 100]", lambda v: 0 <= v <= 100),
+    },
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +184,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.argv = argv
     try:
-        _check_finite_flags(args)
+        _check_flag_bounds(args)
         return args.func(args)
     except (DataFormatError, UnicodeDecodeError) as exc:
         print(f"codecbench: format error: {exc}", file=sys.stderr)
@@ -183,22 +196,22 @@ def main(argv=None) -> int:
 
 def _write_csv(args, path, header, rows):
     """Write every CSV the CLI produces, honouring --full-precision."""
-    text = report.render_csv(header, rows, full_precision=args.full_precision)
-    report.write_text(path, text)
+    with report.open_output(path) as fp:
+        report.render_csv(header, rows, fp, full_precision=args.full_precision)
 
 
-def _check_finite_flags(args):
-    for dest in _FINITE_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
-            flag = "--" + dest.replace("_", "-")
-            raise InputError(f"{flag} must be finite, got {value}")
+def _check_flag_bounds(args):
+    for dest, (rule, ok) in _FLAG_BOUNDS.get(args.subcommand, {}).items():
+        value = getattr(args, dest)
+        if not ok(value):
+            raise InputError(f"--{dest.replace('_', '-')} must {rule}, got {value}")
 
 
 def _emit(args, report_doc, csv_header, csv_rows, summary_lines):
     if args.format == "json":
         text = report.render_json(report_doc, full_precision=args.full_precision)
-        report.write_text(args.output, text)
+        with report.open_output(args.output) as fp:
+            fp.write(text)
     else:
         _write_csv(args, args.output, csv_header, csv_rows)
     if not args.quiet and args.output != "-":
@@ -280,8 +293,6 @@ def _parse_metric_selection(text: str) -> tuple[str, ...]:
 
 def cmd_metrics(args) -> int:
     metric_ids = _parse_metric_selection(args.metrics)
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     # Results do not depend on the worker count, so the cap is safe.
     jobs = min(args.jobs, os.cpu_count() or 1)
     with _open_video(args.reference, args) as ref, _open_video(args.test, args) as test:

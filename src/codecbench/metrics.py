@@ -9,7 +9,6 @@ is flagged in the result.
 from __future__ import annotations
 
 import collections
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .errors import (
     InputError,
     LengthError,
 )
+from .report import read_csv, read_number
 from .video_io import FrameBuffer
 
 PSNR_Y = "PSNR_Y"
@@ -346,14 +346,19 @@ def ingest_external_scores(
     Supports a two-column CSV (frame,score) and the JSON layout of the
     common VMAF tool: {"frames": [{"metrics": {"<name>": value}}, ...]}.
     """
-    text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
+    with open(path, "r", encoding="utf-8") as fp:
+        text = fp.read().lstrip()
+    if text.startswith(("{", "[")):
         metric_name = name or "vmaf"
-        scores = _scores_from_json(stripped, metric_name, path)
+        scores = _scores_from_json(text, metric_name, path)
     else:
         metric_name = name or "score"
-        scores = _scores_from_csv(text, path)
+        header, rows = read_csv(path)
+        if [cell.lower() for cell in header] != ["frame", "score"]:
+            raise DataFormatError(
+                f"{path}: expected header 'frame,score', got {','.join(header)!r}"
+            )
+        scores = [read_number(path, lineno, "score", cells[1]) for lineno, cells in rows]
 
     if not scores:
         raise EmptyInputError(f"{path}: no scores present")
@@ -371,14 +376,10 @@ def ingest_external_scores(
     )
 
 
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fp:
-        return fp.read()
-
-
 def _scores_from_json(text, metric_name, path):
     try:
-        doc = json.loads(text)
+        # Integers parse as floats, so an oversized one is inf, not an error.
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     frames = doc.get("frames") if isinstance(doc, dict) else None
@@ -392,31 +393,10 @@ def _scores_from_json(text, metric_name, path):
             raise DataFormatError(
                 f"{path}: frame {i} lacks metric {metric_name!r}"
             ) from None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DataFormatError(f"{path}: non-numeric score at frame {i}")
-        scores.append(float(value))
-    return scores
-
-
-def _scores_from_csv(text, path):
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        raise EmptyInputError(f"{path}: empty file")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["frame", "score"]:
-        raise DataFormatError(
-            f"{path}: expected header 'frame,score', got {','.join(header)!r}"
-        )
-    scores = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected two columns")
-        try:
-            scores.append(float(row[1]))
-        except ValueError:
+        if not (isinstance(value, float) and math.isfinite(value)):
             raise DataFormatError(
-                f"{path}:{lineno}: non-numeric score {row[1]!r}"
-            ) from None
+                f"{path}: frame {i}: {metric_name} must be a finite number, got {value!r}"
+            )
+        scores.append(value)
     return scores
+

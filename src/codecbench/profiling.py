@@ -10,11 +10,12 @@ event column is selected.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from operator import itemgetter
 
 from .errors import (
     ComparisonError,
@@ -22,6 +23,7 @@ from .errors import (
     EmptyInputError,
     InputError,
 )
+from .report import read_csv, read_number
 
 OTHER_STAGE = "Other"
 BUCKET_THRESHOLD = 1.0  # percent
@@ -315,25 +317,18 @@ def default_mapping() -> StageMapping:
 
 
 def load_timing_csv(path) -> list[TimingRecord]:
+    header, rows = read_csv(path, TIMING_CSV_HEADER)
+    pick = itemgetter(*map(header.index, TIMING_CSV_HEADER))
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.DictReader(fp)
-        missing = [c for c in TIMING_CSV_HEADER if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataFormatError(f"{path}: missing CSV columns: {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    TimingRecord(
-                        codec_id=row["codec"].strip(),
-                        sequence_id=row["sequence"].strip(),
-                        qp=int(row["qp"]),
-                        wall_seconds=float(row["wall_seconds"]),
-                        frame_count=int(row["frame_count"]),
-                        fps_num=int(row["fps_num"]),
-                        fps_den=int(row["fps_den"]),
-                    )
-                )
-            except (TypeError, ValueError):
-                raise DataFormatError(f"{path}:{lineno}: malformed timing row") from None
+    for lineno, cells in rows:
+        codec, sequence, qp, wall, frames, fps_num, fps_den = pick(cells)
+        cell = partial(read_number, path, lineno)
+        try:
+            records.append(TimingRecord(
+                codec, sequence, cell("qp", qp, int), cell("wall_seconds", wall),
+                cell("frame_count", frames, int), cell("fps_num", fps_num, int),
+                cell("fps_den", fps_den, int),
+            ))
+        except InputError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return records

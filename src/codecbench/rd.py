@@ -9,14 +9,15 @@ measured point.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import CurveError, DataFormatError
+from .report import read_csv, read_number
 
 # Narrower overlap than this (in integration-axis units) makes the
 # average meaningless.
@@ -188,28 +189,17 @@ def load_rd_csv(path) -> list[RDCurve]:
     Rows are grouped by (codec, sequence, metric); curve order follows
     first appearance in the file.
     """
+    header, rows = read_csv(path, RD_CSV_HEADER)
+    pick = itemgetter(*map(header.index, RD_CSV_HEADER))
     groups: dict[tuple[str, str, str], list[RDPoint]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.DictReader(fp)
-        missing = [c for c in RD_CSV_HEADER if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataFormatError(
-                f"{path}: missing CSV columns: {', '.join(missing)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                bitrate = float(row["bitrate_kbps"])
-                quality = float(row["quality"])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric bitrate or quality"
-                ) from None
-            key = (row["codec"], row["sequence"], row["metric"])
-            try:
-                point = RDPoint(bitrate, quality, label=row["label"] or "")
-            except CurveError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            groups.setdefault(key, []).append(point)
+    for lineno, cells in rows:
+        codec, sequence, metric, label, bitrate, quality = pick(cells)
+        try:
+            point = RDPoint(read_number(path, lineno, "bitrate_kbps", bitrate),
+                            read_number(path, lineno, "quality", quality), label)
+        except CurveError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        groups.setdefault((codec, sequence, metric), []).append(point)
     return [
         validate_curve(points, codec_id=k[0], sequence_id=k[1], metric_id=k[2])
         for k, points in groups.items()

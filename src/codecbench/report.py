@@ -1,4 +1,4 @@
-"""Deterministic report assembly and serialization.
+"""Deterministic report assembly and serialization; the one input CSV reader.
 
 Reports are plain dicts serialized as JSON with stable key order; float
 values are rounded to six significant digits by default so repeated runs
@@ -7,12 +7,14 @@ diff cleanly, with a flag for full precision.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
+
+from .errors import DataFormatError
 
 SCHEMA_VERSION = 1
 DEFAULT_SIG_DIGITS = 6
@@ -63,19 +65,60 @@ def render_json(report: dict, full_precision: bool = False) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def render_csv(header, rows, full_precision: bool = False) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def render_csv(header, rows, fp, full_precision: bool = False):
+    """Write a CSV table to the text stream fp as its rows are formatted, so
+    neither a rounded copy of the table nor its text is held."""
+    writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(header)
-    # Rows are rounded one at a time, so no rounded copy of the table is held.
     writer.writerows(rows if full_precision else map(normalize_floats, rows))
-    return buf.getvalue()
 
 
-def write_text(path, text: str):
-    """Write to a file, or to stdout when path is '-'."""
+@contextlib.contextmanager
+def open_output(path):
+    """A text stream to a file, or stdout when path is '-'."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fp:
-            fp.write(text)
+            yield fp
+
+
+def read_csv(path, required=()):
+    """Read a UTF-8 CSV table: its header and data rows, cells stripped.
+
+    The header is the first non-blank row and must name every `required`
+    column. Blank rows are skipped; each data row is (physical line
+    number, cells) and must have as many cells as the header.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
+        stripped = (list(map(str.strip, cells)) for cells in reader)
+        try:
+            rows = [(reader.line_num, cells) for cells in stripped if any(cells)]
+        except csv.Error as exc:  # e.g. a cell over the csv field size limit
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"{path}: no header row")
+    header = rows.pop(0)[1]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataFormatError(f"{path}: missing CSV columns: {', '.join(missing)}")
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
+            )
+    return header, rows
+
+
+def read_number(path, lineno, column, text, kind=float):
+    """Parse one cell as a finite int or float, or fail naming path:line and
+    the column."""
+    try:
+        value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise DataFormatError(f"{path}:{lineno}: {column} must be {what}, got {text!r}")

@@ -11,18 +11,20 @@ reaches the threshold.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import betainc
 
 from .errors import DataFormatError, MissingDataError, StatsError
+from .report import read_csv, read_number
 
 CI_CONSTANT = 1.95
 SCREENING_THRESHOLD = 0.75
 FACTORS = ("codec", "resolution", "bitrate", "content")
+PVS_CSV_HEADER = ("pvs", "codec", "resolution", "bitrate_kbps", "content")
 
 
 @dataclass(frozen=True)
@@ -335,77 +337,46 @@ def load_scores_csv(path) -> ScoreMatrix:
     First column is `subject`, remaining columns are PVS ids; empty cells
     mark missing scores.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        rows = list(csv.reader(fp))
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    if not header or header[0].lower() != "subject":
+    header, rows = read_csv(path)
+    if header[0].lower() != "subject":
         raise DataFormatError(f"{path}: first column must be 'subject'")
     stimuli = header[1:]
     if len(set(stimuli)) != len(stimuli):
         raise DataFormatError(f"{path}: duplicate stimulus columns")
-
-    subjects = []
-    grid = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-            )
-        subjects.append(row[0].strip())
-        values = []
-        for col, cell in zip(stimuli, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                values.append(math.nan)
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric score {cell!r} for {col!r}"
-                ) from None
-            if not 0 <= value <= 100:
-                raise DataFormatError(
-                    f"{path}:{lineno}: score {value} outside [0, 100]"
-                )
-            values.append(value)
-        grid.append(values)
+    subjects = [cells[0] for _, cells in rows]
     if len(set(subjects)) != len(subjects):
         raise DataFormatError(f"{path}: duplicate subject ids")
-    return ScoreMatrix(
-        subjects=tuple(subjects),
-        stimuli=tuple(stimuli),
-        scores=np.array(grid, dtype=np.float64).reshape(len(subjects), len(stimuli)),
-    )
+
+    # One float() pass per row; only a failing row is re-read to name its cell.
+    grid = []
+    for lineno, cells in rows:
+        try:
+            grid.append([float(c) if c else math.nan for c in cells[1:]])
+        except ValueError:
+            for column, text in zip(stimuli, cells[1:]):
+                if text:
+                    read_number(path, lineno, column, text)
+    scores = np.array(grid, dtype=np.float64).reshape(len(rows), len(stimuli))
+    # Missing cells are nan too: only a non-empty cell outside [0, 100] is bad.
+    for i, j in zip(*np.nonzero(~((scores >= 0) & (scores <= 100)))):
+        lineno, cells = rows[i]
+        if cells[j + 1]:
+            value = read_number(path, lineno, stimuli[j], cells[j + 1])
+            raise DataFormatError(
+                f"{path}:{lineno}: score {value:g} for {stimuli[j]!r} outside [0, 100]"
+            )
+    return ScoreMatrix(subjects=tuple(subjects), stimuli=tuple(stimuli), scores=scores)
 
 
 def load_pvs_csv(path) -> dict[str, StimulusInfo]:
     """Read PVS metadata: pvs,codec,resolution,bitrate_kbps,content."""
-    required = ("pvs", "codec", "resolution", "bitrate_kbps", "content")
+    header, rows = read_csv(path, PVS_CSV_HEADER)
+    pick = itemgetter(*map(header.index, PVS_CSV_HEADER))
     meta: dict[str, StimulusInfo] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.DictReader(fp)
-        missing = [c for c in required if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataFormatError(f"{path}: missing CSV columns: {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            pvs = row["pvs"].strip()
-            if pvs in meta:
-                raise DataFormatError(f"{path}:{lineno}: duplicate PVS id {pvs!r}")
-            try:
-                bitrate = float(row["bitrate_kbps"])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric bitrate_kbps"
-                ) from None
-            meta[pvs] = StimulusInfo(
-                codec=row["codec"].strip(),
-                resolution=row["resolution"].strip(),
-                bitrate_kbps=bitrate,
-                content=row["content"].strip(),
-            )
+    for lineno, cells in rows:
+        pvs, codec, resolution, bitrate, content = pick(cells)
+        if pvs in meta:
+            raise DataFormatError(f"{path}:{lineno}: duplicate PVS id {pvs!r}")
+        bitrate_kbps = read_number(path, lineno, "bitrate_kbps", bitrate)
+        meta[pvs] = StimulusInfo(codec, resolution, bitrate_kbps, content)
     return meta

@@ -10,14 +10,13 @@ Interlaced streams are rejected rather than deinterlaced.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionError,
     HeaderError,
-    MissingDataError,
     SampleRangeError,
     TruncationError,
     UnsupportedFormatError,
@@ -58,8 +57,6 @@ class SequenceInfo:
     fps_den: int
     bit_depth: int
     chroma: str = CHROMA_420
-    # Unknown for streams; never part of format identity.
-    frame_count: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -74,8 +71,6 @@ class SequenceInfo:
             raise HeaderError(
                 f"C420 requires even dimensions, got {self.width}x{self.height}"
             )
-        if self.frame_count is not None and self.frame_count < 0:
-            raise HeaderError(f"negative frame count {self.frame_count}")
 
     @property
     def fps(self) -> float:
@@ -338,18 +333,7 @@ class RawReader(_ReaderBase):
 
     def __init__(self, source, info: SequenceInfo):
         super().__init__(source)
-        if info.frame_count is None:
-            size = _stream_size(self._fp)
-            if size is not None:
-                info = replace(info, frame_count=size // info.frame_bytes)
         self.info = info
-
-
-def _stream_size(fp) -> int | None:
-    try:
-        return os.fstat(fp.fileno()).st_size
-    except (OSError, AttributeError):
-        return None
 
 
 def write_y4m(dest, frames, info: SequenceInfo | None = None) -> int:
@@ -389,10 +373,3 @@ def _format_header(info: SequenceInfo) -> bytes:
         f"YUV4MPEG2 W{info.width} H{info.height} "
         f"F{info.fps_num}:{info.fps_den} Ip A1:1 C{tag}\n"
     ).encode("ascii")
-
-
-def sequence_duration(info: SequenceInfo) -> float:
-    """Content duration in seconds; requires a known frame count."""
-    if info.frame_count is None:
-        raise MissingDataError("frame count unknown, cannot compute duration")
-    return info.frame_count * info.fps_den / info.fps_num

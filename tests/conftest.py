@@ -4,8 +4,7 @@ import pytest
 from codecbench.video_io import CHROMA_420, FrameBuffer, SequenceInfo
 
 
-def make_info(width=64, height=64, fps=(50, 1), bit_depth=8, chroma=CHROMA_420,
-              frame_count=None):
+def make_info(width=64, height=64, fps=(50, 1), bit_depth=8, chroma=CHROMA_420):
     return SequenceInfo(
         width=width,
         height=height,
@@ -13,7 +12,6 @@ def make_info(width=64, height=64, fps=(50, 1), bit_depth=8, chroma=CHROMA_420,
         fps_den=fps[1],
         bit_depth=bit_depth,
         chroma=chroma,
-        frame_count=frame_count,
     )
 
 

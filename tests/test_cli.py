@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -588,6 +589,16 @@ class TestSideFilePrecision:
         assert 30.1235 in plot_floats(tmp_path)
 
 
+def float_flag_argv(tmp_path, command):
+    """A valid mos or profile command line to append a float flag to."""
+    if command == "mos":
+        scores, meta = write_panel(tmp_path)
+        return ["mos", str(scores), "--pvs-meta", str(meta)]
+    prof = tmp_path / "callgrind.out"
+    prof.write_text(CALLGRIND)
+    return ["profile", str(prof)]
+
+
 class TestFlagErrors:
     @pytest.mark.parametrize(
         "flag,value",
@@ -615,19 +626,41 @@ class TestFlagErrors:
         [("mos", "--ci-constant"), ("mos", "--threshold"), ("profile", "--threshold")],
     )
     def test_non_finite_float_flag_exit_2(self, tmp_path, capsys, command, flag, value):
-        if command == "mos":
-            scores, meta = write_panel(tmp_path)
-            argv = ["mos", str(scores), "--pvs-meta", str(meta)]
-        else:
-            prof = tmp_path / "callgrind.out"
-            prof.write_text(CALLGRIND)
-            argv = ["profile", str(prof)]
         out = tmp_path / "report.json"
+        argv = float_flag_argv(tmp_path, command)
         assert main(argv + [f"{flag}={value}", "-q", "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"codecbench: error: {flag} must be finite")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value,rule",
+        [("mos", "--ci-constant", "0", "be finite and above 0"),
+         ("mos", "--ci-constant", "-1", "be finite and above 0"),
+         ("mos", "--threshold", "2", "be finite and lie in [-1, 1]"),
+         ("mos", "--threshold", "-1.5", "be finite and lie in [-1, 1]"),
+         ("profile", "--threshold", "150", "be finite and lie in [0, 100]"),
+         ("profile", "--threshold", "-5", "be finite and lie in [0, 100]")],
+    )
+    def test_out_of_range_float_flag_exit_2(
+        self, tmp_path, capsys, command, flag, value, rule
+    ):
+        out = tmp_path / "report.json"
+        argv = float_flag_argv(tmp_path, command)
+        assert main(argv + [f"{flag}={value}", "-q", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"codecbench: error: {flag} must {rule}, got {float(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("mos", "--threshold", "-1"), ("mos", "--ci-constant", "1e-9"),
+         ("profile", "--threshold", "0"), ("profile", "--threshold", "100")],
+    )
+    def test_float_flag_bounds_accepted(self, tmp_path, command, flag, value):
+        argv = float_flag_argv(tmp_path, command)
+        assert main(argv + [f"{flag}={value}", "-q", "-o", str(tmp_path / "r.json")]) == 0
 
     def test_pie_data_stem_collision_exit_2(self, tmp_path, capsys):
         inputs = []
@@ -724,9 +757,10 @@ class TestRounding:
         from codecbench.report import render_csv
 
         row = [math.inf, math.nan, -math.inf, 0.1 + 0.2]
-        text = render_csv(["a", "b", "c", "d"], [row], full_precision=full_precision)
+        out = io.StringIO()
+        render_csv(["a", "b", "c", "d"], [row], out, full_precision=full_precision)
         last = "0.30000000000000004" if full_precision else "0.3"
-        assert text == f"a,b,c,d\ninf,nan,-inf,{last}\n"
+        assert out.getvalue() == f"a,b,c,d\ninf,nan,-inf,{last}\n"
 
 
 def test_cli_import_leaves_out_scipy_stats():

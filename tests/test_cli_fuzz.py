@@ -10,6 +10,8 @@ checks into the computations.
 
 import contextlib
 import io
+import itertools
+import operator
 import tempfile
 from pathlib import Path
 
@@ -68,6 +70,35 @@ RD_CURVES = st.tuples(
         for r, q in zip(sorted(rates), sorted(qualities))
     ).encode()
 )
+
+
+@st.composite
+def overlapping_rd_curves(draw):
+    """Anchor (A) and test (B) curves for each drawn sequence and metric, with
+    rates and qualities increasing; the test curve is the anchor shifted by at
+    most 0.45 of its span on both axes, so the two overlap by more than
+    MIN_OVERLAP. Blank and empty-celled lines are scattered between rows."""
+    rows = []
+    for sequence in draw(st.lists(st.sampled_from(["s1", "s2"]), min_size=1, unique=True)):
+        for metric in draw(st.lists(st.sampled_from(["PSNR", "SSIM"]), min_size=1,
+                                    unique=True)):
+            steps = draw(st.integers(2, 4))  # so 3 to 5 points
+            ratios = draw(st.lists(st.floats(1.3, 3.0), min_size=steps, max_size=steps))
+            increments = draw(st.lists(st.floats(0.2, 5.0), min_size=steps, max_size=steps))
+            rates = list(itertools.accumulate(ratios, operator.mul,
+                                              initial=draw(st.floats(10, 1e4))))
+            qualities = list(itertools.accumulate(increments,
+                                                  initial=draw(st.floats(-50, 50))))
+            scale = (rates[-1] / rates[0]) ** draw(st.floats(-0.45, 0.45))
+            shift = draw(st.floats(-0.45, 0.45)) * (qualities[-1] - qualities[0])
+            for codec, s, d in (("A", 1.0, 0.0), ("B", scale, shift)):
+                rows.extend(f"{codec},{sequence},{metric},,{r * s!r},{q + d!r}\n"
+                            for r, q in zip(rates, qualities))
+    for blank in draw(st.lists(st.sampled_from(["\n", " , \n", ",,,,,\n"]), max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), blank)
+    return RD_HEADER + "".join(rows).encode()
+
+
 RD_POINTS = st.one_of(
     raw_or_after(RD_HEADER),
     csv_lines(
@@ -79,6 +110,7 @@ RD_POINTS = st.one_of(
     st.lists(RD_CURVES, max_size=2, unique_by=lambda c: c.split(b",")[2]).map(
         lambda curves: RD_HEADER + b"".join(curves)
     ),
+    overlapping_rd_curves(),
 )
 SCORES = st.one_of(
     raw_or_after(SCORES_HEADER),
@@ -98,11 +130,48 @@ SCORES = st.one_of(
         + "".join(f"s{i},{','.join(r)}\n" for i, r in enumerate(rows)).encode()
     ),
 )
+PROFILED = ("InterSearch::xTZSearch", "TrQuant::transformNxN",
+            "LoopFilter::xDeblockCU", "IntraPrediction::predIntraAng", "memcpy")
+
+
+@st.composite
+def callgrind_profiles(draw):
+    """Callgrind files with a positions: header, compressed fn=/cfn= names
+    (defined on first use, referred to by id after), cost lines with
+    subpositions and omitted trailing events, and calls= records whose
+    next cost line is inclusive cost."""
+    positions = draw(st.sampled_from(["line", "instr line"]))
+    events = draw(st.sampled_from(["Ir", "Ir Dr"]))
+    lines = ["version: 1", f"positions: {positions}", f"events: {events}",
+             "fl=(1) enc.cpp"]
+    named = set()
+
+    def name(key):
+        i = draw(st.integers(0, len(PROFILED) - 1))
+        ref = f"{key}=({i})" if i in named else f"{key}=({i}) {PROFILED[i]}"
+        named.add(i)
+        return ref
+
+    for _ in range(draw(st.integers(1, 6))):
+        lines.append(name("fn"))
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                lines += [name("cfn"), f"calls={draw(st.integers(1, 9))} 10"]
+            where = draw(st.lists(st.sampled_from(["16", "+1", "-2", "*"]),
+                                  min_size=len(positions.split()),
+                                  max_size=len(positions.split())))
+            cost = draw(st.lists(st.integers(0, 10**6).map(str), min_size=1,
+                                 max_size=len(events.split())))
+            lines.append(" ".join(where + cost))
+    return ("\n".join(lines) + "\n").encode()
+
+
 CALLGRIND = st.one_of(
     raw_or_after(CALLGRIND_HEADER),
     csv_lines(st.tuples(NUMBER, NUMBER)).map(
         lambda rows: CALLGRIND_HEADER + rows.replace(b",", b" ")
     ),
+    callgrind_profiles(),
 )
 COMMON = st.tuples(
     st.sampled_from([[], ["--format", "csv"]]),

@@ -552,6 +552,15 @@ class TestExternalScores:
         assert sq.value == 91.0
         assert sq.warnings
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400])
+    def test_json_non_finite_score_rejected(self, tmp_path, literal):
+        path = tmp_path / "vmaf.json"
+        path.write_text(
+            '{"frames": [{"metrics": {"vmaf": 97.2}}, {"metrics": {"vmaf": %s}}]}' % literal
+        )
+        with pytest.raises(DataFormatError, match="frame 1: vmaf must be a finite number"):
+            ingest_external_scores(path)
+
     def test_json_metric_selected_by_name(self, tmp_path):
         path = tmp_path / "vmaf.json"
         path.write_text(

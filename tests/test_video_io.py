@@ -6,7 +6,6 @@ import pytest
 from codecbench.errors import (
     DimensionError,
     HeaderError,
-    MissingDataError,
     SampleRangeError,
     TruncationError,
     UnsupportedFormatError,
@@ -20,7 +19,6 @@ from codecbench.video_io import (
     Y4MReader,
     parse_y4m_header,
     read_frame,
-    sequence_duration,
     write_y4m,
 )
 
@@ -227,19 +225,5 @@ class TestRawReader:
         path = tmp_path / "clip.yuv"
         path.write_bytes(bytes(12288))
         with RawReader(path, info) as reader:
-            assert reader.info.frame_count == 1
             frames = list(reader)
         assert len(frames) == 1
-
-
-class TestSequenceDuration:
-    def test_examples(self):
-        assert sequence_duration(make_info(fps=(50, 1), frame_count=500)) == 10.0
-        assert sequence_duration(make_info(fps=(60, 1), frame_count=0)) == 0.0
-        assert sequence_duration(
-            make_info(fps=(30000, 1001), frame_count=300)
-        ) == pytest.approx(10.01, abs=1e-12)
-
-    def test_unknown_count(self):
-        with pytest.raises(MissingDataError):
-            sequence_duration(make_info(frame_count=None))
