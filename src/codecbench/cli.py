@@ -10,7 +10,9 @@ import math
 import os
 import sys
 
-from . import __version__, metrics, profiling, rd, report, subjective, video_io
+# Only modules free of numpy and scipy load here; each subcommand imports
+# the rest itself, so start-up pays only for the command that runs.
+from . import __version__, profiling, report
 from .errors import (
     CodecBenchError,
     DataFormatError,
@@ -18,14 +20,21 @@ from .errors import (
     StatsError,
 )
 
+# Metric ids as in metrics.COMPUTABLE_METRICS.
 _METRIC_TOKENS = {
-    "psnr": (metrics.PSNR_Y, metrics.PSNR_U, metrics.PSNR_V, metrics.WPSNR),
-    "psnr_y": (metrics.PSNR_Y,),
-    "psnr_u": (metrics.PSNR_U,),
-    "psnr_v": (metrics.PSNR_V,),
-    "wpsnr": (metrics.WPSNR,),
-    "ssim": (metrics.SSIM,),
+    "psnr": ("PSNR_Y", "PSNR_U", "PSNR_V", "WPSNR"),
+    "psnr_y": ("PSNR_Y",),
+    "psnr_u": ("PSNR_U",),
+    "psnr_v": ("PSNR_V",),
+    "wpsnr": ("WPSNR",),
+    "ssim": ("SSIM",),
 }
+
+# Defaults of numeric flags, equal to the library's (metrics.DEFAULT_CLAMP_DB,
+# subjective.SCREENING_THRESHOLD and CI_CONSTANT) without importing numpy.
+_CLAMP_DB = 100.0
+_SCREENING_THRESHOLD = 0.75
+_CI_CONSTANT = 1.95
 
 
 # Bounds of numeric flags, keyed by subcommand because mos and profile both
@@ -92,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default psnr,ssim)",
     )
     p.add_argument(
-        "--clamp-db", type=float, default=metrics.DEFAULT_CLAMP_DB,
+        "--clamp-db", type=float, default=_CLAMP_DB,
         help="replacement for infinite per-frame PSNR (default 100)",
     )
     p.add_argument("--width", type=int, help="raw input: frame width")
@@ -138,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores", help="subject scores CSV (one session per file)")
     p.add_argument("--pvs-meta", required=True, help="PVS metadata CSV")
     p.add_argument(
-        "--threshold", type=float, default=subjective.SCREENING_THRESHOLD,
+        "--threshold", type=float, default=_SCREENING_THRESHOLD,
         help="screening correlation threshold (default 0.75)",
     )
     p.add_argument(
-        "--ci-constant", type=float, default=subjective.CI_CONSTANT,
+        "--ci-constant", type=float, default=_CI_CONSTANT,
         help="confidence interval multiplier (default 1.95)",
     )
     p.add_argument("--session", default="", help="session label echoed in the report")
@@ -235,6 +244,8 @@ def _parse_fps(text: str) -> tuple[int, int]:
 
 
 def _open_video(path, args):
+    from . import video_io
+
     # A .y4m extension or the stream magic selects container parsing, so a
     # corrupt Y4M file reports a format error instead of falling back to raw.
     with open(path, "rb") as probe:
@@ -288,10 +299,14 @@ def _parse_metric_selection(text: str) -> tuple[str, ...]:
         selected.update(_METRIC_TOKENS[token])
     if not selected:
         raise InputError("empty metric selection")
+    from . import metrics
+
     return tuple(m for m in metrics.COMPUTABLE_METRICS if m in selected)
 
 
 def cmd_metrics(args) -> int:
+    from . import metrics
+
     metric_ids = _parse_metric_selection(args.metrics)
     # Results do not depend on the worker count, so the cap is safe.
     jobs = min(args.jobs, os.cpu_count() or 1)
@@ -367,6 +382,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bdrate(args) -> int:
+    from . import rd
+
     curves = rd.load_rd_csv(args.points)
     anchors = {}
     tests = {}
@@ -454,6 +471,8 @@ def cmd_bdrate(args) -> int:
 def _plot_rows(curves):
     import numpy as np
 
+    from . import rd
+
     rows = []
     for curve in curves:
         dense = np.linspace(curve.qualities.min(), curve.qualities.max(), 100)
@@ -472,6 +491,8 @@ def _plot_rows(curves):
 
 
 def cmd_mos(args) -> int:
+    from . import subjective
+
     matrix = subjective.load_scores_csv(args.scores)
     if args.exclude:
         unknown = [p for p in args.exclude if p not in matrix.stimuli]

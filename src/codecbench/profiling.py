@@ -88,6 +88,10 @@ _NAME_REF = re.compile(r"^\((\d+)\)\s?(.*)$", re.DOTALL)
 _HEADER_LINE = re.compile(r"^(\w+):\s*(.*)$")
 _SPEC_LINE = re.compile(r"^(\w+)=(.*)$", re.DOTALL)
 
+# First characters of a cost line: a position, relative (+N, -N) or
+# repeated (*), then the event counts.
+_COST_START = frozenset("0123456789+-*")
+
 # Position-specification keys sharing a compressed-name namespace.
 _FILE_KEYS = {"fl", "fi", "fe", "cfl", "cfi"}
 _FN_KEYS = {"fn", "cfn"}
@@ -102,34 +106,37 @@ def parse_callgrind(source, event: str | None = None) -> list[FunctionCost]:
     event columns, and call records: the cost line following `calls=`
     carries inclusive call cost and is excluded from the caller's self
     cost. Functions split across several source files merge by name.
+    A file that is not UTF-8 text is a format error naming the file.
     """
-    owns = isinstance(source, (str, bytes, os.PathLike))
-    fp = open(source, "r", encoding="utf-8", errors="replace") if owns else source
-    try:
-        return _parse_callgrind_lines(fp, event)
-    finally:
-        if owns:
-            fp.close()
+    if not isinstance(source, (str, bytes, os.PathLike)):
+        return _parse_callgrind_lines(source, event)
+    with open(source, "r", encoding="utf-8") as fp:
+        try:
+            return _parse_callgrind_lines(fp, event)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                f"{os.fsdecode(source)}: not UTF-8 text ({exc.reason})"
+            ) from None
 
 
 def _parse_callgrind_lines(lines, event):
     events: list[str] | None = None
     event_index = 0
     n_positions = 1
+    # Token index of the selected event on a cost line; set by the headers.
+    idx = 1
     fn_names: dict[str, str] = {}
     file_names: dict[str, str] = {}
     obj_names: dict[str, str] = {}
     current_fn: str | None = None
+    block = 0  # self cost of current_fn in this fn= block
     skip_next_cost = False
     costs: dict[str, int] = {}
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-
-        first = line[0]
-        if first.isdigit() or first in "+-*":
+    for lineno, line in enumerate(lines, start=1):
+        # Most lines of a profile are cost lines: test for them first, on
+        # the raw line, and split only as far as the selected event.
+        if line[:1] in _COST_START:
             if skip_next_cost:
                 skip_next_cost = False
                 continue
@@ -139,22 +146,22 @@ def _parse_callgrind_lines(lines, event):
                 )
             if current_fn is None:
                 raise DataFormatError(f"line {lineno}: cost line before any fn=")
-            tokens = line.split()
-            counts = tokens[n_positions:]
+            tokens = line.split(None, idx + 1)
             # Trailing zero event counts may be omitted.
-            if event_index < len(counts):
-                token = counts[event_index]
+            if idx < len(tokens):
                 try:
-                    value = int(token)
+                    value = int(tokens[idx])
                 except ValueError:
                     raise DataFormatError(
-                        f"line {lineno}: non-numeric cost {token!r}"
+                        f"line {lineno}: non-numeric cost {tokens[idx]!r}"
                     ) from None
                 if value < 0:
                     raise DataFormatError(f"line {lineno}: negative cost {value}")
-            else:
-                value = 0
-            costs[current_fn] = costs.get(current_fn, 0) + value
+                block += value
+            continue
+
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
             continue
 
         m = _SPEC_LINE.match(line)
@@ -163,8 +170,9 @@ def _parse_callgrind_lines(lines, event):
             if key in _FN_KEYS:
                 name = _resolve_name(fn_names, value, lineno)
                 if key == "fn":
-                    current_fn = name
-                    costs.setdefault(current_fn, 0)
+                    if current_fn is not None:
+                        costs[current_fn] = costs.get(current_fn, 0) + block
+                    current_fn, block = name, 0
             elif key in _FILE_KEYS:
                 _resolve_name(file_names, value, lineno)
             elif key in _OBJ_KEYS:
@@ -190,12 +198,15 @@ def _parse_callgrind_lines(lines, event):
                     event_index = events.index(event)
             elif key == "positions":
                 n_positions = max(1, len(value.split()))
+            idx = n_positions + event_index
             continue
 
         raise DataFormatError(f"line {lineno}: unrecognized line {line[:60]!r}")
 
     if events is None:
         raise DataFormatError("missing 'events:' header")
+    if current_fn is not None:
+        costs[current_fn] = costs.get(current_fn, 0) + block
     return [
         FunctionCost(name, cost)
         for name, cost in sorted(costs.items(), key=lambda kv: (-kv[1], kv[0]))

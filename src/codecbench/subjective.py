@@ -221,7 +221,8 @@ def screen_subjects(
     The MOS reference is computed once over all subjects; each subject is
     correlated on the stimuli they actually scored. Subjects with constant
     scores (or too few) cannot be correlated and are treated as -1,
-    flagged rather than aborting the screening.
+    flagged rather than aborting the screening. A threshold that no
+    subject reaches is an error, since nothing would be left to analyse.
     """
     if len(matrix.subjects) < 3:
         raise StatsError(f"screening needs >= 3 subjects, got {len(matrix.subjects)}")
@@ -262,6 +263,11 @@ def screen_subjects(
         )
 
     retained = [s.subject for s in screens if s.retained]
+    if not retained:
+        raise StatsError(
+            f"no subject reached the screening threshold {threshold:g}; "
+            f"all {len(screens)} subjects would be discarded"
+        )
     discarded = tuple(s.subject for s in screens if not s.retained)
     result = ScreeningResult(
         threshold=threshold, subjects=tuple(screens), discarded=discarded

@@ -396,6 +396,22 @@ class TestMosCommand:
         assert rc == 2
         assert "p2" in capsys.readouterr().err
 
+    def test_screening_that_discards_everyone_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject,p1,p2,p3\na,10,50,90\nb,20,40,95\nc,90,50,10\n")
+        meta = tmp_path / "meta.csv"
+        meta.write_text(
+            "pvs,codec,resolution,bitrate_kbps,content\n"
+            "p1,HM,HD,1000,a\np2,HM,UHD,2000,b\np3,VTM,HD,1000,a\n"
+        )
+        rc = main(["mos", str(scores), "--pvs-meta", str(meta), "--threshold=1", "-q"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "codecbench: error: no subject reached the screening threshold 1; "
+            "all 3 subjects would be discarded\n"
+        )
+
     def test_non_utf8_scores_exit_3(self, tmp_path, capsys):
         scores, meta = write_panel(tmp_path)
         scores.write_bytes(scores.read_bytes().replace(b"s9", b"s\xe9"))
@@ -444,6 +460,18 @@ fn=(2) TrQuant::transformNxN
 
 
 class TestProfileCommand:
+    def test_non_utf8_profile_exit_3(self, tmp_path, capsys):
+        # A byte that is not UTF-8 in a function name must not turn into
+        # U+FFFD and send the function's cost to Other.
+        prof = tmp_path / "callgrind.out"
+        prof.write_bytes(b"events: Ir\nfn=(1) Inter\xffSearch::x\n1 5\n")
+        rc = main(["profile", str(prof), "-o", str(tmp_path / "p.json"), "-q"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"codecbench: format error: {prof}: not UTF-8")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "p.json").exists()
+
     def test_stage_percentages(self, tmp_path):
         prof = tmp_path / "callgrind.out"
         prof.write_text(CALLGRIND)
@@ -775,3 +803,111 @@ def test_cli_import_leaves_out_scipy_stats():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+HEAVY_MODULES = ("numpy", "scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special")
+
+
+def modules_loaded_by(argv, cwd):
+    """Run main(argv) in a fresh interpreter; return its exit code and which
+    of HEAVY_MODULES it loaded."""
+    src = os.path.dirname(os.path.dirname(codecbench.__file__))
+    probe = (
+        "import json, sys\n"
+        "from codecbench.cli import main\n"
+        "try:\n"
+        f"    rc = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        f"print(json.dumps([rc, [m for m in {HEAVY_MODULES!r} if m in sys.modules]]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    rc, loaded = json.loads(out.stdout.splitlines()[-1])
+    return rc, set(loaded)
+
+
+def import_contract_argv(tmp_path, command):
+    if command == "--version":
+        return ["--version"]
+    if command == "profile":
+        (tmp_path / "callgrind.out").write_text(CALLGRIND)
+        argv = ["profile", "callgrind.out", "--pie-data", "pie.csv"]
+    elif command == "mos":
+        scores, meta = write_panel(tmp_path)
+        argv = ["mos", scores.name, "--pvs-meta", meta.name]
+    elif command == "metrics":
+        ref, test = write_pair(tmp_path, np.random.default_rng(0), frames=2)
+        argv = ["metrics", ref.name, test.name, "--metrics", "psnr,ssim,wpsnr"]
+    else:
+        rows = []
+        for rate, quality in [(1000, 30), (2000, 35), (4000, 40)]:
+            rows.append(f"HM,s1,PSNR,,{rate},{quality}\n")
+            rows.append(f"VTM,s1,PSNR,,{rate * 0.8},{quality}\n")
+        write_rd_csv(tmp_path / "points.csv", rows)
+        argv = ["bdrate", "points.csv", "--anchor", "HM", "--test", "VTM",
+                "--plot-data", "plot.csv"]
+    return argv + ["-o", "report.json", "-q"]
+
+
+@pytest.mark.parametrize(
+    ("command", "not_loaded"),
+    [
+        ("--version", set(HEAVY_MODULES)),
+        ("profile", set(HEAVY_MODULES)),
+        ("mos", {"scipy.interpolate", "scipy.ndimage"}),
+        ("metrics", {"scipy.interpolate"}),
+        ("bdrate", {"scipy.ndimage"}),
+    ],
+)
+def test_subcommand_imports_only_what_it_needs(tmp_path, command, not_loaded):
+    rc, loaded = modules_loaded_by(import_contract_argv(tmp_path, command), tmp_path)
+    assert rc == 0
+    assert not loaded & not_loaded
+
+
+def test_package_import_is_lazy(tmp_path):
+    # `import codecbench` loads no submodule until one of its names is used.
+    src = os.path.dirname(os.path.dirname(codecbench.__file__))
+    probe = (
+        "import sys, codecbench\n"
+        "before = [m for m in ('numpy', 'codecbench.metrics') if m in sys.modules]\n"
+        "print(before, codecbench.metrics.__name__)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["[]", "codecbench.metrics"]
+
+
+@pytest.mark.parametrize("name", codecbench.__all__)
+def test_package_exports_resolve(name):
+    namespace = {}
+    exec(f"from codecbench import {name}", namespace)
+    assert namespace[name] is getattr(codecbench, name)
+
+
+def test_package_dir_and_unknown_names():
+    assert set(codecbench.__all__) <= set(dir(codecbench))
+    assert {"metrics", "rd", "subjective", "video_io"} <= set(dir(codecbench))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        codecbench.no_such_name
+    with pytest.raises(ImportError):
+        exec("from codecbench import no_such_name", {})
+
+
+def test_parser_defaults_match_library_constants():
+    from codecbench import profiling, subjective
+    from codecbench.cli import build_parser
+
+    parser = build_parser()
+    args = parser.parse_args(["metrics", "a.y4m", "b.y4m"])
+    assert args.clamp_db == metrics.DEFAULT_CLAMP_DB
+    args = parser.parse_args(["mos", "s.csv", "--pvs-meta", "m.csv"])
+    assert args.threshold == subjective.SCREENING_THRESHOLD
+    assert args.ci_constant == subjective.CI_CONSTANT
+    args = parser.parse_args(["profile", "c.out"])
+    assert args.threshold == profiling.BUCKET_THRESHOLD

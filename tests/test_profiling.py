@@ -1,6 +1,9 @@
 import io
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codecbench.errors import (
     ComparisonError,
@@ -198,6 +201,110 @@ fn=foo
     def test_deterministic_descending_order(self):
         names = [fc.name for fc in parse_callgrind(io.StringIO(PLAIN))]
         assert names == ["bar", "foo"]
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("fn=foo\n1 100\nevents: Ir\n", "line 2: cost line before an 'events:'"),
+            ("events: Ir\nfl=a.c\n1 100\n", "line 3: cost line before any fn="),
+            ("events: Ir\nfn=foo\n1 100\n2 -5\n", "line 4: negative cost -5"),
+            ("events: Ir Dr\nfn=foo\n1 100 x\n", "line 3: non-numeric cost 'x'"),
+        ],
+    )
+    def test_cost_line_errors_name_the_line(self, text, message):
+        event = "Dr" if "Dr" in text else None
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            parse_callgrind(io.StringIO(text), event=event)
+
+
+def oracle_costs(text, event=None):
+    """Self cost per function, by splitting every line in full: the reference
+    parse_callgrind must match."""
+    events, n_positions, names, fn, after_calls = None, 1, {}, None, False
+    costs = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if line[0] in "0123456789+-*":
+            if after_calls:
+                after_calls = False
+                continue
+            counts = [int(t) for t in line.split()[n_positions:]]
+            counts += [0] * (len(events) - len(counts))
+            costs[fn] += counts[events.index(event or events[0])]
+        elif line.startswith("events:"):
+            events = line.split()[1:]
+        elif line.startswith("positions:"):
+            n_positions = len(line.split()) - 1
+        elif "=" in line:
+            key, value = line.split("=", 1)
+            ref = re.fullmatch(r"\((\d+)\)(?: (.+))?", value)
+            if ref and ref.group(2):
+                names[ref.group(1)] = ref.group(2)
+            name = names[ref.group(1)] if ref else value
+            if key == "fn":
+                fn = name
+                costs.setdefault(fn, 0)
+            elif key == "calls":
+                after_calls = True
+    return sorted(costs.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+FUNCTIONS = ("InterSearch::xTZSearch", "TrQuant::transformNxN", "memcpy", "fastInvCore")
+
+
+@st.composite
+def callgrind_texts(draw):
+    """A Callgrind file and the event to select: one or two subpositions,
+    up to three events, compressed and plain fn=/cfn= names, calls=
+    records, omitted trailing events, and functions re-entered across
+    several fn= blocks."""
+    positions = draw(st.sampled_from(["line", "instr line"]))
+    events = draw(st.sampled_from([["Ir"], ["Ir", "Dr"], ["Ir", "Dr", "Dw"]]))
+    event = draw(st.sampled_from([None, *events]))
+    lines = ["# callgrind format", "version: 1", f"positions: {positions}",
+             f"events: {' '.join(events)}", "", "ob=(1) /usr/bin/enc", "fl=(1) enc.cpp"]
+    defined = set()
+
+    def fn_spec(key):
+        i = draw(st.integers(0, len(FUNCTIONS) - 1))
+        if draw(st.booleans()):
+            return f"{key}={FUNCTIONS[i]}"
+        ref = f"{key}=({i + 1})" if i in defined else f"{key}=({i + 1}) {FUNCTIONS[i]}"
+        defined.add(i)
+        return ref
+
+    def cost_line():
+        where = draw(st.lists(st.sampled_from(["16", "0x1a", "+1", "-2", "*"]),
+                              min_size=len(positions.split()),
+                              max_size=len(positions.split())))
+        counts = draw(st.lists(st.integers(0, 10**9).map(str), max_size=len(events)))
+        return " ".join(where + counts)
+
+    for _ in range(draw(st.integers(1, 8))):
+        lines.append(fn_spec("fn"))
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["cost", "cost", "call", "fi", "comment", "blank"]))
+            if kind == "call":
+                lines += [fn_spec("cfn"), f"calls={draw(st.integers(1, 9))} 10"]
+                lines.append(cost_line())
+            elif kind == "fi":
+                lines.append("fi=(1)")
+            elif kind == "comment":
+                lines.append("# inlined")
+            elif kind == "blank":
+                lines.append("")
+            else:
+                lines.append(cost_line())
+    return "\n".join(lines) + "\n", event
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(callgrind_texts())
+def test_parse_callgrind_matches_oracle(case):
+    text, event = case
+    got = [(fc.name, fc.self_cost) for fc in parse_callgrind(io.StringIO(text), event=event)]
+    assert got == oracle_costs(text, event)
 
 
 class TestAggregateStages:

@@ -243,6 +243,14 @@ class TestScreening:
         assert second.discarded == ()
         assert refiltered.subjects == filtered.subjects
 
+    def test_no_subject_retained_is_an_error(self):
+        panel = matrix_from(
+            np.array([[10.0, 50.0, 90.0], [20.0, 40.0, 95.0], [90.0, 50.0, 10.0]]),
+            subjects=("a", "b", "c"),
+        )
+        with pytest.raises(StatsError, match="no subject reached the screening threshold 1"):
+            screen_subjects(panel, threshold=1.0)
+
     def test_minimum_panel_size(self):
         with pytest.raises(StatsError):
             screen_subjects(consistent_panel(n_subjects=2))
