@@ -14,109 +14,44 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it; each submodule maps to itself.
-_LAZY = {
-    **{m: m for m in (
-        "errors", "metrics", "profiling", "rd", "report", "subjective", "video_io",
-    )},
-    **dict.fromkeys(("CodecBenchError", "DataFormatError", "InputError"), "errors"),
-    **dict.fromkeys(
-        (
-            "ContentFeatures", "SequenceQuality", "content_features",
-            "ingest_external_scores", "mse", "psnr_from_mse", "sequence_quality",
-            "spatial_info", "ssim_frame", "temporal_info", "wpsnr",
-        ),
-        "metrics",
+# Submodule -> the public names it defines, in `__all__` order.
+_EXPORTS = {
+    "errors": ("CodecBenchError", "DataFormatError", "InputError"),
+    "video_io": (
+        "SequenceInfo", "FrameBuffer", "Y4MReader", "RawReader",
+        "parse_y4m_header", "read_frame", "write_y4m",
     ),
-    **dict.fromkeys(
-        (
-            "FunctionCost", "StageMapping", "StageProfile", "TimingRecord",
-            "aggregate_stages", "parse_callgrind", "speedup", "time_factor",
-        ),
-        "profiling",
+    "metrics": (
+        "mse", "psnr_from_mse", "wpsnr", "ssim_frame", "sequence_quality",
+        "spatial_info", "temporal_info", "content_features",
+        "ingest_external_scores", "SequenceQuality", "ContentFeatures",
     ),
-    **dict.fromkeys(
-        ("BDResult", "RDCurve", "RDPoint", "bd_quality", "bd_rate", "validate_curve"),
-        "rd",
+    "rd": ("RDPoint", "RDCurve", "BDResult", "validate_curve", "bd_rate", "bd_quality"),
+    "subjective": (
+        "ScoreMatrix", "StimulusInfo", "MosPoint", "ScreeningResult", "AnovaResult",
+        "mos", "ci95", "pearson", "spearman", "screen_subjects", "anova_oneway",
     ),
-    **dict.fromkeys(
-        (
-            "AnovaResult", "MosPoint", "ScoreMatrix", "ScreeningResult",
-            "StimulusInfo", "anova_oneway", "ci95", "mos", "pearson",
-            "screen_subjects", "spearman",
-        ),
-        "subjective",
+    "profiling": (
+        "TimingRecord", "FunctionCost", "StageMapping", "StageProfile",
+        "time_factor", "speedup", "parse_callgrind", "aggregate_stages",
     ),
-    **dict.fromkeys(
-        (
-            "FrameBuffer", "RawReader", "SequenceInfo", "Y4MReader",
-            "parse_y4m_header", "read_frame", "write_y4m",
-        ),
-        "video_io",
-    ),
+    "report": (),
 }
 
-__all__ = [
-    "__version__",
-    "CodecBenchError",
-    "DataFormatError",
-    "InputError",
-    "SequenceInfo",
-    "FrameBuffer",
-    "Y4MReader",
-    "RawReader",
-    "parse_y4m_header",
-    "read_frame",
-    "write_y4m",
-    "mse",
-    "psnr_from_mse",
-    "wpsnr",
-    "ssim_frame",
-    "sequence_quality",
-    "spatial_info",
-    "temporal_info",
-    "content_features",
-    "ingest_external_scores",
-    "SequenceQuality",
-    "ContentFeatures",
-    "RDPoint",
-    "RDCurve",
-    "BDResult",
-    "validate_curve",
-    "bd_rate",
-    "bd_quality",
-    "ScoreMatrix",
-    "StimulusInfo",
-    "MosPoint",
-    "ScreeningResult",
-    "AnovaResult",
-    "mos",
-    "ci95",
-    "pearson",
-    "spearman",
-    "screen_subjects",
-    "anova_oneway",
-    "TimingRecord",
-    "FunctionCost",
-    "StageMapping",
-    "StageProfile",
-    "time_factor",
-    "speedup",
-    "parse_callgrind",
-    "aggregate_stages",
-]
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_OWNER]
 
 
 def __getattr__(name):
-    owner = _LAZY.get(name)
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    owner = _OWNER.get(name)
     if owner is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f"{__name__}.{owner}")
-    if name == owner:
-        return module
-    value = globals()[name] = getattr(module, name)
+    value = globals()[name] = getattr(import_module(f"{__name__}.{owner}"), name)
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

@@ -195,7 +195,7 @@ def main(argv=None) -> int:
     try:
         _check_flag_bounds(args)
         return args.func(args)
-    except (DataFormatError, UnicodeDecodeError) as exc:
+    except DataFormatError as exc:
         print(f"codecbench: format error: {exc}", file=sys.stderr)
         return 3
     except (CodecBenchError, OSError) as exc:

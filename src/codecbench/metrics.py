@@ -9,6 +9,7 @@ is flagged in the result.
 from __future__ import annotations
 
 import collections
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .errors import (
     InputError,
     LengthError,
 )
-from .report import read_csv, read_number
+from .report import open_input, parse_csv, read_number
 from .video_io import FrameBuffer
 
 PSNR_Y = "PSNR_Y"
@@ -346,14 +347,15 @@ def ingest_external_scores(
     Supports a two-column CSV (frame,score) and the JSON layout of the
     common VMAF tool: {"frames": [{"metrics": {"<name>": value}}, ...]}.
     """
-    with open(path, "r", encoding="utf-8") as fp:
-        text = fp.read().lstrip()
-    if text.startswith(("{", "[")):
+    with open_input(path) as fp:
+        text = fp.read()
+    body = text.lstrip()
+    if body.startswith(("{", "[")):
         metric_name = name or "vmaf"
-        scores = _scores_from_json(text, metric_name, path)
+        scores = _scores_from_json(body, metric_name, path)
     else:
         metric_name = name or "score"
-        header, rows = read_csv(path)
+        header, rows = parse_csv(io.StringIO(text), path)
         if [cell.lower() for cell in header] != ["frame", "score"]:
             raise DataFormatError(
                 f"{path}: expected header 'frame,score', got {','.join(header)!r}"

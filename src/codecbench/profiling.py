@@ -23,7 +23,7 @@ from .errors import (
     EmptyInputError,
     InputError,
 )
-from .report import read_csv, read_number
+from .report import open_input, read_csv, read_number
 
 OTHER_STAGE = "Other"
 BUCKET_THRESHOLD = 1.0  # percent
@@ -84,18 +84,19 @@ class FunctionCost:
     self_cost: int
 
 
-_NAME_REF = re.compile(r"^\((\d+)\)\s?(.*)$", re.DOTALL)
-_HEADER_LINE = re.compile(r"^(\w+):\s*(.*)$")
-_SPEC_LINE = re.compile(r"^(\w+)=(.*)$", re.DOTALL)
+# A specification or header key.
+_WORD = re.compile(r"\w+")
 
 # First characters of a cost line: a position, relative (+N, -N) or
 # repeated (*), then the event counts.
 _COST_START = frozenset("0123456789+-*")
 
-# Position-specification keys sharing a compressed-name namespace.
-_FILE_KEYS = {"fl", "fi", "fe", "cfl", "cfi"}
-_FN_KEYS = {"fn", "cfn"}
-_OBJ_KEYS = {"ob", "cob"}
+# Position-specification key -> the compressed-name namespace it shares.
+_NAMESPACE = {
+    **dict.fromkeys(("fl", "fi", "fe", "cfl", "cfi"), "fl"),
+    **dict.fromkeys(("fn", "cfn"), "fn"),
+    **dict.fromkeys(("ob", "cob"), "ob"),
+}
 
 
 def parse_callgrind(source, event: str | None = None) -> list[FunctionCost]:
@@ -110,13 +111,8 @@ def parse_callgrind(source, event: str | None = None) -> list[FunctionCost]:
     """
     if not isinstance(source, (str, bytes, os.PathLike)):
         return _parse_callgrind_lines(source, event)
-    with open(source, "r", encoding="utf-8") as fp:
-        try:
-            return _parse_callgrind_lines(fp, event)
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(
-                f"{os.fsdecode(source)}: not UTF-8 text ({exc.reason})"
-            ) from None
+    with open_input(source) as fp:
+        return _parse_callgrind_lines(fp, event)
 
 
 def _parse_callgrind_lines(lines, event):
@@ -125,9 +121,8 @@ def _parse_callgrind_lines(lines, event):
     n_positions = 1
     # Token index of the selected event on a cost line; set by the headers.
     idx = 1
-    fn_names: dict[str, str] = {}
-    file_names: dict[str, str] = {}
-    obj_names: dict[str, str] = {}
+    # Per namespace: "(id)" text -> name, so a bare reference is one lookup.
+    names: dict[str, dict[str, str]] = {ns: {} for ns in _NAMESPACE.values()}
     current_fn: str | None = None
     block = 0  # self cost of current_fn in this fn= block
     skip_next_cost = False
@@ -164,27 +159,26 @@ def _parse_callgrind_lines(lines, event):
         if not line.strip() or line.startswith("#"):
             continue
 
-        m = _SPEC_LINE.match(line)
-        if m:
-            key, value = m.group(1), m.group(2)
-            if key in _FN_KEYS:
-                name = _resolve_name(fn_names, value, lineno)
+        key, sep, value = line.partition("=")
+        if sep:
+            namespace = _NAMESPACE.get(key)
+            if namespace is not None:
+                table = names[namespace]
+                name = table.get(value) or _define_or_resolve(table, value, lineno)
                 if key == "fn":
                     if current_fn is not None:
                         costs[current_fn] = costs.get(current_fn, 0) + block
                     current_fn, block = name, 0
-            elif key in _FILE_KEYS:
-                _resolve_name(file_names, value, lineno)
-            elif key in _OBJ_KEYS:
-                _resolve_name(obj_names, value, lineno)
-            elif key == "calls":
+                continue
+            if key == "calls":
                 skip_next_cost = True
-            # Remaining specification keys (jump targets etc.) carry no self cost.
-            continue
+                continue
+            if _WORD.fullmatch(key):
+                # Remaining specification keys (jump targets etc.) carry no self cost.
+                continue
 
-        m = _HEADER_LINE.match(line)
-        if m:
-            key, value = m.group(1), m.group(2)
+        key, sep, value = line.partition(":")
+        if sep and _WORD.fullmatch(key):
             if key == "events":
                 events = value.split()
                 if not events:
@@ -213,17 +207,23 @@ def _parse_callgrind_lines(lines, event):
     ]
 
 
-def _resolve_name(table: dict[str, str], value: str, lineno: int) -> str:
-    m = _NAME_REF.match(value)
-    if not m:
+def _define_or_resolve(table: dict[str, str], value: str, lineno: int) -> str:
+    """The name a value gives: `(id) name` defines id, `(id)` refers to it,
+    anything else is the name itself."""
+    if value[:1] != "(":
         return value
-    num, rest = m.group(1), m.group(2)
+    num, sep, rest = value[1:].partition(")")
+    if not (sep and num.isdecimal()):
+        return value
+    if rest[:1].isspace():
+        rest = rest[1:]
+    ref = f"({num})"
     if rest:
-        table[num] = rest
+        table[ref] = rest
         return rest
-    if num not in table:
+    if ref not in table:
         raise DataFormatError(f"line {lineno}: undefined name id ({num})")
-    return table[num]
+    return table[ref]
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def parse_mapping(text: str, origin: str = "<mapping>") -> StageMapping:
 
 
 def load_mapping(path) -> StageMapping:
-    with open(path, "r", encoding="utf-8") as fp:
+    with open_input(path) as fp:
         return parse_mapping(fp.read(), origin=str(path))
 
 

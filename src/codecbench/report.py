@@ -83,20 +83,39 @@ def open_output(path):
             yield fp
 
 
+@contextlib.contextmanager
+def open_input(path, newline=None):
+    """A UTF-8 text stream from path; bytes that are not UTF-8 are a format
+    error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fp:
+            yield fp
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{os.fsdecode(path)}: not UTF-8 text ({exc.reason})"
+        ) from None
+
+
 def read_csv(path, required=()):
-    """Read a UTF-8 CSV table: its header and data rows, cells stripped.
+    """Read a UTF-8 CSV file with parse_csv."""
+    with open_input(path, newline="") as fp:
+        return parse_csv(fp, path, required)
+
+
+def parse_csv(lines, path, required=()):
+    """Parse a CSV table: its header and data rows, cells stripped.
 
     The header is the first non-blank row and must name every `required`
     column. Blank rows are skipped; each data row is (physical line
-    number, cells) and must have as many cells as the header.
+    number, cells) and must have as many cells as the header. Messages
+    name `path`, the table's file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        stripped = (list(map(str.strip, cells)) for cells in reader)
-        try:
-            rows = [(reader.line_num, cells) for cells in stripped if any(cells)]
-        except csv.Error as exc:  # e.g. a cell over the csv field size limit
-            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.reader(lines)
+    stripped = (list(map(str.strip, cells)) for cells in reader)
+    try:
+        rows = [(reader.line_num, cells) for cells in stripped if any(cells)]
+    except csv.Error as exc:  # e.g. a cell over the csv field size limit
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no header row")
     header = rows.pop(0)[1]

@@ -39,12 +39,9 @@ _COLORSPACE_TAGS = {
     "444p10": (CHROMA_444, 10),
 }
 
-_WRITE_TAGS = {
-    (CHROMA_420, 8): "420",
-    (CHROMA_420, 10): "420p10",
-    (CHROMA_444, 8): "444",
-    (CHROMA_444, 10): "444p10",
-}
+# (chroma layout, bit depth) -> the tag written for it: the first listed
+# above, which the reversed walk stores last.
+_WRITE_TAGS = {fmt: tag for tag, fmt in reversed(_COLORSPACE_TAGS.items())}
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,6 @@ class SequenceInfo:
             raise HeaderError(
                 f"C420 requires even dimensions, got {self.width}x{self.height}"
             )
-
-    @property
-    def fps(self) -> float:
-        return self.fps_num / self.fps_den
 
     @property
     def sample_max(self) -> int:
@@ -137,14 +130,6 @@ class FrameBuffer:
     @property
     def y(self) -> np.ndarray:
         return self.planes[0]
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.planes[1]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.planes[2]
 
 
 def _read_line(stream, limit: int = 8192) -> tuple[bytes, bool]:

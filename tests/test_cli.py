@@ -569,6 +569,45 @@ fn=TrQuant::transformNxN
 """
 
 
+NON_UTF8_MAPPING = b"Inter\xffSearch -> ME\n"
+
+
+@pytest.mark.parametrize("kind", [
+    "mapping", "env_mapping", "rd", "scores", "pvs", "timing", "external_csv",
+    "external_json",
+])
+def test_non_utf8_input_names_the_file(tmp_path, rng, monkeypatch, capsys, kind):
+    bad = tmp_path / f"{kind}.in"
+    prof = tmp_path / "callgrind.out"
+    prof.write_text(CALLGRIND)
+    scores, meta = write_panel(tmp_path)
+    ref, test = write_pair(tmp_path, rng)
+    metrics_argv = ["metrics", str(ref), str(test), "--external", str(bad)]
+    argv, content = {
+        "mapping": (["profile", str(prof), "--mapping", str(bad)], NON_UTF8_MAPPING),
+        "env_mapping": (["profile", str(prof)], NON_UTF8_MAPPING),
+        "rd": (["bdrate", str(bad), "--anchor", "HM", "--test", "VTM"],
+               RD_HEADER.encode() + b"HM,s1,PSNR,\xff,1000,30\n"),
+        "scores": (["mos", str(bad), "--pvs-meta", str(meta)],
+                   scores.read_bytes().replace(b"s9", b"s\xff")),
+        "pvs": (["mos", str(scores), "--pvs-meta", str(bad)],
+                meta.read_bytes().replace(b"Drums", b"Dr\xffms")),
+        "timing": (["profile", str(prof), "--timing", str(bad)],
+                   TIMING_HEADER.encode() + b"HM,Crowd\xffRun,32,123,500,50,1\n"),
+        "external_csv": (metrics_argv, b"frame,score\n0,9\xff\n"),
+        "external_json": (metrics_argv, b'{"frames": [{"metrics": {"vmaf": 9\xff}}]}'),
+    }[kind]
+    bad.write_bytes(content)
+    if kind == "env_mapping":
+        monkeypatch.setenv("CODECBENCH_STAGE_MAP", str(bad))
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        f"codecbench: format error: {bad}: not UTF-8 text (invalid start byte)\n"
+    )
+    assert not out.exists()
+
+
 def plot_floats(tmp_path, *flags):
     """The quality and log10-rate cells of a --plot-data CSV."""
     points = tmp_path / "points.csv"

@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,57 @@ fn=foo
         event = "Dr" if "Dr" in text else None
         with pytest.raises(DataFormatError, match=re.escape(message)):
             parse_callgrind(io.StringIO(text), event=event)
+
+
+# Keys sharing fl's compressed-name ids besides fl itself.
+FILE_KEYS = ("fi", "fe", "cfi", "cfl")
+
+NAMESPACE_CASES = {
+    **{f"{key}_refers_to_fl_id": (f"fl=(7) a.c\nfn=f\n{key}=(7)\n1 5\n", {"f": 5})
+       for key in FILE_KEYS},
+    **{f"fl_refers_to_{key}_id": (f"fn=f\n{key}=(7) b.h\nfl=(7)\n1 5\n", {"f": 5})
+       for key in FILE_KEYS},
+    "cfn_refers_to_fn_id": ("fn=(3) f\n1 5\ncfn=(3)\ncalls=1 0\n1 900\n", {"f": 5}),
+    "fn_refers_to_cfn_id": ("cfn=(4) g\ncalls=1 0\n1 900\nfn=(4)\n2 6\n", {"g": 6}),
+    "cob_refers_to_ob_id": ("ob=(2) lib.so\nfn=f\ncob=(2)\n1 5\n", {"f": 5}),
+    "fn_id_is_not_fl_id": ("fn=(7) f\nfi=(7)\n1 5\n", "line 3: undefined name id (7)"),
+    "fl_id_is_not_fn_id": ("fl=(7) a.c\nfn=(7)\n1 5\n", "line 3: undefined name id (7)"),
+    "ob_id_is_not_fl_id": ("ob=(2) lib.so\nfn=f\ncfl=(2)\n", "line 4: undefined name id (2)"),
+    "tab_after_id_defines": ("fn=(1)\tfoo\n1 5\nfn=(1)\n2 6\n", {"foo": 11}),
+    "one_space_stripped": ("fn=(1)  foo\n1 5\n", {" foo": 5}),
+    "id_then_space_refers": ("fn=(1) foo\n1 5\nfn=(1) \n2 6\n", {"foo": 11}),
+    "non_decimal_id_is_a_name": ("fn=(x) foo\n1 5\n", {"(x) foo": 5}),
+    "unknown_key_ignored": ("fn=f\njump=3 +1\n1 5\n", {"f": 5}),
+    "key_with_space_unrecognized": ("fn=f\nx y=1\n", "line 3: unrecognized line 'x y=1'"),
+}
+
+
+@pytest.mark.parametrize(("body", "expected"), NAMESPACE_CASES.values(),
+                         ids=NAMESPACE_CASES.keys())
+def test_name_namespaces(body, expected):
+    """fl/fi/fe/cfl/cfi share one table of (id) names, fn/cfn another and
+    ob/cob a third."""
+    text = "events: Ir\n" + body
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(expected)}$"):
+            parse_callgrind(io.StringIO(text))
+    else:
+        assert costs_dict(text) == expected
+
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+def test_parse_callgrind_matches_generator_truth(tmp_path):
+    """A benchmark-shaped file (compressed ob/fl/fn/cfn names, fi/fe
+    references, calls= records, relative positions): the parse equals the
+    self cost planted per function."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN_PATH)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    truth = gen.callgrind(tmp_path, 3, target_lines=20_000)
+    got = parse_callgrind(tmp_path / truth["file"])
+    assert {fc.name: fc.self_cost for fc in got} == truth["functions"]
 
 
 def oracle_costs(text, event=None):
