@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads, capped at the CPU count (default 1)",
+        help="worker threads, capped at the CPUs this process may use (default 1)",
     )
     p.set_defaults(func=cmd_metrics)
 
@@ -308,8 +308,13 @@ def cmd_metrics(args) -> int:
     from . import metrics
 
     metric_ids = _parse_metric_selection(args.metrics)
-    # Results do not depend on the worker count, so the cap is safe.
-    jobs = min(args.jobs, os.cpu_count() or 1)
+    # Results do not depend on the worker count, so the cap is safe. The
+    # affinity mask counts the CPUs this process may run on, not the host's.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    jobs = min(args.jobs, cpus)
     with _open_video(args.reference, args) as ref, _open_video(args.test, args) as test:
         ri = ref.info
         metrics._check_compatible(ri, test.info)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import (
     DataFormatError,
@@ -41,8 +40,10 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 # Output rows per SSIM strip: a strip's float64 buffers (its rows plus the
-# window halo, full width) fit in a per-core cache at HD widths.
-_SSIM_STRIP = 32
+# window halo, full width) stay in a per-core cache at HD widths. Of
+# 8/12/16/24/32 rows, 16 was fastest at 1920x1080 on a 2-vCPU Xeon guest
+# with 2 MB of L2 per core.
+_SSIM_STRIP = 16
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,30 @@ _SSIM_KERNEL = np.exp(-(_SSIM_AXIS * _SSIM_AXIS) / (2.0 * _SSIM_SIGMA * _SSIM_SI
 _SSIM_KERNEL /= _SSIM_KERNEL.sum()
 
 
-def _windowed_mean(values: np.ndarray) -> np.ndarray:
-    # Separable correlation; rows first (contiguous axis), then crop to the
-    # fully supported interior so no padding convention leaks in.
-    r = _SSIM_WINDOW // 2
-    rows = correlate1d(values, _SSIM_KERNEL, axis=1, mode="constant")[:, r:-r]
-    return correlate1d(rows, _SSIM_KERNEL, axis=0, mode="constant")[r:-r, :]
+def _gaussian_pass(x: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
+    # Filters x along axis 0 into out, computing out's rows only: the centre
+    # tap, then each symmetric pair of taps from the outside in. pair is a
+    # work buffer of out's shape.
+    n = out.shape[0]
+    centre = _SSIM_WINDOW // 2
+    halo = _SSIM_WINDOW - 1
+    np.multiply(x[centre : centre + n], _SSIM_KERNEL[centre], out=out)
+    for k in range(centre):
+        np.add(x[k : k + n], x[halo - k : halo - k + n], out=pair)
+        pair *= _SSIM_KERNEL[k]
+        out += pair
+
+
+def _windowed_mean(x, out, cols, col_pair, row_pair):
+    """Gaussian mean of every fully supported window of x, written to out.
+
+    x holds out's rows plus the window halo at full plane width. Columns are
+    filtered first, over out's rows only, into cols; then rows, over out's
+    columns only. col_pair and row_pair are work buffers of cols' and out's
+    shapes; they must be contiguous, since strided ones slow both passes.
+    """
+    _gaussian_pass(x, cols, col_pair)
+    _gaussian_pass(cols.T, out.T, row_pair.T)
 
 
 def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
@@ -120,22 +139,33 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
     c2 = (_SSIM_K2 * ref.info.sample_max) ** 2
     halo = _SSIM_WINDOW - 1
     ssim_map = np.empty((h - halo, w - halo), dtype=np.float64)
+    # Every strip reuses these float64 buffers; they belong to this call, so
+    # concurrent calls share none.
+    rows = min(_SSIM_STRIP, h - halo)
+    inputs = np.empty((3, rows + halo, w))
+    columns = np.empty((2, rows, w))
+    maps = np.empty((5, rows, w - halo))
     for top in range(0, h - halo, _SSIM_STRIP):
-        bottom = min(top + _SSIM_STRIP, h - halo)
-        r = ref.y[top : bottom + halo].astype(np.float64)
-        e = test.y[top : bottom + halo].astype(np.float64)
-        mu_r = _windowed_mean(r)
-        mu_e = _windowed_mean(e)
-        cov = _windowed_mean(r * e)
+        n = min(_SSIM_STRIP, h - halo - top)
+        r, e, re = inputs[:, : n + halo]
+        cols, col_pair = columns[:, :n]
+        mu_r, mu_e, cov, var_sum, num = maps[:, :n]
+        np.copyto(r, ref.y[top : top + n + halo])
+        np.copyto(e, test.y[top : top + n + halo])
+        np.multiply(r, e, out=re)
+        # num is free until the formula, so the row passes work in it.
+        _windowed_mean(r, mu_r, cols, col_pair, num)
+        _windowed_mean(e, mu_e, cols, col_pair, num)
+        _windowed_mean(re, cov, cols, col_pair, num)
         # The formula needs only var_r + var_e, so r*r + e*e is one map.
         r *= r
         e *= e
         r += e
-        var_sum = _windowed_mean(r)
+        _windowed_mean(r, var_sum, cols, col_pair, num)
         # The rest runs in place on the strip's buffers:
         # num = (2 mu_r mu_e + c1) (2 cov + c2),
         # den = (mu_r^2 + mu_e^2 + c1) (var_r + var_e + c2).
-        num = mu_r * mu_e
+        np.multiply(mu_r, mu_e, out=num)
         cov -= num
         cov *= 2.0
         cov += c2
@@ -150,7 +180,7 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
         var_sum += c2
         den += c1
         den *= var_sum
-        np.divide(num, den, out=ssim_map[top:bottom])
+        np.divide(num, den, out=ssim_map[top : top + n])
     return float(ssim_map.mean())
 
 

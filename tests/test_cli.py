@@ -86,10 +86,9 @@ class TestMetricsCommand:
         expected = f"codecbench: error: --jobs must be at least 1, got {value}\n"
         assert captured.err == expected
 
-    @pytest.mark.parametrize("requested,expected", [(1, 1), (3, 3), (4, 3), (10**6, 3)])
-    def test_jobs_capped_at_cpu_count(
-        self, tmp_path, rng, monkeypatch, requested, expected
-    ):
+    @staticmethod
+    def jobs_passed_on(tmp_path, rng, monkeypatch, requested):
+        """The jobs value cmd_metrics hands to sequence_quality."""
         ref, test = write_pair(tmp_path, rng, frames=1)
         seen = []
 
@@ -97,15 +96,36 @@ class TestMetricsCommand:
             seen.append(jobs)
             return {m: metrics.SequenceQuality(m, (1.0,), 1.0) for m in metric_ids}
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(metrics, "sequence_quality", record)
-        out = tmp_path / "report.json"
         rc = main([
             "metrics", str(ref), str(test), "--jobs", str(requested),
-            "--output", str(out), "--quiet",
+            "--output", str(tmp_path / "report.json"), "--quiet",
         ])
         assert rc == 0
-        assert seen == [expected]
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("requested,expected", [(1, 1), (3, 3), (4, 3), (10**6, 3)])
+    def test_jobs_capped_at_cpu_count(
+        self, tmp_path, rng, monkeypatch, requested, expected
+    ):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert self.jobs_passed_on(tmp_path, rng, monkeypatch, requested) == expected
+
+    @pytest.mark.parametrize("has_affinity", [True, False])
+    def test_jobs_capped_at_usable_cpus(self, tmp_path, rng, monkeypatch, has_affinity):
+        # The affinity mask, not the host's CPU count, bounds the threads;
+        # without one the CPU count does.
+        if has_affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert self.jobs_passed_on(tmp_path, rng, monkeypatch, 4) == 1
 
     def test_raw_without_geometry_flags_exit_2(self, tmp_path, rng, capsys):
         raw = tmp_path / "clip.yuv"
@@ -897,7 +917,7 @@ def import_contract_argv(tmp_path, command):
         ("--version", set(HEAVY_MODULES)),
         ("profile", set(HEAVY_MODULES)),
         ("mos", {"scipy.interpolate", "scipy.ndimage"}),
-        ("metrics", {"scipy.interpolate"}),
+        ("metrics", {"scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special"}),
         ("bdrate", {"scipy.ndimage"}),
     ],
 )

@@ -175,6 +175,13 @@ def noisy_copy(frame, rng, amplitude):
     return FrameBuffer(info=frame.info, planes=planes, frame_index=frame.frame_index)
 
 
+SEAM_HEIGHTS = (11, 12) + tuple(
+    strips * metrics._SSIM_STRIP + 10 + offset
+    for strips in (1, 2)
+    for offset in (-1, 0, 1)
+)
+
+
 class TestSsim:
     def test_identity(self, rng):
         info = make_info(32, 32)
@@ -224,8 +231,9 @@ class TestSsim:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         # 11 and 12 give one and two output rows; the others put the last
-        # row just before, on, or just after a 32-row strip boundary.
-        height=st.sampled_from((11, 12, 41, 42, 43, 75, 76)),
+        # row just before, on, or just after the first and second strip
+        # boundaries.
+        height=st.sampled_from(SEAM_HEIGHTS),
         width=st.integers(11, 20),
         bit_depth=st.sampled_from((8, 10)),
         amplitude=st.sampled_from((1, 16, 1023)),
@@ -388,15 +396,17 @@ class TestSequenceQuality:
             sequence_quality(a, b, (PSNR_Y,))
 
     def test_parallel_matches_serial(self, rng):
-        info = make_info(24, 24)
-        ref = [random_frame(info, rng, i) for i in range(6)]
-        test = [random_frame(info, rng, i) for i in range(6)]
         metric_ids = (PSNR_Y, PSNR_U, PSNR_V, WPSNR, SSIM)
-        serial = sequence_quality(ref, test, metric_ids, jobs=1)
-        parallel = sequence_quality(ref, test, metric_ids, jobs=4)
-        for mid in metric_ids:
-            assert serial[mid].frame_values == parallel[mid].frame_values
-            assert serial[mid].value == parallel[mid].value
+        # One SSIM strip, then a frame taller than two strips.
+        tall = make_info(24, 2 * metrics._SSIM_STRIP + 21, chroma=CHROMA_444)
+        for info in (make_info(24, 24), tall):
+            ref = [random_frame(info, rng, i) for i in range(6)]
+            test = [random_frame(info, rng, i) for i in range(6)]
+            serial = sequence_quality(ref, test, metric_ids, jobs=1)
+            parallel = sequence_quality(ref, test, metric_ids, jobs=4)
+            for mid in metric_ids:
+                assert serial[mid].frame_values == parallel[mid].frame_values
+                assert serial[mid].value == parallel[mid].value
 
     def test_unknown_metric(self, rng):
         info = make_info(16, 16)
