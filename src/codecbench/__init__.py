@@ -26,7 +26,10 @@ _EXPORTS = {
         "spatial_info", "temporal_info", "content_features",
         "ingest_external_scores", "SequenceQuality", "ContentFeatures",
     ),
-    "rd": ("RDPoint", "RDCurve", "BDResult", "validate_curve", "bd_rate", "bd_quality"),
+    "rd": (
+        "RDPoint", "RDCurve", "BDResult", "validate_curve", "bd_rate", "bd_quality",
+        "interpolate_log_rate",
+    ),
     "subjective": (
         "ScoreMatrix", "StimulusInfo", "MosPoint", "ScreeningResult", "AnovaResult",
         "mos", "ci95", "pearson", "spearman", "screen_subjects", "anova_oneway",

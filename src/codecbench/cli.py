@@ -389,7 +389,16 @@ def cmd_metrics(args) -> int:
 def cmd_bdrate(args) -> int:
     from . import rd
 
+    if args.anchor == args.test:
+        raise InputError(f"--anchor and --test name the same codec {args.anchor!r}")
     curves = rd.load_rd_csv(args.points)
+    codecs = dict.fromkeys(curve.codec_id for curve in curves)
+    for role, codec in (("anchor", args.anchor), ("test", args.test)):
+        if codec not in codecs:
+            raise InputError(
+                f"no curves for {role} codec {codec!r} "
+                f"(codecs in file: {', '.join(codecs) or 'none'})"
+            )
     anchors = {}
     tests = {}
     for curve in curves:
@@ -401,10 +410,6 @@ def cmd_bdrate(args) -> int:
     if orphans:
         names = ", ".join(f"{seq}/{met}" for seq, met in orphans)
         raise InputError(f"curves without a counterpart: {names}")
-    if not anchors:
-        raise InputError(
-            f"no curve pairs for anchor {args.anchor!r} and test {args.test!r}"
-        )
 
     rows = []
     warnings = []
@@ -480,18 +485,13 @@ def _plot_rows(curves):
 
     rows = []
     for curve in curves:
+        ids = [curve.codec_id, curve.sequence_id, curve.metric_id]
         dense = np.linspace(curve.qualities.min(), curve.qualities.max(), 100)
         fitted = rd.interpolate_log_rate(curve, dense)
-        for point, log_rate in zip(curve.points, curve.log_rates):
-            rows.append(
-                [curve.codec_id, curve.sequence_id, curve.metric_id,
-                 point.quality, float(log_rate), 0]
-            )
-        for q, lr in zip(dense, fitted):
-            rows.append(
-                [curve.codec_id, curve.sequence_id, curve.metric_id,
-                 float(q), float(lr), 1]
-            )
+        rows.extend(ids + [point.quality, log_rate, 0]
+                    for point, log_rate in zip(curve.points, curve.log_rates.tolist()))
+        rows.extend(ids + [q, log_rate, 1]
+                    for q, log_rate in zip(dense.tolist(), fitted.tolist()))
     return rows
 
 

@@ -327,13 +327,42 @@ class TestBdrateCommand:
     def test_orphan_curves_exit_2(self, tmp_path, capsys):
         points = tmp_path / "points.csv"
         write_rd_csv(points, [
-            "HM,s1,PSNR,,1000,30\n",
-            "HM,s1,PSNR,,2000,35\n",
-            "HM,s1,PSNR,,4000,40\n",
+            f"{codec},{seq},PSNR,,{rate},{quality}\n"
+            for codec, seq in (("HM", "s1"), ("HM", "s2"), ("VTM", "s1"))
+            for rate, quality in [(1000, 30), (2000, 35), (4000, 40)]
         ])
         rc = main(["bdrate", str(points), "--anchor", "HM", "--test", "VTM", "--quiet"])
         assert rc == 2
-        assert "s1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "codecbench: error: curves without a counterpart: s2/PSNR\n"
+        )
+
+    @pytest.mark.parametrize(
+        ("anchor", "test", "message"),
+        [("HM", "HM", "--anchor and --test name the same codec 'HM'"),
+         ("HM", "VTM", "no curves for test codec 'VTM' (codecs in file: HM, JM)"),
+         ("AV1", "HM", "no curves for anchor codec 'AV1' (codecs in file: HM, JM)")],
+        ids=["same_codec", "no_test_rows", "no_anchor_rows"],
+    )
+    def test_codec_names_exit_2(self, tmp_path, capsys, anchor, test, message):
+        points = tmp_path / "points.csv"
+        write_rd_csv(points, [
+            f"{codec},s1,PSNR,,{rate},{quality}\n"
+            for codec in ("HM", "JM")
+            for rate, quality in [(1000, 30), (2000, 35), (4000, 40)]
+        ])
+        rc = main(["bdrate", str(points), "--anchor", anchor, "--test", test, "-q"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"codecbench: error: {message}\n"
+
+    def test_empty_points_file_exit_2(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        write_rd_csv(points, [])
+        rc = main(["bdrate", str(points), "--anchor", "HM", "--test", "VTM", "-q"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "codecbench: error: no curves for anchor codec 'HM' (codecs in file: none)\n"
+        )
 
     def test_plot_data(self, tmp_path):
         points = tmp_path / "points.csv"
@@ -864,6 +893,23 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_bd_functions_leave_out_scipy():
+    # The PCHIP fit is numpy only; importing scipy would cost ~0.8 s.
+    src = os.path.dirname(os.path.dirname(codecbench.__file__))
+    probe = (
+        "import sys\n"
+        "from codecbench import RDPoint, bd_rate, interpolate_log_rate, validate_curve\n"
+        "c = validate_curve([RDPoint(r, q) for r, q in ((1e3, 30), (2e3, 35), (4e3, 40))])\n"
+        "bd_rate(c, c), interpolate_log_rate(c, [32.0])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 HEAVY_MODULES = ("numpy", "scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special")
 
 
@@ -918,7 +964,7 @@ def import_contract_argv(tmp_path, command):
         ("profile", set(HEAVY_MODULES)),
         ("mos", {"scipy.interpolate", "scipy.ndimage"}),
         ("metrics", {"scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special"}),
-        ("bdrate", {"scipy.ndimage"}),
+        ("bdrate", {"scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special"}),
     ],
 )
 def test_subcommand_imports_only_what_it_needs(tmp_path, command, not_loaded):

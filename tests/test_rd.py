@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from codecbench.errors import CurveError, DataFormatError
 from codecbench.rd import (
+    RDCurve,
     RDPoint,
+    _Pchip,
     bd_quality,
     bd_rate,
     interpolate_log_rate,
@@ -161,6 +165,23 @@ class TestBdFloatRange:
             bd_rate(anchor, test)
 
 
+class TestHandBuiltCurve:
+    # An RDCurve built without validate_curve: the fit checks its own axis.
+    @pytest.mark.parametrize(
+        "points", [[(2000, 35), (1000, 30), (4000, 40)], [(1000, 30), (2000, 35)]],
+        ids=["unsorted", "two_points"],
+    )
+    @pytest.mark.parametrize("call", [
+        lambda c: bd_rate(curve(BASE), c),
+        lambda c: bd_quality(curve(BASE), c),
+        lambda c: interpolate_log_rate(c, [32.0]),
+    ], ids=["bd_rate", "bd_quality", "interpolate_log_rate"])
+    def test_axis_not_increasing(self, points, call):
+        hand_built = RDCurve("B", "seq", "PSNR", tuple(RDPoint(r, q) for r, q in points))
+        with pytest.raises(CurveError, match="axis must strictly increase"):
+            call(hand_built)
+
+
 class TestBdQuality:
     def test_self_delta_zero(self, rng):
         c = random_monotone_curve(rng)
@@ -192,15 +213,51 @@ class TestInterpolant:
             assert np.all(np.diff(values) >= -1e-12)
 
     def test_closed_form_integral_matches_quadrature(self, rng):
-        # Antiderivative evaluation vs numeric quadrature of the same fit.
+        # rd's closed-form integral vs numeric quadrature of rd's own fit.
         for _ in range(5):
             c = random_monotone_curve(rng)
-            interp = PchipInterpolator(c.qualities, c.log_rates)
+            fit = _Pchip(c.qualities, c.log_rates)
             lo, hi = float(c.qualities.min()), float(c.qualities.max())
-            anti = interp.antiderivative()
-            closed = float(anti(hi) - anti(lo))
-            numeric, err = quad(interp, lo, hi, limit=200)
+            closed = float(fit.integral(lo, hi))
+            numeric, err = quad(fit, lo, hi, limit=200)
             assert closed == pytest.approx(numeric, abs=max(1e-9, 10 * err))
+
+
+@st.composite
+def pchip_curves(draw):
+    """3 to 8 knots: x strictly increasing, with gaps up to 1e4 apart in
+    size, and y steps of either sign or zero, so every branch of the slope
+    rule runs."""
+    steps = draw(st.integers(2, 7))
+    unit = draw(st.floats(1e-3, 10))
+    gaps = draw(st.lists(st.floats(1, 1e4), min_size=steps, max_size=steps))
+    rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(-10, 10)),
+                          min_size=steps, max_size=steps))
+    x = np.cumsum([draw(st.floats(-100, 100)), *(unit * g for g in gaps)])
+    y = np.cumsum([draw(st.floats(-100, 100)), *rises])
+    return x, y
+
+
+# The fit reproduces scipy's arithmetic; this bounds any drift, relative to
+# the curve's largest |y| (and for integrals, times the width of the range).
+PCHIP_BOUND = 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pchip_curves(), st.lists(st.floats(0, 1), min_size=2, max_size=2))
+def test_pchip_matches_scipy(curve, ends):
+    x, y = curve
+    fit, oracle = _Pchip(x, y), PchipInterpolator(x, y)
+    scale = max(1.0, float(np.abs(y).max()))
+    span = x[-1] - x[0]
+    # The grid reaches a tenth of the span past each end: the end cubics extend.
+    grid = np.linspace(x[0] - span / 10, x[-1] + span / 10, 400)
+    assert np.abs(fit(grid) - oracle(grid)).max() <= PCHIP_BOUND * scale
+    assert np.abs(fit(x) - y).max() <= PCHIP_BOUND * scale
+    lo, hi = sorted(x[0] + span * np.array(ends))
+    assert abs(fit.integral(lo, hi) - oracle.integrate(lo, hi)) <= (
+        PCHIP_BOUND * scale * max(span, 1.0)
+    )
 
 
 class TestLoadCsv:
