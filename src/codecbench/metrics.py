@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DataFormatError,
@@ -39,11 +40,14 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
-# Output rows per SSIM strip: a strip's float64 buffers (its rows plus the
-# window halo, full width) stay in a per-core cache at HD widths. Of
-# 8/12/16/24/32 rows, 16 was fastest at 1920x1080 on a 2-vCPU Xeon guest
-# with 2 MB of L2 per core.
+# SSIM filters strips of _SSIM_STRIP output rows, and runs its row pass in
+# tiles of _SSIM_TILE output columns. Of strip heights 8/12/16/20/24/32 and
+# tile widths 8/16/24/32/64, 16 by 16 was fastest at 1920x1080 and
+# 3840x2160 on a 2-vCPU Xeon guest with 2 MB of L2 per core.
 _SSIM_STRIP = 16
+_SSIM_TILE = 16
+# Leading-axis rows per strip of mse's int64 difference buffer.
+_MSE_STRIP = 64
 
 
 @dataclass(frozen=True)
@@ -62,17 +66,31 @@ class ContentFeatures:
 
 
 def mse(ref_plane, test_plane) -> float:
-    """Mean squared error between two equally sized sample arrays."""
+    """Mean squared error between two equally sized arrays of integer
+    samples of up to 16 bits."""
     ref = np.asarray(ref_plane)
     test = np.asarray(test_plane)
     if ref.shape != test.shape:
         raise DimensionError(f"plane shapes differ: {ref.shape} vs {test.shape}")
     if ref.size == 0:
         raise EmptyInputError("empty plane")
-    diff = ref.astype(np.float64)
-    diff -= test
-    diff *= diff
-    return float(np.mean(diff))
+    if not (np.issubdtype(ref.dtype, np.integer)
+            and np.issubdtype(test.dtype, np.integer)):
+        raise InputError(f"samples must be integers, got {ref.dtype} and {test.dtype}")
+    # Squared differences are summed exactly in int64, a strip of
+    # leading-axis rows at a time, so no full-plane temporary is made. A
+    # float64 sum of them would also be exact (it stays below 2**53), so
+    # the one division rounds as a float64 mean of the squares does.
+    ref, test = np.atleast_1d(ref, test)
+    buf = np.empty((min(_MSE_STRIP, len(ref)),) + ref.shape[1:], dtype=np.int64)
+    total = 0
+    for top in range(0, len(ref), _MSE_STRIP):
+        diff = buf[: len(ref) - top]
+        np.subtract(ref[top : top + _MSE_STRIP], test[top : top + _MSE_STRIP],
+                    out=diff, dtype=np.int64)
+        flat = diff.reshape(-1)
+        total += int(np.dot(flat, flat))
+    return total / ref.size
 
 
 def psnr_from_mse(mse_value: float, bit_depth: int) -> float:
@@ -97,30 +115,20 @@ _SSIM_KERNEL = np.exp(-(_SSIM_AXIS * _SSIM_AXIS) / (2.0 * _SSIM_SIGMA * _SSIM_SI
 _SSIM_KERNEL /= _SSIM_KERNEL.sum()
 
 
-def _gaussian_pass(x: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
-    # Filters x along axis 0 into out, computing out's rows only: the centre
-    # tap, then each symmetric pair of taps from the outside in. pair is a
-    # work buffer of out's shape.
-    n = out.shape[0]
-    centre = _SSIM_WINDOW // 2
-    halo = _SSIM_WINDOW - 1
-    np.multiply(x[centre : centre + n], _SSIM_KERNEL[centre], out=out)
-    for k in range(centre):
-        np.add(x[k : k + n], x[halo - k : halo - k + n], out=pair)
-        pair *= _SSIM_KERNEL[k]
-        out += pair
+def _band(rows: int) -> np.ndarray:
+    """The (rows, rows + 10) matrix whose row i holds the window's taps at
+    columns i..i+10: band @ x filters x along axis 0 into its valid rows."""
+    band = np.zeros((rows, rows + _SSIM_WINDOW - 1))
+    for i in range(rows):
+        band[i, i : i + _SSIM_WINDOW] = _SSIM_KERNEL
+    return band
 
 
-def _windowed_mean(x, out, cols, col_pair, row_pair):
-    """Gaussian mean of every fully supported window of x, written to out.
-
-    x holds out's rows plus the window halo at full plane width. Columns are
-    filtered first, over out's rows only, into cols; then rows, over out's
-    columns only. col_pair and row_pair are work buffers of cols' and out's
-    shapes; they must be contiguous, since strided ones slow both passes.
-    """
-    _gaussian_pass(x, cols, col_pair)
-    _gaussian_pass(cols.T, out.T, row_pair.T)
+# The column pass of a strip of n output rows uses the top-left (n, n + 10)
+# corner of _SSIM_COLUMN_BAND; the row pass maps each tile's _SSIM_TILE + 10
+# input columns to its _SSIM_TILE output columns.
+_SSIM_COLUMN_BAND = _band(_SSIM_STRIP)
+_SSIM_ROW_BAND = np.ascontiguousarray(_band(_SSIM_TILE).T)
 
 
 def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
@@ -138,33 +146,49 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
     c1 = (_SSIM_K1 * ref.info.sample_max) ** 2
     c2 = (_SSIM_K2 * ref.info.sample_max) ** 2
     halo = _SSIM_WINDOW - 1
-    ssim_map = np.empty((h - halo, w - halo), dtype=np.float64)
-    # Every strip reuses these float64 buffers; they belong to this call, so
-    # concurrent calls share none.
     rows = min(_SSIM_STRIP, h - halo)
-    inputs = np.empty((3, rows + halo, w))
-    columns = np.empty((2, rows, w))
-    maps = np.empty((5, rows, w - halo))
+    tiles = -(-(w - halo) // _SSIM_TILE)
+    # Valid output columns in the last tile; the tiles' other columns are
+    # padding, filtered but left out of the sum.
+    last = w - halo - (tiles - 1) * _SSIM_TILE
+    # Every strip reuses these float64 buffers; they belong to this call, so
+    # concurrent calls share none. The input columns past w stay zero: the
+    # band products multiply them by zero taps, so they must be finite.
+    inputs = np.zeros((4, rows + halo, tiles * _SSIM_TILE + halo))
+    cols = np.empty((4, rows, inputs.shape[2]))
+    maps = np.empty((4, tiles, rows, _SSIM_TILE))
+    num_buf = np.empty((tiles, rows, _SSIM_TILE))
+    map_step, row_step, col_step = cols.strides
+    total = 0.0
     for top in range(0, h - halo, _SSIM_STRIP):
         n = min(_SSIM_STRIP, h - halo - top)
-        r, e, re = inputs[:, : n + halo]
-        cols, col_pair = columns[:, :n]
-        mu_r, mu_e, cov, var_sum, num = maps[:, :n]
+        x = inputs[:, : n + halo]
+        r, e, re, sq = x[:, :, :w]
         np.copyto(r, ref.y[top : top + n + halo])
         np.copyto(e, test.y[top : top + n + halo])
+        # The formula needs only var_r + var_e, so r*r + e*e is one map;
+        # re holds e*e until the sum is made.
+        np.multiply(e, e, out=re)
+        np.multiply(r, r, out=sq)
+        sq += re
         np.multiply(r, e, out=re)
-        # num is free until the formula, so the row passes work in it.
-        _windowed_mean(r, mu_r, cols, col_pair, num)
-        _windowed_mean(e, mu_e, cols, col_pair, num)
-        _windowed_mean(re, cov, cols, col_pair, num)
-        # The formula needs only var_r + var_e, so r*r + e*e is one map.
-        r *= r
-        e *= e
-        r += e
-        _windowed_mean(r, var_sum, cols, col_pair, num)
-        # The rest runs in place on the strip's buffers:
+        # Columns, then rows, each pass one banded product over all four
+        # maps. The row pass reads each tile's columns and halo through a
+        # strided view of the column pass's output.
+        np.matmul(_SSIM_COLUMN_BAND[:n, : n + halo], x, out=cols[:, :n])
+        windows = as_strided(
+            cols,
+            (4, tiles, n, _SSIM_TILE + halo),
+            (map_step, _SSIM_TILE * col_step, row_step, col_step),
+            writeable=False,
+        )
+        tiled = maps[:, :, :n]
+        np.matmul(windows, _SSIM_ROW_BAND, out=tiled)
+        mu_r, mu_e, cov, var_sum = tiled
+        # The rest runs in place on the tiles:
         # num = (2 mu_r mu_e + c1) (2 cov + c2),
         # den = (mu_r^2 + mu_e^2 + c1) (var_r + var_e + c2).
+        num = num_buf[:, :n]
         np.multiply(mu_r, mu_e, out=num)
         cov -= num
         cov *= 2.0
@@ -180,8 +204,9 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
         var_sum += c2
         den += c1
         den *= var_sum
-        np.divide(num, den, out=ssim_map[top : top + n])
-    return float(ssim_map.mean())
+        num /= den
+        total += float(num[:-1].sum()) + float(num[-1, :, :last].sum())
+    return total / ((h - halo) * (w - halo))
 
 
 def _check_compatible(a, b):

@@ -11,7 +11,9 @@ Carlson 1980, with its three-point end slopes) computed here in numpy.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -48,17 +50,25 @@ class RDCurve:
     metric_id: str
     points: tuple[RDPoint, ...]
 
-    @property
+    # Each axis is built once per curve and shared by every caller.
+    @cached_property
     def bitrates(self) -> np.ndarray:
-        return np.array([p.bitrate for p in self.points], dtype=np.float64)
+        return _read_only([p.bitrate for p in self.points])
 
-    @property
+    @cached_property
     def qualities(self) -> np.ndarray:
-        return np.array([p.quality for p in self.points], dtype=np.float64)
+        return _read_only([p.quality for p in self.points])
 
-    @property
+    @cached_property
     def log_rates(self) -> np.ndarray:
-        return np.log10(self.bitrates)
+        return _read_only(np.log10(self.bitrates))
+
+
+def _read_only(values) -> np.ndarray:
+    """values as a float64 array that no caller can write to."""
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -169,6 +179,17 @@ class _Pchip:
         return end - start
 
 
+@contextmanager
+def _float64_fit():
+    """Raise CurveError where a fit or its use overflows or leaves float64:
+    finite points too close together give infinite slopes."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CurveError(f"curves cannot be interpolated in float64: {exc}") from None
+
+
 def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
     """Mean of test minus anchor over the overlap of their x ranges, each
     curve's y(x) a PCHIP fit integrated in closed form; ``axes(curve)``
@@ -189,14 +210,10 @@ def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
         raise CurveError(
             f"overlap width {width:.6g} is below the minimum {MIN_OVERLAP}"
         )
-    try:
-        # Finite points too close together give infinite slopes.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            delta = (_Pchip(x_test, y_test).integral(lo, hi)
-                     - _Pchip(x_anchor, y_anchor).integral(lo, hi))
-            mean_diff = delta / width
-    except FloatingPointError as exc:
-        raise CurveError(f"curves cannot be interpolated in float64: {exc}") from None
+    with _float64_fit():
+        delta = (_Pchip(x_test, y_test).integral(lo, hi)
+                 - _Pchip(x_anchor, y_anchor).integral(lo, hi))
+        mean_diff = delta / width
     warnings = tuple(
         f"{role} point (bitrate={point.bitrate:g}, "
         f"quality={point.quality:g}) lies outside the "
@@ -242,9 +259,10 @@ def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
 
 def interpolate_log_rate(curve: RDCurve, qualities) -> np.ndarray:
     """Evaluate the curve's log10(bitrate) interpolant at given qualities."""
-    return _Pchip(curve.qualities, curve.log_rates)(
-        np.asarray(qualities, dtype=np.float64)
-    )
+    with _float64_fit():
+        return _Pchip(curve.qualities, curve.log_rates)(
+            np.asarray(qualities, dtype=np.float64)
+        )
 
 
 def load_rd_csv(path) -> list[RDCurve]:

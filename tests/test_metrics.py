@@ -66,6 +66,24 @@ class TestMse:
         expected = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
         assert mse(a, b) == expected
 
+    def test_extremes_exact_at_2160p(self):
+        # Every strip's sum is at its largest: 1023**2 per sample.
+        black = np.zeros((2160, 3840), np.uint16)
+        white = np.full((2160, 3840), 1023, np.uint16)
+        assert mse(black, white) == 1023.0**2
+        assert mse(white, black) == 1023.0**2
+
+    @pytest.mark.parametrize("shape", [(1000,), (130, 3, 7)], ids=["1d", "3d"])
+    def test_any_shape_exact(self, rng, shape):
+        a = rng.integers(0, 1024, shape)
+        b = rng.integers(0, 1024, shape)
+        exact = sum((int(x) - int(y)) ** 2 for x, y in zip(a.flat, b.flat))
+        assert mse(a, b) == exact / a.size
+
+    def test_non_integer_samples_rejected(self):
+        with pytest.raises(InputError, match="integers"):
+            mse([0.5, 1.0], [0.0, 1.0])
+
 
 class TestPsnr:
     def test_zero_mse_is_infinite(self):
@@ -181,6 +199,12 @@ SEAM_HEIGHTS = (11, 12) + tuple(
     for offset in (-1, 0, 1)
 )
 
+SEAM_WIDTHS = tuple(range(11, 21)) + tuple(
+    tiles * metrics._SSIM_TILE + 10 + offset
+    for tiles in (1, 2, 4)
+    for offset in (-1, 0, 1, 2)
+)
+
 
 class TestSsim:
     def test_identity(self, rng):
@@ -228,13 +252,13 @@ class TestSsim:
         with pytest.raises(InputError):
             ssim_frame(frame, frame)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         # 11 and 12 give one and two output rows; the others put the last
         # row just before, on, or just after the first and second strip
-        # boundaries.
+        # boundaries. The widths do the same for columns and tile seams.
         height=st.sampled_from(SEAM_HEIGHTS),
-        width=st.integers(11, 20),
+        width=st.sampled_from(SEAM_WIDTHS),
         bit_depth=st.sampled_from((8, 10)),
         amplitude=st.sampled_from((1, 16, 1023)),
         seed=st.integers(0, 2**32 - 1),
@@ -397,9 +421,11 @@ class TestSequenceQuality:
 
     def test_parallel_matches_serial(self, rng):
         metric_ids = (PSNR_Y, PSNR_U, PSNR_V, WPSNR, SSIM)
-        # One SSIM strip, then a frame taller than two strips.
-        tall = make_info(24, 2 * metrics._SSIM_STRIP + 21, chroma=CHROMA_444)
-        for info in (make_info(24, 24), tall):
+        # One SSIM strip and tile, then a frame taller than two strips and
+        # wider than two tiles.
+        large = make_info(2 * metrics._SSIM_TILE + 21, 2 * metrics._SSIM_STRIP + 21,
+                          chroma=CHROMA_444)
+        for info in (make_info(24, 24), large):
             ref = [random_frame(info, rng, i) for i in range(6)]
             test = [random_frame(info, rng, i) for i in range(6)]
             serial = sequence_quality(ref, test, metric_ids, jobs=1)

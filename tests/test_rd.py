@@ -38,6 +38,15 @@ BASE = [(1000, 30), (2000, 35), (4000, 40), (8000, 45)]
 
 
 class TestValidateCurve:
+    def test_axes_built_once_and_read_only(self):
+        c = curve(BASE)
+        for axis in ("bitrates", "qualities", "log_rates"):
+            values = getattr(c, axis)
+            assert getattr(c, axis) is values
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        assert c.log_rates.tolist() == np.log10([r for r, _ in BASE]).tolist()
+
     def test_sorted_and_accepted(self):
         c = curve([(8000, 45), (1000, 30), (4000, 40), (2000, 35)])
         assert [p.bitrate for p in c.points] == [1000, 2000, 4000, 8000]
@@ -151,12 +160,18 @@ class TestBdErrors:
         assert all(f"outside the {axis} overlap" in w for w in result.warnings)
 
 
+INFINITE_SLOPE = [(1.0, 1e-300), (2.0, 1.0000000000000002e-300), (3.0, 1.0)]
+
+
 class TestBdFloatRange:
     def test_infinite_slope(self):
         anchor = curve([(1.0, -1.0), (2.0, 0.0), (3.0, 1.0)])
-        test = curve([(1.0, 1e-300), (2.0, 1.0000000000000002e-300), (3.0, 1.0)])
         with pytest.raises(CurveError, match="cannot be interpolated in float64"):
-            bd_rate(anchor, test)
+            bd_rate(anchor, curve(INFINITE_SLOPE))
+
+    def test_interpolate_infinite_slope(self):
+        with pytest.raises(CurveError, match="cannot be interpolated in float64"):
+            interpolate_log_rate(curve(INFINITE_SLOPE), [0.5])
 
     def test_bd_rate_overflow(self):
         anchor = curve([(1e-290, 0), (1e-280, 1), (1e-270, 2)])
