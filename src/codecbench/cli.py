@@ -13,12 +13,7 @@ import sys
 # Only modules free of numpy and scipy load here; each subcommand imports
 # the rest itself, so start-up pays only for the command that runs.
 from . import __version__, profiling, report
-from .errors import (
-    CodecBenchError,
-    DataFormatError,
-    InputError,
-    StatsError,
-)
+from .errors import CodecBenchError, DataFormatError, InputError, StatsError
 
 # Metric ids as in metrics.COMPUTABLE_METRICS.
 _METRIC_TOKENS = {

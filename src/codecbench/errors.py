@@ -2,7 +2,9 @@
 
 Two branches matter for the CLI: InputError maps to exit code 2
 (bad arguments, mismatched or insufficient inputs) and DataFormatError
-maps to exit code 3 (malformed files).
+maps to exit code 3 (malformed files); within a branch the message tells
+errors apart. A class stays only where a handler must catch it apart
+from its branch, as `mos` catches StatsError to skip one ANOVA factor.
 """
 
 
@@ -18,45 +20,5 @@ class DataFormatError(CodecBenchError):
     """Malformed file contents (CLI exit code 3)."""
 
 
-class HeaderError(DataFormatError):
-    """Container header present but invalid."""
-
-
-class UnsupportedFormatError(DataFormatError):
-    """Valid header describing a format this tool does not handle."""
-
-
-class TruncationError(DataFormatError):
-    """Stream ended mid-frame or mid-record."""
-
-
-class SampleRangeError(DataFormatError):
-    """Sample value exceeds the declared bit depth."""
-
-
-class DimensionError(InputError):
-    """Geometry or length mismatch between inputs."""
-
-
-class LengthError(InputError):
-    """Inputs disagree on element count (e.g. frame counts)."""
-
-
-class EmptyInputError(InputError):
-    """An operation received no data to work on."""
-
-
-class MissingDataError(InputError):
-    """A required value is unknown or absent."""
-
-
-class CurveError(InputError):
-    """Rate-distortion curve fails validation or pairing preconditions."""
-
-
 class StatsError(InputError):
     """Statistical operation precondition violated."""
-
-
-class ComparisonError(InputError):
-    """Records are not comparable (different sequence or duration)."""

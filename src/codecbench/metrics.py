@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import (
-    DataFormatError,
-    DimensionError,
-    EmptyInputError,
-    InputError,
-    LengthError,
-)
+from .errors import DataFormatError, InputError
 from .report import open_input, parse_csv, read_number
 from .video_io import FrameBuffer
 
@@ -71,9 +65,9 @@ def mse(ref_plane, test_plane) -> float:
     ref = np.asarray(ref_plane)
     test = np.asarray(test_plane)
     if ref.shape != test.shape:
-        raise DimensionError(f"plane shapes differ: {ref.shape} vs {test.shape}")
+        raise InputError(f"plane shapes differ: {ref.shape} vs {test.shape}")
     if ref.size == 0:
-        raise EmptyInputError("empty plane")
+        raise InputError("empty plane")
     if not (np.issubdtype(ref.dtype, np.integer)
             and np.issubdtype(test.dtype, np.integer)):
         raise InputError(f"samples must be integers, got {ref.dtype} and {test.dtype}")
@@ -211,16 +205,16 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
 
 def _check_compatible(a, b):
     if (a.width, a.height) != (b.width, b.height):
-        raise DimensionError(
+        raise InputError(
             f"geometry mismatch: reference {a.width}x{a.height} "
             f"vs test {b.width}x{b.height}"
         )
     if a.bit_depth != b.bit_depth:
-        raise DimensionError(
+        raise InputError(
             f"bit depth mismatch: reference {a.bit_depth} vs test {b.bit_depth}"
         )
     if a.chroma != b.chroma:
-        raise DimensionError(
+        raise InputError(
             f"chroma mismatch: reference {a.chroma} vs test {b.chroma}"
         )
 
@@ -263,8 +257,8 @@ def _paired(ref_source, test_source):
         if ref is None and test is None:
             return
         if ref is None or test is None:
-            side = "test" if ref is None else "reference"
-            raise LengthError(
+            side = "reference" if ref is None else "test"
+            raise InputError(
                 f"frame-count mismatch: {side} sequence ended at frame {index}"
             )
         _check_compatible(ref.info, test.info)
@@ -321,7 +315,7 @@ def sequence_quality(
 
     n = len(per_frame[metric_ids[0]])
     if n == 0:
-        raise EmptyInputError("no frames in input sequences")
+        raise InputError("no frames in input sequences")
 
     out = {}
     for mid in metric_ids:
@@ -372,7 +366,7 @@ def spatial_info(frames) -> float:
     """Max over frames of the stddev of the Sobel-filtered luma plane."""
     si, _, count = _si_ti(frames, want_ti=False)
     if count == 0:
-        raise EmptyInputError("spatial_info requires at least one frame")
+        raise InputError("spatial_info requires at least one frame")
     return si
 
 
@@ -388,7 +382,7 @@ def content_features(frames) -> ContentFeatures:
     """SI and TI in a single pass over the sequence."""
     si, ti, count = _si_ti(frames)
     if count == 0:
-        raise EmptyInputError("content_features requires at least one frame")
+        raise InputError("content_features requires at least one frame")
     if count < 2:
         raise InputError("content_features requires at least two frames for TI")
     return ContentFeatures(si=si, ti=ti)
@@ -418,7 +412,7 @@ def ingest_external_scores(
         scores = [read_number(path, lineno, "score", cells[1]) for lineno, cells in rows]
 
     if not scores:
-        raise EmptyInputError(f"{path}: no scores present")
+        raise InputError(f"{path}: no scores present")
     warnings = []
     if frame_count is not None and frame_count != len(scores):
         warnings.append(
@@ -437,10 +431,11 @@ def _scores_from_json(text, metric_name, path):
     try:
         # Integers parse as floats, so an oversized one is inf, not an error.
         doc = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's recursion limit.
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     frames = doc.get("frames") if isinstance(doc, dict) else None
-    if frames is None:
+    if not isinstance(frames, list):
         raise DataFormatError(f'{path}: missing "frames" array')
     scores = []
     for i, entry in enumerate(frames):

@@ -17,12 +17,7 @@ from functools import partial
 from importlib import resources
 from operator import itemgetter
 
-from .errors import (
-    ComparisonError,
-    DataFormatError,
-    EmptyInputError,
-    InputError,
-)
+from .errors import DataFormatError, InputError
 from .report import open_input, read_csv, read_number
 
 OTHER_STAGE = "Other"
@@ -67,12 +62,12 @@ def time_factor(record: TimingRecord) -> float:
 def speedup(a: TimingRecord, b: TimingRecord) -> float:
     """How many times slower record a runs than record b."""
     if a.sequence_id != b.sequence_id:
-        raise ComparisonError(
+        raise InputError(
             f"cannot compare different sequences "
             f"{a.sequence_id!r} and {b.sequence_id!r}"
         )
     if abs(a.duration - b.duration) > 1e-9 * max(a.duration, b.duration):
-        raise ComparisonError(
+        raise InputError(
             f"content durations differ: {a.duration:g}s vs {b.duration:g}s"
         )
     return time_factor(a) / time_factor(b)
@@ -257,10 +252,10 @@ def aggregate_stages(
     """
     costs = list(costs)
     if not costs:
-        raise EmptyInputError("empty cost list")
+        raise InputError("empty cost list")
     total = sum(fc.self_cost for fc in costs)
     if total <= 0:
-        raise EmptyInputError("total cost is zero")
+        raise InputError("total cost is zero")
 
     raw: dict[str, int] = {}
     for fc in costs:

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import CurveError, DataFormatError
+from .errors import DataFormatError, InputError
 from .report import read_csv, read_number
 
 # Narrower overlap than this (in integration-axis units) makes the
@@ -38,9 +38,9 @@ class RDPoint:
 
     def __post_init__(self):
         if not (self.bitrate > 0 and math.isfinite(self.bitrate)):
-            raise CurveError(f"bitrate must be positive and finite, got {self.bitrate}")
+            raise InputError(f"bitrate must be positive and finite, got {self.bitrate}")
         if not math.isfinite(self.quality):
-            raise CurveError(f"quality must be finite, got {self.quality}")
+            raise InputError(f"quality must be finite, got {self.quality}")
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,20 @@ def validate_curve(
     """
     pts = sorted(points, key=lambda p: p.bitrate)
     if len(pts) < 3:
-        raise CurveError(
+        raise InputError(
             f"curve {codec_id}/{sequence_id}/{metric_id}: "
             f"need at least 3 points, got {len(pts)}"
         )
     for i in range(len(pts) - 1):
         # Distinct rates can still share a log10 value, the interpolation axis.
         if math.log10(pts[i].bitrate) == math.log10(pts[i + 1].bitrate):
-            raise CurveError(
+            raise InputError(
                 f"curve {codec_id}/{sequence_id}/{metric_id}: duplicate "
                 f"log10 bitrate between points {i} and {i + 1} "
                 f"({pts[i].bitrate} and {pts[i + 1].bitrate})"
             )
         if pts[i].quality >= pts[i + 1].quality:
-            raise CurveError(
+            raise InputError(
                 f"curve {codec_id}/{sequence_id}/{metric_id}: quality not "
                 f"strictly increasing with bitrate between points {i} and "
                 f"{i + 1} ({pts[i].quality} -> {pts[i + 1].quality}); "
@@ -133,7 +133,7 @@ class _Pchip:
     def __init__(self, x, y):
         h = np.diff(x)
         if len(x) < 3 or not (h > 0).all():
-            raise CurveError(
+            raise InputError(
                 "interpolation axis must strictly increase over at least 3 "
                 f"points, got {x.tolist()}"
             )
@@ -181,13 +181,13 @@ class _Pchip:
 
 @contextmanager
 def _float64_fit():
-    """Raise CurveError where a fit or its use overflows or leaves float64:
+    """Raise InputError where a fit or its use overflows or leaves float64:
     finite points too close together give infinite slopes."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise CurveError(f"curves cannot be interpolated in float64: {exc}") from None
+        raise InputError(f"curves cannot be interpolated in float64: {exc}") from None
 
 
 def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
@@ -196,7 +196,7 @@ def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
     gives its (x, y) arrays. Returns the mean, the overlap and a warning
     per point outside the overlap."""
     if anchor.metric_id != test.metric_id:
-        raise CurveError(
+        raise InputError(
             f"metric mismatch: anchor uses {anchor.metric_id!r}, "
             f"test uses {test.metric_id!r}"
         )
@@ -205,9 +205,9 @@ def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
     hi = min(float(x_anchor.max()), float(x_test.max()))
     width = hi - lo
     if width <= 0:
-        raise CurveError(f"curves do not overlap (gap of {-width:.6g})")
+        raise InputError(f"curves do not overlap (gap of {-width:.6g})")
     if width <= MIN_OVERLAP:
-        raise CurveError(
+        raise InputError(
             f"overlap width {width:.6g} is below the minimum {MIN_OVERLAP}"
         )
     with _float64_fit():
@@ -236,7 +236,7 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
     try:
         percent = (10.0 ** d - 1.0) * 100.0
     except OverflowError:
-        raise CurveError(
+        raise InputError(
             f"BD-rate overflows: mean log10 rate difference {d:.6g}"
         ) from None
     return BDResult(
@@ -279,7 +279,7 @@ def load_rd_csv(path) -> list[RDCurve]:
         try:
             point = RDPoint(read_number(path, lineno, "bitrate_kbps", bitrate),
                             read_number(path, lineno, "quality", quality), label)
-        except CurveError as exc:
+        except InputError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         groups.setdefault((codec, sequence, metric), []).append(point)
     return [

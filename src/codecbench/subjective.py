@@ -18,7 +18,7 @@ from operator import itemgetter
 import numpy as np
 from scipy.special import betainc
 
-from .errors import DataFormatError, MissingDataError, StatsError
+from .errors import DataFormatError, InputError, StatsError
 from .report import read_csv, read_number
 
 CI_CONSTANT = 1.95
@@ -80,7 +80,7 @@ class ScoreMatrix:
         try:
             idx = self._column_of[stimulus]
         except KeyError:
-            raise MissingDataError(f"unknown stimulus {stimulus!r}") from None
+            raise InputError(f"unknown stimulus {stimulus!r}") from None
         col = self.scores[:, idx]
         return col[~np.isnan(col)]
 
@@ -284,13 +284,13 @@ def anova_oneway(matrix: ScoreMatrix, factor: str) -> AnovaResult:
     if factor not in FACTORS:
         raise StatsError(f"unknown factor {factor!r}; expected one of {FACTORS}")
     if matrix.meta is None:
-        raise MissingDataError("score matrix carries no stimulus metadata")
+        raise InputError("score matrix carries no stimulus metadata")
 
     groups: dict[object, list[float]] = {}
     for stimulus in matrix.stimuli:
         info = matrix.meta.get(stimulus)
         if info is None:
-            raise MissingDataError(f"no metadata for stimulus {stimulus!r}")
+            raise InputError(f"no metadata for stimulus {stimulus!r}")
         groups.setdefault(info.level(factor), []).append(mos(matrix, stimulus))
 
     k = len(groups)
@@ -305,10 +305,9 @@ def anova_oneway(matrix: ScoreMatrix, factor: str) -> AnovaResult:
     observations = [v for values in groups.values() for v in values]
     n = len(observations)
     grand = sum(observations) / n
-    ssb = sum(len(v) * (sum(v) / len(v) - grand) ** 2 for v in groups.values())
-    ssw = sum(
-        (x - sum(v) / len(v)) ** 2 for v in groups.values() for x in v
-    )
+    means = [sum(v) / len(v) for v in groups.values()]
+    ssb = sum(len(v) * (m - grand) ** 2 for v, m in zip(groups.values(), means))
+    ssw = sum((x - m) ** 2 for v, m in zip(groups.values(), means) for x in v)
     df_between = k - 1
     df_within = n - k
     msw = ssw / df_within

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    HeaderError,
-    SampleRangeError,
-    TruncationError,
-    UnsupportedFormatError,
-)
+from .errors import DataFormatError, InputError
 
 Y4M_MAGIC = b"YUV4MPEG2"
 FRAME_MAGIC = b"FRAME"
@@ -43,6 +37,10 @@ _COLORSPACE_TAGS = {
 # above, which the reversed walk stores last.
 _WRITE_TAGS = {fmt: tag for tag, fmt in reversed(_COLORSPACE_TAGS.items())}
 
+# Largest single read: stream.read(n) allocates n bytes before it reads, and
+# a header may claim any frame size. A 2160p 10-bit 4:4:4 frame is one read.
+_READ_CHUNK = 64 << 20
+
 
 @dataclass(frozen=True)
 class SequenceInfo:
@@ -57,15 +55,17 @@ class SequenceInfo:
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
-            raise HeaderError(f"non-positive geometry {self.width}x{self.height}")
+            raise DataFormatError(f"non-positive geometry {self.width}x{self.height}")
         if self.fps_num <= 0 or self.fps_den <= 0:
-            raise HeaderError(f"non-positive frame rate {self.fps_num}:{self.fps_den}")
+            raise DataFormatError(
+                f"non-positive frame rate {self.fps_num}:{self.fps_den}"
+            )
         if self.bit_depth not in (8, 10):
-            raise UnsupportedFormatError(f"unsupported bit depth {self.bit_depth}")
+            raise DataFormatError(f"unsupported bit depth {self.bit_depth}")
         if self.chroma not in (CHROMA_420, CHROMA_444):
-            raise UnsupportedFormatError(f"unsupported chroma layout {self.chroma!r}")
+            raise DataFormatError(f"unsupported chroma layout {self.chroma!r}")
         if self.chroma == CHROMA_420 and (self.width % 2 or self.height % 2):
-            raise HeaderError(
+            raise DataFormatError(
                 f"C420 requires even dimensions, got {self.width}x{self.height}"
             )
 
@@ -102,15 +102,15 @@ class FrameBuffer:
 
     def __post_init__(self):
         if len(self.planes) != 3:
-            raise DimensionError(f"expected 3 planes, got {len(self.planes)}")
+            raise InputError(f"expected 3 planes, got {len(self.planes)}")
         for plane, shape, name in zip(self.planes, self.info.plane_shapes, "YUV"):
             if plane.shape != shape:
-                raise DimensionError(
+                raise InputError(
                     f"{name} plane shape {plane.shape} does not match "
                     f"expected {shape}"
                 )
             if plane.dtype != self.info.dtype:
-                raise DimensionError(
+                raise InputError(
                     f"{name} plane dtype {plane.dtype} does not match "
                     f"bit depth {self.info.bit_depth}"
                 )
@@ -119,13 +119,13 @@ class FrameBuffer:
             limit = self.info.sample_max
             for plane, name in zip(self.planes, "YUV"):
                 if plane.size and int(plane.max()) > limit:
-                    raise SampleRangeError(
+                    raise DataFormatError(
                         f"frame {self.frame_index}: {name} plane sample "
                         f"{int(plane.max())} exceeds {self.info.bit_depth}-bit "
                         f"maximum {limit}"
                     )
         if self.frame_index < 0:
-            raise DimensionError(f"negative frame index {self.frame_index}")
+            raise InputError(f"negative frame index {self.frame_index}")
 
     @property
     def y(self) -> np.ndarray:
@@ -138,7 +138,7 @@ def _read_line(stream, limit: int = 8192) -> tuple[bytes, bool]:
     if line.endswith(b"\n"):
         return line[:-1], True
     if len(line) >= limit:
-        raise HeaderError(f"header line exceeds {limit} bytes")
+        raise DataFormatError(f"header line exceeds {limit} bytes")
     return line, False
 
 
@@ -146,7 +146,7 @@ def _read_exact(stream, n: int) -> bytes:
     chunks = []
     remaining = n
     while remaining > 0:
-        chunk = stream.read(remaining)
+        chunk = stream.read(min(remaining, _READ_CHUNK))
         if not chunk:
             break
         chunks.append(chunk)
@@ -162,13 +162,13 @@ def parse_y4m_header(stream) -> SequenceInfo:
     """
     line, terminated = _read_line(stream)
     if not line.startswith(Y4M_MAGIC):
-        raise HeaderError("missing YUV4MPEG2 magic")
+        raise DataFormatError("missing YUV4MPEG2 magic")
     if not terminated:
-        raise HeaderError("unterminated Y4M header line")
+        raise DataFormatError("unterminated Y4M header line")
     try:
         text = line.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise HeaderError(f"non-ASCII Y4M header: {exc}") from None
+        raise DataFormatError(f"non-ASCII Y4M header: {exc}") from None
 
     width = height = None
     fps = None
@@ -185,11 +185,11 @@ def parse_y4m_header(stream) -> SequenceInfo:
             fps = _parse_ratio(value, "F")
         elif key == "C":
             if value not in _COLORSPACE_TAGS:
-                raise UnsupportedFormatError(f"unsupported colourspace tag C{value}")
+                raise DataFormatError(f"unsupported colourspace tag C{value}")
             chroma, bit_depth = _COLORSPACE_TAGS[value]
         elif key == "I":
             if value != "p":
-                raise UnsupportedFormatError(
+                raise DataFormatError(
                     f"interlaced stream (I{value}) is not supported"
                 )
         elif key == "A":
@@ -197,7 +197,7 @@ def parse_y4m_header(stream) -> SequenceInfo:
         # X extensions and unknown tags are ignored.
 
     if width is None or height is None or fps is None:
-        raise HeaderError("Y4M header must carry W, H and F tags")
+        raise DataFormatError("Y4M header must carry W, H and F tags")
     return SequenceInfo(width, height, fps[0], fps[1], bit_depth, chroma)
 
 
@@ -205,22 +205,22 @@ def _positive_int(value: str, tag: str) -> int:
     try:
         n = int(value)
     except ValueError:
-        raise HeaderError(f"malformed {tag} tag value {value!r}") from None
+        raise DataFormatError(f"malformed {tag} tag value {value!r}") from None
     if n <= 0:
-        raise HeaderError(f"non-positive {tag} tag value {n}")
+        raise DataFormatError(f"non-positive {tag} tag value {n}")
     return n
 
 
 def _parse_ratio(value: str, tag: str, allow_zero: bool = False) -> tuple[int, int]:
     num, sep, den = value.partition(":")
     if not sep:
-        raise HeaderError(f"malformed {tag} tag value {value!r} (expected N:D)")
+        raise DataFormatError(f"malformed {tag} tag value {value!r} (expected N:D)")
     try:
         n, d = int(num), int(den)
     except ValueError:
-        raise HeaderError(f"malformed {tag} tag value {value!r}") from None
+        raise DataFormatError(f"malformed {tag} tag value {value!r}") from None
     if n < 0 or d < 0 or (not allow_zero and (n == 0 or d == 0)):
-        raise HeaderError(f"non-positive {tag} tag value {value!r}")
+        raise DataFormatError(f"non-positive {tag} tag value {value!r}")
     return n, d
 
 
@@ -236,9 +236,9 @@ def read_frame(
         if not line and not terminated:
             return None
         if not terminated:
-            raise TruncationError(f"unterminated FRAME line at frame {frame_index}")
+            raise DataFormatError(f"unterminated FRAME line at frame {frame_index}")
         if line != FRAME_MAGIC and not line.startswith(FRAME_MAGIC + b" "):
-            raise HeaderError(
+            raise DataFormatError(
                 f"expected FRAME prefix at frame {frame_index}, got {line[:32]!r}"
             )
     elif container != "raw":
@@ -249,7 +249,7 @@ def read_frame(
     if not payload and container == "raw":
         return None
     if len(payload) != expected:
-        raise TruncationError(
+        raise DataFormatError(
             f"truncated frame {frame_index}: expected {expected} bytes, "
             f"got {len(payload)}"
         )
@@ -273,6 +273,16 @@ class _ReaderBase:
         self._fp = open(source, "rb") if self._owns else source
         self._index = 0
 
+    def _named(self, fn, *args):
+        """fn(*args), with the path of a file this reader opened in front of
+        any format error; errors on a caller's stream pass unchanged."""
+        try:
+            return fn(*args)
+        except DataFormatError as exc:
+            if not self._owns:
+                raise
+            raise DataFormatError(f"{self._fp.name}: {exc}") from None
+
     def close(self):
         if self._owns:
             self._fp.close()
@@ -284,7 +294,9 @@ class _ReaderBase:
         self.close()
 
     def read_frame(self) -> FrameBuffer | None:
-        frame = read_frame(self._fp, self.info, self._index, self._container)
+        frame = self._named(
+            read_frame, self._fp, self.info, self._index, self._container
+        )
         if frame is not None:
             self._index += 1
         return frame
@@ -305,7 +317,7 @@ class Y4MReader(_ReaderBase):
     def __init__(self, source):
         super().__init__(source)
         try:
-            self.info = parse_y4m_header(self._fp)
+            self.info = self._named(parse_y4m_header, self._fp)
         except Exception:
             self.close()
             raise
@@ -334,7 +346,7 @@ def write_y4m(dest, frames, info: SequenceInfo | None = None) -> int:
             if (frame.info.width, frame.info.height, frame.info.bit_depth,
                     frame.info.chroma) != (info.width, info.height,
                                            info.bit_depth, info.chroma):
-                raise DimensionError(
+                raise InputError(
                     f"frame {frame.frame_index} format differs from stream format"
                 )
             fp.write(FRAME_MAGIC + b"\n")

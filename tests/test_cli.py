@@ -65,6 +65,11 @@ class TestMetricsCommand:
         assert main(["metrics", str(ref), str(other), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "chroma mismatch" in err and len(err.splitlines()) == 1
+        # Same size and chroma layout, other bit depth.
+        write_y4m(other, [random_frame(make_info(32, 32, bit_depth=10), rng)])
+        assert main(["metrics", str(ref), str(other), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "codecbench: error: bit depth mismatch: reference 8 vs test 10\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_clamp_exit_2(self, tmp_path, rng, capsys, value):
@@ -657,6 +662,79 @@ def test_non_utf8_input_names_the_file(tmp_path, rng, monkeypatch, capsys, kind)
     assert not out.exists()
 
 
+# Claims a 6e12-byte frame, which a read must not try to allocate at once.
+HUGE_Y4M = b"YUV4MPEG2 W2000000 H2000000 F25:1 C420\nFRAME\nabc"
+HUGE_RAW_FLAGS = ["--width", "2000000", "--height", "2000000", "--bit-depth", "8",
+                  "--fps", "25"]
+METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
+
+
+@pytest.mark.parametrize("argv,content,code,message", [
+    (["metrics", "{ref}", "{test}", "--metrics", "psnr,vmaf"], None, 2,
+     "unknown metric 'vmaf'; choose from psnr, psnr_u, psnr_v, psnr_y, ssim, wpsnr"),
+    (["metrics", "{ref}", "{test}", "--metrics", ","], None, 2, "empty metric selection"),
+    (["mos", "{scores}", "--pvs-meta", "{meta}", "--exclude", "p9"], None, 2,
+     "--exclude names unknown stimuli: p9"),
+    (METRICS_EXTERNAL, b"idx,score\n0,90\n", 3,
+     "{bad}: expected header 'frame,score', got 'idx,score'"),
+    (METRICS_EXTERNAL, b'{"frames": [', 3,
+     "{bad}: invalid JSON: Expecting value: line 1 column 13 (char 12)"),
+    (METRICS_EXTERNAL, b"[" * 100_000 + b"]" * 100_000, 3,
+     "{bad}: invalid JSON: maximum recursion depth exceeded while decoding a JSON "
+     "array from a unicode string"),
+    (METRICS_EXTERNAL, b'{"scores": []}', 3, '{bad}: missing "frames" array'),
+    (METRICS_EXTERNAL, b'{"frames": 5}', 3, '{bad}: missing "frames" array'),
+    (METRICS_EXTERNAL, b'{"frames": [{"metrics": {"psnr": 30}}]}', 3,
+     "{bad}: frame 0 lacks metric 'vmaf'"),
+    (["metrics", "{ref}", "{bad}"], b"YUV4MPEG2 W32 H32 F25:1 X\xe9\n", 3,
+     "{bad}: non-ASCII Y4M header: 'ascii' codec can't decode byte 0xe9 in "
+     "position 25: ordinal not in range(128)"),
+    (["metrics", "{bad}", "{test}"], b"YUV4MPEG2 W32 H32 F25:1 Ib C420\n", 3,
+     "{bad}: interlaced stream (Ib) is not supported"),
+    (["metrics", "{ref}", "{bad}"],
+     b"YUV4MPEG2 W32 H32 F25:1 C420\nFRAME\n" + bytes(1536 - 100), 3,
+     "{bad}: truncated frame 0: expected 1536 bytes, got 1436"),
+    (["metrics", "{bad}", "{bad}"], HUGE_Y4M, 3,
+     "{bad}: truncated frame 0: expected 6000000000000 bytes, got 3"),
+    (["metrics", "{bad}", "{bad}", *HUGE_RAW_FLAGS], bytes(100), 3,
+     "{bad}: truncated frame 0: expected 6000000000000 bytes, got 100"),
+    (["profile", "{bad}"], b"events:\nfn=f\n1 5\n", 3, "line 1: empty events header"),
+    (["mos", "{scores}", "--pvs-meta", "{bad}"],
+     b"pvs,codec,resolution,bitrate_kbps,content\n"
+     b"p1,HM,HD,1000,CrowdRun\np1,VTM,HD,1000,CrowdRun\n", 3,
+     "{bad}:3: duplicate PVS id 'p1'"),
+    (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2,p1\ns0,10,20,30\n", 3,
+     "{bad}: duplicate stimulus columns"),
+    (["profile", "{prof}", "--timing", "{bad}"],
+     TIMING_HEADER.encode() + b"HM,CrowdRun,32,123,500,0,1\n", 3,
+     "{bad}:2: degenerate duration: fps 0:1"),
+], ids=[
+    "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
+    "external_csv_header", "external_json_invalid", "external_json_too_deep",
+    "external_json_no_frames", "external_json_frames_not_array",
+    "external_json_metric_missing", "y4m_header_non_ascii",
+    "reference_format_error_names_reference", "test_format_error_names_test",
+    "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
+    "duplicate_pvs_id", "duplicate_stimulus_column", "timing_fps_num_0",
+])
+def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
+                                       message):
+    prof = tmp_path / "callgrind.out"
+    prof.write_text(CALLGRIND)
+    scores, meta = write_panel(tmp_path)
+    ref, test = write_pair(tmp_path, rng)
+    bad = tmp_path / "bad.in"
+    if content is not None:
+        bad.write_bytes(content)
+    paths = {"ref": ref, "test": test, "bad": bad, "prof": prof,
+             "scores": scores, "meta": meta}
+    out = tmp_path / "out.json"
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--output", str(out), "--quiet"]) == code
+    label = "error" if code == 2 else "format error"
+    assert capsys.readouterr().err == f"codecbench: {label}: {message.format(bad=bad)}\n"
+    assert not out.exists()
+
 def plot_floats(tmp_path, *flags):
     """The quality and log10-rate cells of a --plot-data CSV."""
     points = tmp_path / "points.csv"
@@ -717,12 +795,18 @@ def float_flag_argv(tmp_path, command):
 
 class TestFlagErrors:
     @pytest.mark.parametrize(
-        "flag,value",
-        [("--width", "0"), ("--height", "0"), ("--fps", "0"), ("--fps", "25:0"),
-         ("--width", "33")],
-        ids=["width_0", "height_0", "fps_0", "fps_den_0", "odd_width_420"],
+        "flag,value,message",
+        [("--width", "0", "invalid raw-input flags"),
+         ("--height", "0", "invalid raw-input flags"),
+         ("--fps", "0", "invalid raw-input flags"),
+         ("--fps", "25:0", "invalid raw-input flags"),
+         ("--width", "33", "invalid raw-input flags"),
+         ("--fps", "25x", "malformed --fps value '25x'\n"),
+         ("--fps", "25:x", "malformed --fps value '25:x'\n")],
+        ids=["width_0", "height_0", "fps_0", "fps_den_0", "odd_width_420",
+             "fps_not_a_number", "fps_den_not_a_number"],
     )
-    def test_bad_raw_geometry_exit_2(self, tmp_path, capsys, flag, value):
+    def test_bad_raw_geometry_exit_2(self, tmp_path, capsys, flag, value, message):
         raw = tmp_path / "clip.yuv"
         raw.write_bytes(bytes(64 * 64 * 3 // 2))
         flags = {"--width": "64", "--height": "64", "--bit-depth": "8", "--fps": "50"}
@@ -733,7 +817,7 @@ class TestFlagErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("codecbench: error: invalid raw-input flags")
+        assert captured.err.startswith(f"codecbench: error: {message}")
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codecbench.errors import (
-    ComparisonError,
-    DataFormatError,
-    EmptyInputError,
-    InputError,
-)
+from codecbench.errors import DataFormatError, InputError
 from codecbench.profiling import (
     FunctionCost,
     StageMapping,
@@ -69,11 +64,12 @@ class TestSpeedup:
         assert speedup(record(wall=200.0), record(wall=100.0)) == 2.0
 
     def test_sequence_mismatch(self):
-        with pytest.raises(ComparisonError):
+        message = "cannot compare different sequences 'a' and 'b'"
+        with pytest.raises(InputError, match=message):
             speedup(record(sequence="a"), record(sequence="b"))
 
     def test_duration_mismatch(self):
-        with pytest.raises(ComparisonError):
+        with pytest.raises(InputError, match="content durations differ: 10s vs 8s"):
             speedup(record(frames=500), record(frames=400))
 
     def test_reference_decode_factors(self):
@@ -425,7 +421,7 @@ fn=only_two
         assert profile_a.totals == profile_b.totals
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="empty cost list"):
             aggregate_stages([], self.MAPPING)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from codecbench.errors import CurveError, DataFormatError
+from codecbench.errors import DataFormatError, InputError
 from codecbench.rd import (
     RDCurve,
     RDPoint,
@@ -54,30 +54,35 @@ class TestValidateCurve:
     def test_non_monotone_quality_names_pair(self):
         points = [RDPoint(1000, 30), RDPoint(2000, 35), RDPoint(4000, 34),
                   RDPoint(8000, 40)]
-        with pytest.raises(CurveError, match=r"points 1 and 2"):
+        message = "not strictly increasing .* points 1 and 2"
+        with pytest.raises(InputError, match=message):
             validate_curve(points)
 
     def test_too_few_points(self):
-        with pytest.raises(CurveError, match="3 points"):
+        with pytest.raises(InputError, match="need at least 3 points, got 2"):
             curve([(1000, 30), (2000, 35)])
 
     def test_duplicate_bitrate(self):
-        with pytest.raises(CurveError, match="duplicate"):
+        message = "duplicate log10 bitrate between points 0 and 1"
+        with pytest.raises(InputError, match=message):
             curve([(1000, 30), (1000, 35), (2000, 40)])
 
     def test_rates_equal_on_log_scale(self):
-        with pytest.raises(CurveError, match="duplicate log10 bitrate between points 0"):
+        message = "duplicate log10 bitrate between points 0"
+        with pytest.raises(InputError, match=message):
             curve([(1e-300, 30), (1.0000000000000002e-300, 35), (1.0, 40)])
 
     @pytest.mark.parametrize(
         "bad", [(4000, float("nan")), (4000, float("inf")), (float("inf"), 50)]
     )
     def test_non_finite_point(self, bad):
-        with pytest.raises(CurveError, match="finite"):
+        message = "must be (positive and )?finite, got (nan|inf)"
+        with pytest.raises(InputError, match=message):
             curve(BASE + [bad])
 
     def test_non_positive_bitrate(self):
-        with pytest.raises(CurveError):
+        message = "bitrate must be positive and finite, got 0.0"
+        with pytest.raises(InputError, match=message):
             RDPoint(0.0, 30)
 
 
@@ -134,17 +139,19 @@ class TestBdErrors:
     def test_metric_mismatch(self, bd, axis):
         anchor = curve(BASE, metric="PSNR")
         test = curve(BASE, metric="SSIM")
-        with pytest.raises(CurveError, match="metric"):
+        message = "metric mismatch: anchor uses 'PSNR', test uses 'SSIM'"
+        with pytest.raises(InputError, match=message):
             bd(anchor, test)
 
     @BD_AXES
     def test_no_overlap(self, bd, axis):
-        with pytest.raises(CurveError, match="do not overlap"):
+        with pytest.raises(InputError, match="curves do not overlap"):
             bd(curve(BASE), shifted(100, bd))
 
     @BD_AXES
     def test_overlap_too_narrow(self, bd, axis):
-        with pytest.raises(CurveError, match="below the minimum"):
+        message = "overlap width .* is below the minimum 0.1"
+        with pytest.raises(InputError, match=message):
             bd(curve(BASE), shifted(14.95, bd))
 
     @BD_AXES
@@ -166,17 +173,17 @@ INFINITE_SLOPE = [(1.0, 1e-300), (2.0, 1.0000000000000002e-300), (3.0, 1.0)]
 class TestBdFloatRange:
     def test_infinite_slope(self):
         anchor = curve([(1.0, -1.0), (2.0, 0.0), (3.0, 1.0)])
-        with pytest.raises(CurveError, match="cannot be interpolated in float64"):
+        with pytest.raises(InputError, match="cannot be interpolated in float64"):
             bd_rate(anchor, curve(INFINITE_SLOPE))
 
     def test_interpolate_infinite_slope(self):
-        with pytest.raises(CurveError, match="cannot be interpolated in float64"):
+        with pytest.raises(InputError, match="cannot be interpolated in float64"):
             interpolate_log_rate(curve(INFINITE_SLOPE), [0.5])
 
     def test_bd_rate_overflow(self):
         anchor = curve([(1e-290, 0), (1e-280, 1), (1e-270, 2)])
         test = curve([(1e250, 0), (1e260, 1), (1e270, 2)])
-        with pytest.raises(CurveError, match="BD-rate overflows"):
+        with pytest.raises(InputError, match="BD-rate overflows"):
             bd_rate(anchor, test)
 
 
@@ -193,7 +200,7 @@ class TestHandBuiltCurve:
     ], ids=["bd_rate", "bd_quality", "interpolate_log_rate"])
     def test_axis_not_increasing(self, points, call):
         hand_built = RDCurve("B", "seq", "PSNR", tuple(RDPoint(r, q) for r, q in points))
-        with pytest.raises(CurveError, match="axis must strictly increase"):
+        with pytest.raises(InputError, match="axis must strictly increase"):
             call(hand_built)
 
 
@@ -318,5 +325,6 @@ class TestLoadCsv:
             "codec,sequence,metric,label,bitrate_kbps,quality\n"
             "A,s,m,,1000,30\nA,s,m,,2000,35\n"
         )
-        with pytest.raises(CurveError):
+        message = "curve A/s/m: need at least 3 points, got 2"
+        with pytest.raises(InputError, match=message):
             load_rd_csv(path)

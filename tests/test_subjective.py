@@ -9,7 +9,7 @@ from scipy.stats import f as f_distribution
 from scipy.stats import rankdata
 
 from codecbench import subjective
-from codecbench.errors import DataFormatError, MissingDataError, StatsError
+from codecbench.errors import DataFormatError, InputError, StatsError
 from codecbench.subjective import (
     FACTORS,
     ScoreMatrix,
@@ -77,7 +77,7 @@ class TestMos:
 class TestColumn:
     def test_unknown_stimulus(self):
         m = matrix_from([[60, 70], [80, 90]])
-        with pytest.raises(MissingDataError, match="'p9'"):
+        with pytest.raises(InputError, match="unknown stimulus 'p9'"):
             m.column("p9")
 
     def test_repeated_stimulus_returns_first_column(self):
@@ -333,7 +333,7 @@ class TestAnova:
 
     def test_missing_metadata(self):
         m = matrix_from([[50.0, 60.0]], meta={})
-        with pytest.raises(MissingDataError):
+        with pytest.raises(InputError, match="no metadata for stimulus 'p0'"):
             anova_oneway(m, "codec")
 
     def test_mos_taken_once_per_stimulus(self, rng, monkeypatch):

@@ -1,15 +1,10 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
-from codecbench.errors import (
-    DimensionError,
-    HeaderError,
-    SampleRangeError,
-    TruncationError,
-    UnsupportedFormatError,
-)
+from codecbench.errors import DataFormatError, InputError
 from codecbench.video_io import (
     CHROMA_420,
     CHROMA_444,
@@ -45,7 +40,7 @@ class TestParseHeader:
         assert info.chroma == CHROMA_420
 
     def test_zero_width_rejected(self):
-        with pytest.raises(HeaderError):
+        with pytest.raises(DataFormatError, match="non-positive W tag value 0"):
             parse(b"YUV4MPEG2 W0 H1080 F50:1 C420\n")
 
     @pytest.mark.parametrize("variant", [b"C420jpeg", b"C420mpeg2", b"C420paldv"])
@@ -63,36 +58,39 @@ class TestParseHeader:
         assert parse(b"YUV4MPEG2 W64 H64 F25:1\n").chroma == CHROMA_420
 
     def test_missing_magic(self):
-        with pytest.raises(HeaderError):
+        with pytest.raises(DataFormatError, match="missing YUV4MPEG2 magic"):
             parse(b"JUNK W64 H64 F25:1\n")
 
     def test_unknown_colourspace(self):
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(DataFormatError, match="unsupported colourspace tag C422"):
             parse(b"YUV4MPEG2 W64 H64 F25:1 C422\n")
 
     @pytest.mark.parametrize("tag", [b"It", b"Ib", b"Im", b"I?"])
     def test_interlaced_rejected(self, tag):
-        with pytest.raises(UnsupportedFormatError):
+        message = f"interlaced stream ({tag.decode()}) is not supported"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             parse(b"YUV4MPEG2 W64 H64 F25:1 " + tag + b" C420\n")
 
     def test_missing_required_tags(self):
-        with pytest.raises(HeaderError):
+        with pytest.raises(DataFormatError, match="must carry W, H and F tags"):
             parse(b"YUV4MPEG2 W64 H64\n")
 
     def test_negative_fps(self):
-        with pytest.raises(HeaderError):
+        with pytest.raises(DataFormatError, match="non-positive F tag value '0:1'"):
             parse(b"YUV4MPEG2 W64 H64 F0:1 C420\n")
 
     def test_malformed_fps(self):
-        with pytest.raises(HeaderError):
+        message = r"malformed F tag value '25' \(expected N:D\)"
+        with pytest.raises(DataFormatError, match=message):
             parse(b"YUV4MPEG2 W64 H64 F25 C420\n")
 
     def test_odd_dimensions_for_420(self):
-        with pytest.raises(HeaderError):
+        message = "C420 requires even dimensions, got 63x64"
+        with pytest.raises(DataFormatError, match=message):
             parse(b"YUV4MPEG2 W63 H64 F25:1 C420\n")
 
     def test_unterminated_header(self):
-        with pytest.raises(HeaderError):
+        with pytest.raises(DataFormatError, match="unterminated Y4M header line"):
             parse(b"YUV4MPEG2 W64 H64 F25:1 C420")
 
     def test_header_line_limit(self):
@@ -100,7 +98,7 @@ class TestParseHeader:
         base = b"YUV4MPEG2 W64 H64 F25:1 C420 X"
         fits = base + b"a" * (8191 - len(base))
         assert parse(fits + b"\n").width == 64
-        with pytest.raises(HeaderError, match="8192"):
+        with pytest.raises(DataFormatError, match="header line exceeds 8192 bytes"):
             parse(fits + b"a\n")
 
     def test_extension_tags_ignored(self):
@@ -143,12 +141,14 @@ class TestReadFrame:
     def test_truncated_frame_reports_sizes(self):
         info = make_info(64, 64)
         stream = io.BytesIO(b"FRAME\n" + bytes(info.frame_bytes - 100))
-        with pytest.raises(TruncationError, match=r"expected 6144.*got 6044"):
+        message = "truncated frame 0: expected 6144 bytes, got 6044"
+        with pytest.raises(DataFormatError, match=message):
             read_frame(stream, info, 0)
 
     def test_bad_frame_prefix(self):
         info = make_info(4, 4)
-        with pytest.raises(HeaderError):
+        message = "expected FRAME prefix at frame 0, got b'FRAMX'"
+        with pytest.raises(DataFormatError, match=message):
             read_frame(io.BytesIO(b"FRAMX\n" + bytes(info.frame_bytes)), info, 0)
 
     def test_raw_ten_bit_frame(self):
@@ -165,14 +165,16 @@ class TestReadFrame:
     def test_ten_bit_range_error(self):
         info = make_info(4, 4, bit_depth=10)
         samples = np.full(4 * 4 * 3 // 2, 1024, dtype="<u2")
-        with pytest.raises(SampleRangeError, match="frame 5: Y plane sample 1024"):
+        message = "frame 5: Y plane sample 1024 exceeds 10-bit maximum 1023"
+        with pytest.raises(DataFormatError, match=message):
             read_frame(io.BytesIO(samples.tobytes()), info, 5, container="raw")
 
     def test_raw_truncation(self):
         info = make_info(8, 8)
         stream = io.BytesIO(bytes(info.frame_bytes + 10))
         assert read_frame(stream, info, 0, container="raw") is not None
-        with pytest.raises(TruncationError):
+        message = "truncated frame 1: expected 96 bytes, got 10"
+        with pytest.raises(DataFormatError, match=message):
             read_frame(stream, info, 1, container="raw")
 
 
@@ -180,14 +182,16 @@ class TestFrameBuffer:
     def test_plane_shape_checked(self):
         info = make_info(8, 8)
         bad = np.zeros((8, 8), np.uint8)
-        with pytest.raises(DimensionError):
+        message = r"U plane shape \(8, 8\) does not match expected \(4, 4\)"
+        with pytest.raises(InputError, match=message):
             FrameBuffer(info=info, planes=(bad, bad, bad), frame_index=0)
 
     def test_sample_range_checked(self):
         info = make_info(8, 8, bit_depth=10)
         y = np.full((8, 8), 2000, np.uint16)
         c = np.zeros((4, 4), np.uint16)
-        with pytest.raises(SampleRangeError):
+        message = "frame 0: Y plane sample 2000 exceeds 10-bit maximum 1023"
+        with pytest.raises(DataFormatError, match=message):
             FrameBuffer(info=info, planes=(y, c, c), frame_index=0)
 
 
@@ -227,3 +231,24 @@ class TestRawReader:
         with RawReader(path, info) as reader:
             frames = list(reader)
         assert len(frames) == 1
+
+
+class TestReaderErrors:
+    def test_reader_on_a_path_names_it(self, tmp_path):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(bytes(100))
+        with RawReader(path, make_info(8, 8)) as reader:
+            assert reader.read_frame() is not None
+            message = f"{path}: truncated frame 1: expected 96 bytes, got 4"
+            with pytest.raises(DataFormatError, match=re.escape(message)):
+                reader.read_frame()
+        path.write_bytes(b"JUNK\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: missing")):
+            Y4MReader(path)
+
+    def test_reader_on_a_stream_keeps_the_message(self):
+        with pytest.raises(DataFormatError, match="^missing YUV4MPEG2 magic$"):
+            Y4MReader(io.BytesIO(b"JUNK\n"))
+        reader = RawReader(io.BytesIO(bytes(10)), make_info(8, 8))
+        with pytest.raises(DataFormatError, match="^truncated frame 0: expected 96"):
+            reader.read_frame()
