@@ -102,12 +102,16 @@ def parse_callgrind(source, event: str | None = None) -> list[FunctionCost]:
     event columns, and call records: the cost line following `calls=`
     carries inclusive call cost and is excluded from the caller's self
     cost. Functions split across several source files merge by name.
-    A file that is not UTF-8 text is a format error naming the file.
+    Format errors in a file opened from a path name the file; errors on a
+    caller's stream keep the bare `line N: ...` message.
     """
     if not isinstance(source, (str, bytes, os.PathLike)):
         return _parse_callgrind_lines(source, event)
     with open_input(source) as fp:
-        return _parse_callgrind_lines(fp, event)
+        try:
+            return _parse_callgrind_lines(fp, event)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{os.fsdecode(source)}: {exc}") from None
 
 
 def _parse_callgrind_lines(lines, event):
@@ -323,18 +327,18 @@ def default_mapping() -> StageMapping:
 
 
 def load_timing_csv(path) -> list[TimingRecord]:
-    header, rows = read_csv(path, TIMING_CSV_HEADER)
-    pick = itemgetter(*map(header.index, TIMING_CSV_HEADER))
     records = []
-    for lineno, cells in rows:
-        codec, sequence, qp, wall, frames, fps_num, fps_den = pick(cells)
-        cell = partial(read_number, path, lineno)
-        try:
-            records.append(TimingRecord(
-                codec, sequence, cell("qp", qp, int), cell("wall_seconds", wall),
-                cell("frame_count", frames, int), cell("fps_num", fps_num, int),
-                cell("fps_den", fps_den, int),
-            ))
-        except InputError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    with read_csv(path, TIMING_CSV_HEADER) as (header, rows):
+        pick = itemgetter(*map(header.index, TIMING_CSV_HEADER))
+        for lineno, cells in rows:
+            codec, sequence, qp, wall, frames, fps_num, fps_den = pick(cells)
+            cell = partial(read_number, path, lineno)
+            try:
+                records.append(TimingRecord(
+                    codec, sequence, cell("qp", qp, int), cell("wall_seconds", wall),
+                    cell("frame_count", frames, int), cell("fps_num", fps_num, int),
+                    cell("fps_den", fps_den, int),
+                ))
+            except InputError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return records

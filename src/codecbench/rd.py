@@ -271,17 +271,17 @@ def load_rd_csv(path) -> list[RDCurve]:
     Rows are grouped by (codec, sequence, metric); curve order follows
     first appearance in the file.
     """
-    header, rows = read_csv(path, RD_CSV_HEADER)
-    pick = itemgetter(*map(header.index, RD_CSV_HEADER))
     groups: dict[tuple[str, str, str], list[RDPoint]] = {}
-    for lineno, cells in rows:
-        codec, sequence, metric, label, bitrate, quality = pick(cells)
-        try:
-            point = RDPoint(read_number(path, lineno, "bitrate_kbps", bitrate),
-                            read_number(path, lineno, "quality", quality), label)
-        except InputError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        groups.setdefault((codec, sequence, metric), []).append(point)
+    with read_csv(path, RD_CSV_HEADER) as (header, rows):
+        pick = itemgetter(*map(header.index, RD_CSV_HEADER))
+        for lineno, cells in rows:
+            codec, sequence, metric, label, bitrate, quality = pick(cells)
+            try:
+                point = RDPoint(read_number(path, lineno, "bitrate_kbps", bitrate),
+                                read_number(path, lineno, "quality", quality), label)
+            except InputError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            groups.setdefault((codec, sequence, metric), []).append(point)
     return [
         validate_curve(points, codec_id=k[0], sequence_id=k[1], metric_id=k[2])
         for k, points in groups.items()

@@ -96,38 +96,55 @@ def open_input(path, newline=None):
         ) from None
 
 
+@contextlib.contextmanager
 def read_csv(path, required=()):
-    """Read a UTF-8 CSV file with parse_csv."""
+    """Open a UTF-8 CSV file and parse it with parse_csv: the context is
+    (header, rows), and the rows stream from the file while it is open."""
     with open_input(path, newline="") as fp:
-        return parse_csv(fp, path, required)
+        yield parse_csv(fp, path, required)
 
 
 def parse_csv(lines, path, required=()):
-    """Parse a CSV table: its header and data rows, cells stripped.
+    """Parse a CSV table: its header and an iterator over its data rows,
+    cells stripped.
 
     The header is the first non-blank row and must name every `required`
     column. Blank rows are skipped; each data row is (physical line
-    number, cells) and must have as many cells as the header. Messages
-    name `path`, the table's file.
+    number, cells) and must have as many cells as the header. Rows are
+    read and checked one at a time as the iterator reaches them, so a
+    caller that checks each row as it arrives reports the first fault in
+    file order. Messages name `path`, the table's file.
     """
-    reader = csv.reader(lines)
-    stripped = (list(map(str.strip, cells)) for cells in reader)
-    try:
-        rows = [(reader.line_num, cells) for cells in stripped if any(cells)]
-    except csv.Error as exc:  # e.g. a cell over the csv field size limit
-        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
+    rows = _table_rows(lines, path)
+    first = next(rows, None)
+    if first is None:
         raise DataFormatError(f"{path}: no header row")
-    header = rows.pop(0)[1]
+    header = first[1]
     missing = [c for c in required if c not in header]
     if missing:
         raise DataFormatError(f"{path}: missing CSV columns: {', '.join(missing)}")
-    for lineno, cells in rows:
-        if len(cells) != len(header):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-            )
     return header, rows
+
+
+def _table_rows(lines, path):
+    """The non-blank rows of a CSV table as (line number, stripped cells);
+    every row must be as wide as the first, its header."""
+    reader = csv.reader(lines)
+    width = None
+    try:
+        for cells in reader:
+            cells = list(map(str.strip, cells))
+            if not any(cells):
+                continue
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: expected {width} cells, got {len(cells)}"
+                )
+            yield reader.line_num, cells
+    except csv.Error as exc:  # e.g. a cell over the csv field size limit
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_number(path, lineno, column, text, kind=float):

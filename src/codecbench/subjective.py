@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DataFormatError, InputError, StatsError
 from .report import read_csv, read_number
@@ -66,8 +65,8 @@ class ScoreMatrix:
                 f"score grid {self.scores.shape} does not match "
                 f"{len(self.subjects)} subjects x {len(self.stimuli)} stimuli"
             )
-        present = self.scores[~np.isnan(self.scores)]
-        if present.size and (present.min() < 0 or present.max() > 100):
+        # nan (missing) compares false both ways.
+        if np.any((self.scores < 0) | (self.scores > 100)):
             raise DataFormatError("scores must lie in [0, 100]")
         # Column of each stimulus; the first occurrence wins, as with index().
         self._column_of = {}
@@ -325,63 +324,152 @@ def anova_oneway(matrix: ScoreMatrix, factor: str) -> AnovaResult:
 
 
 def f_survival(f_stat: float, df1: int, df2: int) -> float:
-    """P(F > f) for the F distribution with (df1, df2) degrees of freedom."""
+    """P(F > f) for the F distribution with (df1, df2) degrees of freedom.
+
+    This is the regularized incomplete beta I_x(df2/2, df1/2) at
+    x = df2 / (df2 + df1 f), evaluated by the continued fraction of
+    Numerical Recipes' betacf (modified Lentz), on the side of the mean
+    where it converges fast. Its front factor x^a (1-x)^b / B(a, b) is
+    taken as in TOMS 708 (DiDonato & Morris), with Stirling corrections in
+    place of ln Gamma differences that would cancel at large arguments.
+    """
     if df1 < 1 or df2 < 1:
         raise StatsError(f"invalid degrees of freedom ({df1}, {df2})")
     if f_stat <= 0:
         return 1.0
-    if math.isinf(f_stat):
-        return 0.0
     x = df2 / (df2 + df1 * f_stat)
-    return float(betainc(df2 / 2.0, df1 / 2.0, x))
+    if x in (0.0, 1.0):  # F infinite, or negligible against df2 / df1
+        return x
+    a, b = df2 / 2.0, df1 / 2.0
+    y = 1.0 - x
+    front = math.exp(_log_beta_front(a, b, x, y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2n / (2n (2n - 1)): Stirling's series in 1/z^(2n-1), to ~1e-16 at z = 8.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+
+
+def _stirling_correction(z: float) -> float:
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), for z >= 8."""
+    w = 1.0 / (z * z)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * w + c
+    return acc / z
+
+
+def _log_beta_front(a: float, b: float, x: float, y: float) -> float:
+    """ln(x^a y^b / B(a, b)) for y = 1 - x.
+
+    ln Gamma of a large argument carries an absolute error of ~1e-16 times
+    its size, so no two of them are subtracted: arguments from 8 up enter
+    through Stirling's series instead (TOMS 708 brcomp and algdiv).
+    """
+    p, q = min(a, b), max(a, b)
+    if p >= 8:
+        # Expanded around the peak x0 = a / (a + b), where lam = 0.
+        lam = a - (a + b) * x if x < y else (a + b) * y - b
+        return (a * _log_ratio(x, a / (a + b), -lam / a)
+                + b * _log_ratio(y, b / (a + b), lam / b)
+                + 0.5 * math.log(a * b / (a + b)) - _HALF_LN_2PI
+                - _stirling_correction(a) - _stirling_correction(b)
+                + _stirling_correction(a + b))
+    log_powers = a * math.log(x) + b * math.log1p(-x)
+    if q < 8:
+        return log_powers - math.lgamma(a) - math.lgamma(b) + math.lgamma(a + b)
+    # ln Gamma(q) - ln Gamma(p + q), from the series at q and p + q.
+    log_ratio = (_stirling_correction(q) - _stirling_correction(p + q)
+                 - (q - 0.5) * math.log1p(p / q) - p * math.log(p + q) + p)
+    return log_powers - math.lgamma(p) - log_ratio
+
+
+def _log_ratio(x: float, x0: float, e: float) -> float:
+    """ln(x / x0) where x / x0 = 1 + e."""
+    return math.log1p(e) if abs(e) <= 0.5 else math.log(x / x0)
+
+
+# Terms of the continued fraction before giving up: it needs on the order
+# of sqrt(max(a, b)), fewer than 60 for d2 up to 5000.
+_FRACTION_TERMS = 10_000
+_TINY = 1e-300
+_EPSILON = 2.0 ** -52
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) a B(a, b) / (x^a (1-x)^b),
+    for x below (a + 1) / (a + b + 2), by the modified Lentz method."""
+    c = 1.0
+    d = 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or _TINY)
+    h = d
+    for m in range(1, _FRACTION_TERMS):
+        # The even then the odd term of the fraction.
+        for term in (m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))):
+            d = 1.0 / ((1.0 + term * d) or _TINY)
+            c = (1.0 + term / c) or _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPSILON:
+            return h
+    raise StatsError(f"incomplete beta did not converge for a={a:g}, b={b:g}, x={x!r}")
 
 
 def load_scores_csv(path) -> ScoreMatrix:
     """Read a subjects x stimuli score grid.
 
     First column is `subject`, remaining columns are PVS ids; empty cells
-    mark missing scores.
+    mark missing scores. Each row is checked and turned into numbers as
+    it is read, so only the numeric grid is held.
     """
-    header, rows = read_csv(path)
-    if header[0].lower() != "subject":
-        raise DataFormatError(f"{path}: first column must be 'subject'")
-    stimuli = header[1:]
-    if len(set(stimuli)) != len(stimuli):
-        raise DataFormatError(f"{path}: duplicate stimulus columns")
-    subjects = [cells[0] for _, cells in rows]
-    if len(set(subjects)) != len(subjects):
-        raise DataFormatError(f"{path}: duplicate subject ids")
+    with read_csv(path) as (header, rows):
+        if header[0].lower() != "subject":
+            raise DataFormatError(f"{path}: first column must be 'subject'")
+        stimuli = header[1:]
+        if len(set(stimuli)) != len(stimuli):
+            raise DataFormatError(f"{path}: duplicate stimulus columns")
+        subjects, grid = {}, []  # subjects: an ordered set, as dict keys
+        for lineno, cells in rows:
+            if cells[0] in subjects:
+                raise DataFormatError(f"{path}: duplicate subject ids")
+            subjects[cells[0]] = None
+            grid.append(_score_row(path, lineno, stimuli, cells[1:]))
+    scores = np.array(grid, dtype=np.float64).reshape(len(grid), len(stimuli))
+    return ScoreMatrix(subjects=tuple(subjects), stimuli=tuple(stimuli), scores=scores)
 
-    # One float() pass per row; only a failing row is re-read to name its cell.
-    grid = []
-    for lineno, cells in rows:
-        try:
-            grid.append([float(c) if c else math.nan for c in cells[1:]])
-        except ValueError:
-            for column, text in zip(stimuli, cells[1:]):
-                if text:
-                    read_number(path, lineno, column, text)
-    scores = np.array(grid, dtype=np.float64).reshape(len(rows), len(stimuli))
+
+def _score_row(path, lineno, stimuli, cells) -> np.ndarray:
+    """One row of scores; a cell that is not a finite number in [0, 100]
+    is a format error naming its line and stimulus."""
+    # One float() pass; only a failing row is re-read to name its cell.
+    try:
+        row = np.array([float(c) if c else math.nan for c in cells], dtype=np.float64)
+    except ValueError:
+        for column, text in zip(stimuli, cells):
+            if text:
+                read_number(path, lineno, column, text)
     # Missing cells are nan too: only a non-empty cell outside [0, 100] is bad.
-    for i, j in zip(*np.nonzero(~((scores >= 0) & (scores <= 100)))):
-        lineno, cells = rows[i]
-        if cells[j + 1]:
-            value = read_number(path, lineno, stimuli[j], cells[j + 1])
+    for j in np.flatnonzero(~((row >= 0) & (row <= 100))):
+        if cells[j]:
+            value = read_number(path, lineno, stimuli[j], cells[j])
             raise DataFormatError(
                 f"{path}:{lineno}: score {value:g} for {stimuli[j]!r} outside [0, 100]"
             )
-    return ScoreMatrix(subjects=tuple(subjects), stimuli=tuple(stimuli), scores=scores)
+    return row
 
 
 def load_pvs_csv(path) -> dict[str, StimulusInfo]:
     """Read PVS metadata: pvs,codec,resolution,bitrate_kbps,content."""
-    header, rows = read_csv(path, PVS_CSV_HEADER)
-    pick = itemgetter(*map(header.index, PVS_CSV_HEADER))
     meta: dict[str, StimulusInfo] = {}
-    for lineno, cells in rows:
-        pvs, codec, resolution, bitrate, content = pick(cells)
-        if pvs in meta:
-            raise DataFormatError(f"{path}:{lineno}: duplicate PVS id {pvs!r}")
-        bitrate_kbps = read_number(path, lineno, "bitrate_kbps", bitrate)
-        meta[pvs] = StimulusInfo(codec, resolution, bitrate_kbps, content)
+    with read_csv(path, PVS_CSV_HEADER) as (header, rows):
+        pick = itemgetter(*map(header.index, PVS_CSV_HEADER))
+        for lineno, cells in rows:
+            pvs, codec, resolution, bitrate, content = pick(cells)
+            if pvs in meta:
+                raise DataFormatError(f"{path}:{lineno}: duplicate PVS id {pvs!r}")
+            bitrate_kbps = read_number(path, lineno, "bitrate_kbps", bitrate)
+            meta[pvs] = StimulusInfo(codec, resolution, bitrate_kbps, content)
     return meta

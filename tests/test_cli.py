@@ -1,8 +1,10 @@
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -698,7 +700,9 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      "{bad}: truncated frame 0: expected 6000000000000 bytes, got 3"),
     (["metrics", "{bad}", "{bad}", *HUGE_RAW_FLAGS], bytes(100), 3,
      "{bad}: truncated frame 0: expected 6000000000000 bytes, got 100"),
-    (["profile", "{bad}"], b"events:\nfn=f\n1 5\n", 3, "line 1: empty events header"),
+    (["profile", "{bad}"], b"events:\nfn=f\n1 5\n", 3, "{bad}: line 1: empty events header"),
+    (["profile", "{prof}", "{bad}"], b"events: Ir\nfn=f\n1 x\n", 3,
+     "{bad}: line 3: non-numeric cost 'x'"),
     (["mos", "{scores}", "--pvs-meta", "{bad}"],
      b"pvs,codec,resolution,bitrate_kbps,content\n"
      b"p1,HM,HD,1000,CrowdRun\np1,VTM,HD,1000,CrowdRun\n", 3,
@@ -715,7 +719,8 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     "external_json_metric_missing", "y4m_header_non_ascii",
     "reference_format_error_names_reference", "test_format_error_names_test",
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
-    "duplicate_pvs_id", "duplicate_stimulus_column", "timing_fps_num_0",
+    "second_callgrind_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
+    "timing_fps_num_0",
 ])
 def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
                                        message):
@@ -994,6 +999,23 @@ def test_bd_functions_leave_out_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_module_imports_scipy():
+    # Lazy imports inside functions count too: scipy is a test dependency only.
+    package = Path(codecbench.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
 HEAVY_MODULES = ("numpy", "scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special")
 
 
@@ -1046,7 +1068,7 @@ def import_contract_argv(tmp_path, command):
     [
         ("--version", set(HEAVY_MODULES)),
         ("profile", set(HEAVY_MODULES)),
-        ("mos", {"scipy.interpolate", "scipy.ndimage"}),
+        ("mos", {"scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special"}),
         ("metrics", {"scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special"}),
         ("bdrate", {"scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special"}),
     ],

@@ -2,8 +2,10 @@
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,13 @@ def write_table(tmp_path, name, lines):
     return path
 
 
+def read_table(path, required=()):
+    """read_csv's header and every row it streams, drained while the file
+    is open."""
+    with read_csv(path, required) as (header, rows):
+        return header, list(rows)
+
+
 @pytest.mark.parametrize("name", LOADERS)
 class TestLoaders:
     def test_bad_cell_after_blank_line_names_physical_line(self, tmp_path, name):
@@ -55,6 +64,14 @@ class TestLoaders:
         with pytest.raises(DataFormatError, match=f"^{where}:3: .*finite.*{cell}"):
             load(path)
 
+    def test_first_fault_in_file_order(self, tmp_path, name):
+        """A bad cell is reported before a short row further down."""
+        load, header, row = LOADERS[name]
+        short = row.format(i=1, x=40).rsplit(",", 1)[0]
+        path = write_table(tmp_path, name, [header, row.format(i=0, x="fast"), short])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*'fast'"):
+            load(path)
+
     def test_extra_cell_rejected(self, tmp_path, name):
         load, header, row = LOADERS[name]
         width = header.count(",") + 1
@@ -68,29 +85,29 @@ class TestLoaders:
 class TestReadCsv:
     def test_cells_stripped_and_blank_rows_skipped(self, tmp_path):
         path = write_table(tmp_path, "t", ["", " a , b", "", "1 ,2", " , ", "3, 4"])
-        assert read_csv(path, required=("a",)) == (
+        assert read_table(path, required=("a",)) == (
             ["a", "b"], [(4, ["1", "2"]), (6, ["3", "4"])]
         )
 
     def test_quoted_newline_counts_physical_lines(self, tmp_path):
         path = write_table(tmp_path, "t", ["a,b", '"x', 'y",1', "z,2"])
-        assert read_csv(path)[1] == [(3, ["x\ny", "1"]), (4, ["z", "2"])]
+        assert read_table(path)[1] == [(3, ["x\ny", "1"]), (4, ["z", "2"])]
 
     @pytest.mark.parametrize("lines", [[], ["", " ,"]], ids=["empty", "blank"])
     def test_no_header_row(self, tmp_path, lines):
         path = write_table(tmp_path, "t", lines)
         with pytest.raises(DataFormatError, match="no header row"):
-            read_csv(path)
+            read_table(path)
 
     def test_missing_columns_named(self, tmp_path):
         path = write_table(tmp_path, "t", ["a,b", "1,2"])
         with pytest.raises(DataFormatError, match="missing CSV columns: c, d"):
-            read_csv(path, required=("a", "c", "d"))
+            read_table(path, required=("a", "c", "d"))
 
     def test_oversized_cell_is_a_format_error(self, tmp_path):
         path = write_table(tmp_path, "t", ["a,b", "1," + "x" * 200_000])
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: "):
-            read_csv(path)
+            read_table(path)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3)), max_size=20),
@@ -103,7 +120,35 @@ class TestReadCsv:
             expected.append((len(lines), [str(value), str(value + 1)]))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_table(Path(tmp), "t", lines)
-            assert read_csv(path) == (["n", "v"], expected)
+            assert read_table(path) == (["n", "v"], expected)
+
+
+    def test_rows_stream_from_the_open_file(self, tmp_path):
+        """The header is read on entry; each row only when it is reached."""
+        path = write_table(tmp_path, "t", ["a,b", "1,2", "3"])
+        with read_csv(path) as (header, rows):
+            assert header == ["a", "b"]
+            assert next(rows) == (2, ["1", "2"])
+            with pytest.raises(DataFormatError, match=":3: expected 2 cells, got 1"):
+                next(rows)
+
+
+def test_score_grid_is_read_row_by_row(tmp_path):
+    """Loading a 150 x 2000 panel holds little beyond the score array."""
+    rng = np.random.default_rng(3)
+    scores = rng.integers(0, 101, size=(150, 2000)).astype(str)
+    scores[rng.random(scores.shape) < 0.02] = ""
+    lines = ["subject," + ",".join(f"p{j}" for j in range(2000))]
+    lines += [f"s{i}," + ",".join(row) for i, row in enumerate(scores)]
+    path = write_table(tmp_path, "scores", lines)
+    tracemalloc.start()
+    try:
+        matrix = load_scores_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.scores.shape == (150, 2000)
+    assert peak <= 4 * matrix.scores.nbytes
 
 
 class TestReadNumber:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
 from scipy.stats import f as f_distribution
 from scipy.stats import rankdata
 
@@ -368,6 +369,23 @@ class TestAnova:
             assert anova_oneway(fresh, factor) == result
 
 
+# The relative bound README states for f_survival against scipy's betainc
+# over d1 1-60, d2 1-5000 and F 1e-4-1e4, wherever betainc >= 1e-200.
+F_SURVIVAL_REL = 1e-12
+
+# P(F > f) to 40 digits, computed with mpmath at 60-digit working precision
+# from the exact value of each double f: the four ANOVA factors of the seed-1
+# `tables` benchmark panel, and a deep-tail point where scipy's betainc
+# returns 7.0757e-286.
+F_SURVIVAL_REFERENCE = [
+    (3, 1996, 9.35949865573639, 3.830692641692376578448894696298084872698e-6),
+    (2, 1997, 3.414959783236356, 0.03306984862672093024563777125054381427121),
+    (5, 1994, 2.016135362165653, 0.0734741667962173467090811121948541978818),
+    (39, 1960, 1.141805005862866, 0.2530810482692505954464826327209460404013),
+    (51, 1000, 67.68750009458527, 8.335200235369927543537178925880744240765e-286),
+]
+
+
 class TestFSurvival:
     def test_matches_numeric_integration(self, rng):
         for _ in range(20):
@@ -388,8 +406,25 @@ class TestFSurvival:
                 f_distribution.sf(f, d1, d2), rel=1e-10, abs=1e-300
             )
 
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.integers(1, 60), st.integers(1, 5000),
+           st.floats(-4, 4).map(lambda e: 10.0 ** e))
+    def test_matches_betainc(self, d1, d2, f):
+        # scipy at the same x, as a test-only oracle.
+        expected = betainc(d2 / 2, d1 / 2, d2 / (d2 + d1 * f))
+        assume(expected >= 1e-200)
+        assert f_survival(f, d1, d2) == pytest.approx(expected, rel=F_SURVIVAL_REL, abs=0)
+
+    @pytest.mark.parametrize("d1,d2,f,expected", F_SURVIVAL_REFERENCE)
+    def test_matches_high_precision_reference(self, d1, d2, f, expected):
+        assert f_survival(f, d1, d2) == pytest.approx(expected, rel=F_SURVIVAL_REL, abs=0)
+
     def test_zero_statistic(self):
         assert f_survival(0.0, 3, 10) == 1.0
+
+    def test_infinite_and_negligible_statistic(self):
+        assert f_survival(math.inf, 3, 10) == 0.0
+        assert f_survival(1e-300, 3, 10) == 1.0
 
     def test_monotone_decreasing(self):
         values = [f_survival(f, 2, 8) for f in (0.1, 1.0, 5.0, 20.0)]
