@@ -9,6 +9,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 # Only modules free of numpy and scipy load here; each subcommand imports
 # the rest itself, so start-up pays only for the command that runs.
@@ -163,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("callgrind", nargs="+", help="Callgrind output file(s)")
     p.add_argument(
         "--mapping", metavar="FILE",
-        help=f"stage mapping file (default: ${profiling.MAPPING_ENV_VAR} "
-        "or the built-in taxonomy)",
+        help="stage mapping file (default: the built-in taxonomy)",
     )
     p.add_argument(
         "--threshold", type=float, default=profiling.BUCKET_THRESHOLD,
@@ -499,11 +499,7 @@ def cmd_mos(args) -> int:
         if unknown:
             raise InputError(f"--exclude names unknown stimuli: {', '.join(unknown)}")
         matrix = matrix.without_stimuli(args.exclude)
-    meta = subjective.load_pvs_csv(args.pvs_meta)
-    missing = [s for s in matrix.stimuli if s not in meta]
-    if missing:
-        raise InputError(f"no metadata for PVS ids: {', '.join(missing)}")
-    matrix.meta = meta
+    matrix = replace(matrix, meta=subjective.load_pvs_csv(args.pvs_meta))
 
     screening, filtered = subjective.screen_subjects(matrix, threshold=args.threshold)
     points = [
@@ -511,48 +507,25 @@ def cmd_mos(args) -> int:
         for s in filtered.stimuli
     ]
 
-    anova_rows = []
+    anovas = []
     warnings = []
     for factor in subjective.FACTORS:
         try:
-            res = subjective.anova_oneway(filtered, factor)
+            anovas.append(subjective.anova_oneway(filtered, factor))
         except StatsError as exc:
             warnings.append(f"ANOVA skipped for factor {factor!r}: {exc}")
-            continue
-        anova_rows.append(
-            {
-                "factor": res.factor,
-                "df_between": res.df_between,
-                "df_within": res.df_within,
-                "f_stat": res.f_stat,
-                "p_value": res.p_value,
-            }
-        )
 
     doc = report.make_report(
         command=args.argv,
         inputs=[args.scores, args.pvs_meta],
         results={
             "session": args.session,
-            "screening": {
-                "threshold": screening.threshold,
-                "subjects": [
-                    {
-                        "subject": s.subject,
-                        "pearson": s.pearson,
-                        "spearman": s.spearman,
-                        "retained": s.retained,
-                        "note": s.note,
-                    }
-                    for s in screening.subjects
-                ],
-                "discarded": list(screening.discarded),
-            },
+            "screening": asdict(screening),
             "mos": [
                 {"pvs": p.stimulus, "mos": p.mos, "ci95": p.ci95, "n": p.n}
                 for p in points
             ],
-            "anova": anova_rows,
+            "anova": [asdict(res) for res in anovas],
         },
         warnings=warnings,
         notes=[
@@ -568,10 +541,10 @@ def cmd_mos(args) -> int:
     summary = [
         f"discarded subjects: {', '.join(screening.discarded) or 'none'}",
     ] + [f"{p.stimulus}: MOS {p.mos:.2f} +/- {p.ci95:.2f} (n={p.n})" for p in points]
-    for row in anova_rows:
+    for res in anovas:
         summary.append(
-            f"ANOVA {row['factor']}: F({row['df_between']},{row['df_within']}) "
-            f"= {row['f_stat']:.3f}, p = {row['p_value']:.4g}"
+            f"ANOVA {res.factor}: F({res.df_between},{res.df_within}) "
+            f"= {res.f_stat:.3f}, p = {res.p_value:.4g}"
         )
     return _emit(args, doc, header, csv_rows, summary)
 
@@ -579,9 +552,6 @@ def cmd_mos(args) -> int:
 def _load_stage_mapping(args):
     if args.mapping:
         return profiling.load_mapping(args.mapping), args.mapping
-    env_path = os.environ.get(profiling.MAPPING_ENV_VAR)
-    if env_path:
-        return profiling.load_mapping(env_path), env_path
     return profiling.default_mapping(), "built-in"
 
 

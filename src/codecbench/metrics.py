@@ -330,17 +330,24 @@ def sequence_quality(
 
 
 def _sobel_magnitude(luma: np.ndarray) -> np.ndarray:
-    """Gradient magnitude on interior pixels, standard 3x3 Sobel kernels."""
+    """Gradient magnitude on interior pixels, standard 3x3 Sobel kernels.
+
+    The gradients and their squared sum are exact in int32 (below 2**31 for
+    10-bit samples), so only the square root is a float64 frame.
+    """
     if luma.shape[0] < 3 or luma.shape[1] < 3:
         raise InputError(f"plane {luma.shape} too small for a 3x3 Sobel filter")
-    p = luma.astype(np.float64)
-    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
+    p = luma.astype(np.int32)
+    gx = (p[:-2, 2:] + 2 * p[1:-1, 2:] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2 * p[1:-1, :-2] + p[2:, :-2]
     )
-    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
+    gy = (p[2:, :-2] + 2 * p[2:, 1:-1] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2 * p[:-2, 1:-1] + p[:-2, 2:]
     )
-    return np.sqrt(gx * gx + gy * gy)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx)
 
 
 def _si_ti(frames, want_si=True, want_ti=True):
@@ -354,11 +361,10 @@ def _si_ti(frames, want_si=True, want_ti=True):
             value = float(np.std(_sobel_magnitude(frame.y)))
             si = value if si is None else max(si, value)
         if want_ti:
-            y = frame.y.astype(np.float64)
             if previous is not None:
-                value = float(np.std(y - previous))
+                value = float(np.std(np.subtract(frame.y, previous, dtype=np.int32)))
                 ti = value if ti is None else max(ti, value)
-            previous = y
+            previous = frame.y
     return si, ti, count
 
 

@@ -22,7 +22,6 @@ from .report import open_input, read_csv, read_number
 
 OTHER_STAGE = "Other"
 BUCKET_THRESHOLD = 1.0  # percent
-MAPPING_ENV_VAR = "CODECBENCH_STAGE_MAP"
 
 TIMING_CSV_HEADER = (
     "codec", "sequence", "qp", "wall_seconds", "frame_count", "fps_num", "fps_den",

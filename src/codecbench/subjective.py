@@ -12,7 +12,8 @@ reaches the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -43,12 +44,15 @@ class StimulusInfo:
         return getattr(self, factor)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Subjects x stimuli grid of raw scores on [0, 100]; NaN marks missing.
 
-    Each stimulus's MOS is memoised on first use, so edit `scores` before
-    taking any MOS from the matrix, or build a new matrix.
+    An immutable value: `scores` is a read-only float64 grid. A writable
+    array is copied, so the caller's array is neither aliased nor frozen;
+    an array that is already read-only is kept as it is. `meta`, when
+    given, must annotate every stimulus. Derive a new matrix with
+    with_subjects, without_stimuli or dataclasses.replace.
     """
 
     subjects: tuple[str, ...]
@@ -57,22 +61,42 @@ class ScoreMatrix:
     meta: dict[str, StimulusInfo] | None = None
 
     def __post_init__(self):
-        self.subjects = tuple(self.subjects)
-        self.stimuli = tuple(self.stimuli)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.shape != (len(self.subjects), len(self.stimuli)):
+        scores = np.asarray(self.scores, dtype=np.float64)
+        if scores.flags.writeable:
+            scores = scores.copy()
+            scores.flags.writeable = False
+        object.__setattr__(self, "subjects", tuple(self.subjects))
+        object.__setattr__(self, "stimuli", tuple(self.stimuli))
+        object.__setattr__(self, "scores", scores)
+        if scores.shape != (len(self.subjects), len(self.stimuli)):
             raise DataFormatError(
-                f"score grid {self.scores.shape} does not match "
+                f"score grid {scores.shape} does not match "
                 f"{len(self.subjects)} subjects x {len(self.stimuli)} stimuli"
             )
         # nan (missing) compares false both ways.
-        if np.any((self.scores < 0) | (self.scores > 100)):
+        if np.any((scores < 0) | (scores > 100)):
             raise DataFormatError("scores must lie in [0, 100]")
-        # Column of each stimulus; the first occurrence wins, as with index().
-        self._column_of = {}
-        for i, stimulus in enumerate(self.stimuli):
-            self._column_of.setdefault(stimulus, i)
-        self._mos_of = {}
+        if self.meta is not None:
+            missing = [s for s in self.stimuli if s not in self.meta]
+            if missing:
+                raise InputError(f"no metadata for PVS ids: {', '.join(missing)}")
+
+    @cached_property
+    def _column_of(self) -> dict[str, int]:
+        # Filled from the last column back, so the first occurrence wins,
+        # as with index().
+        return {s: i for i, s in reversed(tuple(enumerate(self.stimuli)))}
+
+    @cached_property
+    def _mos_of(self) -> dict[str, float]:
+        """Each stimulus's MOS, taken on first use by _mos."""
+        return {}
+
+    def _mos(self, stimulus: str) -> float:
+        value = self._mos_of.get(stimulus)
+        if value is None:
+            value = self._mos_of[stimulus] = _column_mos(self.column(stimulus), stimulus)
+        return value
 
     def column(self, stimulus: str) -> np.ndarray:
         """Present (non-missing) scores for one stimulus."""
@@ -85,21 +109,13 @@ class ScoreMatrix:
 
     def with_subjects(self, keep: list[str]) -> "ScoreMatrix":
         rows = [self.subjects.index(s) for s in keep]
-        return ScoreMatrix(
-            subjects=tuple(keep),
-            stimuli=self.stimuli,
-            scores=self.scores[rows, :].copy(),
-            meta=self.meta,
-        )
+        return replace(self, subjects=keep, scores=self.scores[rows, :])
 
     def without_stimuli(self, drop) -> "ScoreMatrix":
         drop = set(drop)
         keep = [i for i, s in enumerate(self.stimuli) if s not in drop]
-        return ScoreMatrix(
-            subjects=self.subjects,
-            stimuli=tuple(self.stimuli[i] for i in keep),
-            scores=self.scores[:, keep].copy(),
-            meta=self.meta,
+        return replace(
+            self, stimuli=[self.stimuli[i] for i in keep], scores=self.scores[:, keep]
         )
 
 
@@ -139,12 +155,7 @@ class AnovaResult:
 def mos(matrix: ScoreMatrix, stimulus: str) -> float:
     """Mean opinion score over present scores for one stimulus."""
     # Each MOS point and every ANOVA factor read the same per-stimulus MOS.
-    value = matrix._mos_of.get(stimulus)
-    if value is None:
-        value = matrix._mos_of[stimulus] = _column_mos(
-            matrix.column(stimulus), stimulus
-        )
-    return value
+    return matrix._mos(stimulus)
 
 
 def ci95(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> float:
@@ -287,10 +298,8 @@ def anova_oneway(matrix: ScoreMatrix, factor: str) -> AnovaResult:
 
     groups: dict[object, list[float]] = {}
     for stimulus in matrix.stimuli:
-        info = matrix.meta.get(stimulus)
-        if info is None:
-            raise InputError(f"no metadata for stimulus {stimulus!r}")
-        groups.setdefault(info.level(factor), []).append(mos(matrix, stimulus))
+        level = matrix.meta[stimulus].level(factor)
+        groups.setdefault(level, []).append(mos(matrix, stimulus))
 
     k = len(groups)
     if k < 2:
@@ -438,6 +447,7 @@ def load_scores_csv(path) -> ScoreMatrix:
             subjects[cells[0]] = None
             grid.append(_score_row(path, lineno, stimuli, cells[1:]))
     scores = np.array(grid, dtype=np.float64).reshape(len(grid), len(stimuli))
+    scores.flags.writeable = False  # handed over without a copy
     return ScoreMatrix(subjects=tuple(subjects), stimuli=tuple(stimuli), scores=scores)
 
 

@@ -59,3 +59,31 @@ def test_cli_report_writes_are_traced(tmp_path, monkeypatch):
     assert [s.name for s in tracer.spans].count("report.render_json") == 1
     assert json.loads((tmp_path / "bd.json").read_text())["results"]["deltas"]
     assert len((tmp_path / "plot.csv").read_text().splitlines()) == 1 + 2 * 103
+
+
+def test_mos_layers_are_traced(tmp_path, monkeypatch):
+    spans = load_spans(monkeypatch)
+    scores = tmp_path / "scores.csv"
+    stimuli = ["p1", "p2", "p3", "p4"]
+    scores.write_text("subject," + ",".join(stimuli) + "\n" + "".join(
+        f"s{i}," + ",".join(str(20 * j + i) for j in range(1, 5)) + "\n"
+        for i in range(5)
+    ))
+    meta = tmp_path / "meta.csv"
+    meta.write_text(
+        "pvs,codec,resolution,bitrate_kbps,content\n"
+        "p1,HM,HD,1000,CrowdRun\np2,VTM,HD,1000,CrowdRun\n"
+        "p3,HM,HD,3000,Drums\np4,VTM,HD,3000,Drums\n"
+    )
+    tracer = spans.Tracer()
+    with spans.traced_layers(tracer):
+        assert main(["mos", str(scores), "--pvs-meta", str(meta), "-q",
+                     "-o", str(tmp_path / "mos.json")]) == 0
+    names = [s.name for s in tracer.spans]
+    # The resolution ANOVA fails (one level), but its call is still traced.
+    for name, count in [("subjective.load_scores_csv", 1),
+                        ("subjective.load_pvs_csv", 1),
+                        ("subjective.screen_subjects", 1),
+                        ("subjective.mos_point", len(stimuli)),
+                        ("subjective.anova_oneway", 4)]:
+        assert names.count(name) == count, name

@@ -442,6 +442,21 @@ class TestMosCommand:
         assert doc["results"]["screening"]["discarded"] == ["s9"]
         assert all(p["n"] == 9 for p in doc["results"]["mos"])
 
+    def test_report_key_order(self, tmp_path):
+        scores, meta = write_panel(tmp_path, reversed_subject=True)
+        out = tmp_path / "mos.json"
+        assert main(["mos", str(scores), "--pvs-meta", str(meta),
+                     "--output", str(out), "--quiet"]) == 0
+        results = json.loads(out.read_text())["results"]
+        screening = results["screening"]
+        assert list(screening) == ["threshold", "subjects", "discarded"]
+        assert screening["discarded"] == ["s9"]
+        for subject in screening["subjects"]:
+            assert list(subject) == ["subject", "pearson", "spearman", "retained", "note"]
+        assert [row["factor"] for row in results["anova"]] == ["codec", "bitrate", "content"]
+        for row in results["anova"]:
+            assert list(row) == ["factor", "df_between", "df_within", "f_stat", "p_value"]
+
     def test_missing_metadata_exit_2(self, tmp_path, capsys):
         scores, meta = write_panel(tmp_path)
         meta.write_text(
@@ -594,7 +609,7 @@ class TestProfileCommand:
         mapping.write_text("this line has no arrow\n")
         assert main(["profile", str(prof), "--mapping", str(mapping), "--quiet"]) == 3
 
-    def test_mapping_from_environment(self, tmp_path, monkeypatch):
+    def test_environment_does_not_choose_the_mapping(self, tmp_path, monkeypatch):
         prof = tmp_path / "callgrind.out"
         prof.write_text(CALLGRIND)
         mapping = tmp_path / "map.txt"
@@ -605,8 +620,8 @@ class TestProfileCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         stages = {s["stage"] for s in doc["results"]["profiles"][0]["stages"]}
-        assert "EnvSearch" in stages
-        assert doc["results"]["mapping"] == str(mapping)
+        assert "EnvSearch" not in stages
+        assert doc["results"]["mapping"] == "built-in"
 
     def test_malformed_callgrind_exit_3(self, tmp_path, capsys):
         prof = tmp_path / "callgrind.out"
@@ -629,10 +644,10 @@ NON_UTF8_MAPPING = b"Inter\xffSearch -> ME\n"
 
 
 @pytest.mark.parametrize("kind", [
-    "mapping", "env_mapping", "rd", "scores", "pvs", "timing", "external_csv",
+    "mapping", "rd", "scores", "pvs", "timing", "external_csv",
     "external_json",
 ])
-def test_non_utf8_input_names_the_file(tmp_path, rng, monkeypatch, capsys, kind):
+def test_non_utf8_input_names_the_file(tmp_path, rng, capsys, kind):
     bad = tmp_path / f"{kind}.in"
     prof = tmp_path / "callgrind.out"
     prof.write_text(CALLGRIND)
@@ -641,7 +656,6 @@ def test_non_utf8_input_names_the_file(tmp_path, rng, monkeypatch, capsys, kind)
     metrics_argv = ["metrics", str(ref), str(test), "--external", str(bad)]
     argv, content = {
         "mapping": (["profile", str(prof), "--mapping", str(bad)], NON_UTF8_MAPPING),
-        "env_mapping": (["profile", str(prof)], NON_UTF8_MAPPING),
         "rd": (["bdrate", str(bad), "--anchor", "HM", "--test", "VTM"],
                RD_HEADER.encode() + b"HM,s1,PSNR,\xff,1000,30\n"),
         "scores": (["mos", str(bad), "--pvs-meta", str(meta)],
@@ -654,8 +668,6 @@ def test_non_utf8_input_names_the_file(tmp_path, rng, monkeypatch, capsys, kind)
         "external_json": (metrics_argv, b'{"frames": [{"metrics": {"vmaf": 9\xff}}]}'),
     }[kind]
     bad.write_bytes(content)
-    if kind == "env_mapping":
-        monkeypatch.setenv("CODECBENCH_STAGE_MAP", str(bad))
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out), "--quiet"]) == 3
     assert capsys.readouterr().err == (

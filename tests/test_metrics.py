@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -547,6 +548,53 @@ class TestSpatialTemporalInfo:
         assert temporal_info(frames) == 1.0
         with pytest.raises(InputError):
             spatial_info(frames)
+
+
+def si_ti_float64(frames):
+    """SI and TI by float64 Sobel gradients and luma differences."""
+    lumas = [f.y.astype(np.float64) for f in frames]
+    si = []
+    for p in lumas:
+        gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (
+            p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
+        )
+        gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (
+            p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
+        )
+        si.append(float(np.std(np.sqrt(gx * gx + gy * gy))))
+    ti = [float(np.std(b - a)) for a, b in zip(lumas, lumas[1:])]
+    return metrics.ContentFeatures(max(si), max(ti))
+
+
+class TestSiTiIntegerArithmetic:
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("width,height", [(1920, 1080), (64, 36), (34, 18)])
+    def test_equals_float64_formulas(self, rng, bit_depth, width, height):
+        info = make_info(width, height, bit_depth=bit_depth)
+        frames = [random_frame(info, rng, i) for i in range(3)]
+        assert content_features(frames) == si_ti_float64(frames)
+
+    def test_extreme_10_bit_gradients(self):
+        # Full-scale edges and corners: |gx|, |gy| up to 4 * 1023.
+        info = make_info(16, 16, bit_depth=10)
+        i, j = np.indices((16, 16))
+        board = (i + j) % 2 * 1023
+        edge = (j >= 8) * 1023
+        corner = ((i >= 8) | (j >= 8)) * 1023
+        frames = [make_frame(info, board), make_frame(info, edge),
+                  make_frame(info, corner), make_frame(info, 1023 - board)]
+        assert content_features(frames) == si_ti_float64(frames)
+
+    def test_peak_memory_on_1080p(self, rng):
+        info = make_info(1920, 1080)
+        frames = [random_frame(info, rng, i) for i in range(3)]
+        tracemalloc.start()
+        try:
+            content_features(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 * 2**20
 
 
 class TestExternalScores:

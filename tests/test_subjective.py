@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,81 @@ def f_sf_numeric(f_stat, d1, d2):
 
     value, _ = quad(pdf, f_stat, np.inf, limit=400)
     return value
+
+
+def annotate(stimuli):
+    return {
+        pvs: StimulusInfo(codec=f"c{j % 2}", resolution="HD",
+                          bitrate_kbps=float(j), content=f"t{j}")
+        for j, pvs in enumerate(stimuli)
+    }
+
+
+class TestImmutableMatrix:
+    def test_attributes_cannot_be_assigned(self):
+        m = matrix_from([[60.0, 70.0]])
+        for name, value in [("meta", {}), ("scores", np.zeros((1, 2))),
+                            ("subjects", ("x",))]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, value)
+
+    def test_scores_are_read_only(self):
+        m = matrix_from([[60.0, 70.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            m.scores[0, 0] = 10.0
+        assert not m.scores.flags.writeable
+
+    def test_callers_array_neither_aliased_nor_frozen(self):
+        scores = np.array([[60.0, 70.0], [80.0, 90.0]])
+        m = matrix_from(scores)
+        assert mos(m, "p0") == 70.0
+        assert scores.flags.writeable
+        assert not np.shares_memory(m.scores, scores)
+        scores[0, 0] = 0.0
+        assert m.scores[0, 0] == 60.0
+        assert mos(m, "p0") == 70.0
+
+    def test_read_only_array_kept(self):
+        scores = np.array([[60.0, 70.0]])
+        scores.flags.writeable = False
+        assert matrix_from(scores).scores is scores
+
+    def test_loaded_grid_is_read_only(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("subject,p1,p2\nalice,50,60\nbob,,70\n")
+        assert not load_scores_csv(path).scores.flags.writeable
+
+    def test_derived_matrices_keep_meta(self):
+        stimuli = ("p0", "p1", "p2")
+        meta = annotate(stimuli)
+        m = matrix_from([[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]],
+                        meta=meta, stimuli=stimuli)
+        fewer_subjects = m.with_subjects(["s1"])
+        assert fewer_subjects.meta is meta
+        assert fewer_subjects.scores.tolist() == [[40.0, 50.0, 60.0]]
+        assert not fewer_subjects.scores.flags.writeable
+        fewer_stimuli = m.without_stimuli(["p1"])
+        assert fewer_stimuli.meta is meta
+        assert fewer_stimuli.stimuli == ("p0", "p2")
+        assert fewer_stimuli.scores.tolist() == [[10.0, 30.0], [40.0, 60.0]]
+        assert m.scores.tolist() == [[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]]
+
+    def test_partial_metadata_lists_every_missing_id(self):
+        stimuli = ("p0", "p1", "p2", "p3")
+        meta = annotate(("p1", "p3"))
+        with pytest.raises(InputError, match="^no metadata for PVS ids: p0, p2$"):
+            matrix_from([[1.0, 2.0, 3.0, 4.0]], meta=meta, stimuli=stimuli)
+        m = matrix_from([[1.0, 2.0, 3.0, 4.0]], stimuli=stimuli)
+        with pytest.raises(InputError, match="^no metadata for PVS ids: p0, p2$"):
+            replace(m, meta=meta)
+        assert m.without_stimuli(["p0", "p2"]).meta is None
+
+    def test_replace_binds_metadata(self):
+        stimuli = ("p0", "p1", "p2", "p3")
+        m = matrix_from([[10.0, 20.0, 30.0, 40.0]], stimuli=stimuli)
+        annotated = replace(m, meta=annotate(stimuli))
+        assert annotated.scores is m.scores
+        assert anova_oneway(annotated, "codec").df_between == 1
 
 
 class TestMos:
@@ -224,9 +300,9 @@ class TestScreening:
         assert min(screen.pearson, screen.spearman) == pytest.approx(-1.0, abs=1e-9)
 
     def test_constant_subject_flagged_not_fatal(self):
-        m = consistent_panel(n_subjects=5)
-        m.scores[2, :] = 50.0
-        result, filtered = screen_subjects(m)
+        scores = consistent_panel(n_subjects=5).scores.copy()
+        scores[2, :] = 50.0
+        result, filtered = screen_subjects(matrix_from(scores))
         screen = {s.subject: s for s in result.subjects}["s2"]
         assert screen.pearson == -1.0 and screen.note == "constant scores"
         assert "s2" in result.discarded
@@ -333,9 +409,12 @@ class TestAnova:
             anova_oneway(m, "resolution")
 
     def test_missing_metadata(self):
-        m = matrix_from([[50.0, 60.0]], meta={})
-        with pytest.raises(InputError, match="no metadata for stimulus 'p0'"):
-            anova_oneway(m, "codec")
+        with pytest.raises(InputError, match="^no metadata for PVS ids: p0, p1$"):
+            matrix_from([[50.0, 60.0]], meta={})
+
+    def test_matrix_without_metadata(self):
+        with pytest.raises(InputError, match="carries no stimulus metadata"):
+            anova_oneway(matrix_from([[50.0, 60.0]]), "codec")
 
     def test_mos_taken_once_per_stimulus(self, rng, monkeypatch):
         scores = rng.uniform(0, 100, (6, 24))
