@@ -35,9 +35,9 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 # SSIM filters strips of _SSIM_STRIP output rows, and runs its row pass in
-# tiles of _SSIM_TILE output columns. Of strip heights 8/12/16/20/24/32 and
-# tile widths 8/16/24/32/64, 16 by 16 was fastest at 1920x1080 and
-# 3840x2160 on a 2-vCPU Xeon guest with 2 MB of L2 per core.
+# tiles of _SSIM_TILE output columns. Of strips 8/12/16/24 by tiles 8/16/24,
+# no pair beat 16x16 at both 1920x1080 (61 ms) and 3840x2160 (286 ms) by more
+# than the run-to-run spread, on a 2-vCPU Xeon guest with 2 MB L2 per core.
 _SSIM_STRIP = 16
 _SSIM_TILE = 16
 # Leading-axis rows per strip of mse's int64 difference buffer.
@@ -145,9 +145,9 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
     # Valid output columns in the last tile; the tiles' other columns are
     # padding, filtered but left out of the sum.
     last = w - halo - (tiles - 1) * _SSIM_TILE
-    # Every strip reuses these float64 buffers; they belong to this call, so
-    # concurrent calls share none. The input columns past w stay zero: the
-    # band products multiply them by zero taps, so they must be finite.
+    # Every strip reuses these float64 buffers; concurrent calls share none.
+    # Input columns past w are never written, so they and their products stay
+    # zero: the band products multiply them by zero taps, so must be finite.
     inputs = np.zeros((4, rows + halo, tiles * _SSIM_TILE + halo))
     cols = np.empty((4, rows, inputs.shape[2]))
     maps = np.empty((4, tiles, rows, _SSIM_TILE))
@@ -157,11 +157,11 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
     for top in range(0, h - halo, _SSIM_STRIP):
         n = min(_SSIM_STRIP, h - halo - top)
         x = inputs[:, : n + halo]
-        r, e, re, sq = x[:, :, :w]
-        np.copyto(r, ref.y[top : top + n + halo])
-        np.copyto(e, test.y[top : top + n + halo])
-        # The formula needs only var_r + var_e, so r*r + e*e is one map;
-        # re holds e*e until the sum is made.
+        r, e, re, sq = x
+        np.copyto(r[:, :w], ref.y[top : top + n + halo])
+        np.copyto(e[:, :w], test.y[top : top + n + halo])
+        # The formula needs only var_r + var_e, so r*r + e*e is one map; re
+        # holds e*e until the sum is made. Whole rows keep the products contiguous.
         np.multiply(e, e, out=re)
         np.multiply(r, r, out=sq)
         sq += re

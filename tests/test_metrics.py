@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -283,6 +286,76 @@ class TestSsim:
         a = random_frame(info, rng)
         b = noisy_copy(a, rng, 4 << (bit_depth - 8))
         assert abs(ssim_frame(a, b) - ssim_untiled_five_maps(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    @pytest.mark.parametrize("width", [2 * metrics._SSIM_TILE + 10 + 1, 20])
+    def test_strided_planes_equal_contiguous(self, rng, bit_depth, width):
+        # The planes are crops of wider arrays, as a caller's views may be;
+        # ssim_frame copies them into part of each padded input row.
+        height = 2 * metrics._SSIM_STRIP + 10 + 1
+        info = make_info(width, height, bit_depth=bit_depth, chroma=CHROMA_444)
+        a = random_frame(info, rng)
+        b = noisy_copy(a, rng, 16)
+
+        def cropped(frame):
+            planes = []
+            for plane in frame.planes:
+                rows, cols = plane.shape
+                big = rng.integers(0, info.sample_max + 1, (rows, cols + 7))
+                big = big.astype(info.dtype)
+                big[:, 3 : 3 + cols] = plane
+                planes.append(big[:, 3 : 3 + cols])
+            return FrameBuffer(info=info, planes=tuple(planes), frame_index=0)
+
+        sa, sb = cropped(a), cropped(b)
+        assert not sa.y.flags.c_contiguous
+        assert ssim_frame(sa, sb) == ssim_frame(a, b)
+        for p, q, sp, sq in zip(a.planes, b.planes, sa.planes, sb.planes):
+            assert mse(sp, sq) == mse(p, q)
+
+    def test_blas_thread_count_leaves_values_unchanged(self):
+        src = os.path.dirname(os.path.dirname(metrics.__file__))
+        probe = (
+            "import numpy as np\n"
+            "from codecbench.metrics import ssim_frame\n"
+            "from codecbench.video_io import FrameBuffer, SequenceInfo\n"
+            "rng = np.random.default_rng(15)\n"
+            "out = []\n"
+            "for w, h, depth in ((1920, 1080, 8), (3840, 2160, 10)):\n"
+            "    info = SequenceInfo(w, h, 50, 1, depth, 'C420')\n"
+            "    top = info.sample_max + 1\n"
+            "    frames = []\n"
+            "    for _ in range(2):\n"
+            "        planes = tuple(rng.integers(0, top, s).astype(info.dtype)\n"
+            "                       for s in info.plane_shapes)\n"
+            "        frames.append(FrameBuffer(info, planes, 0))\n"
+            "    out.append(repr(ssim_frame(*frames)))\n"
+            "print(*out)\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0].split()) == 2
+        assert outputs[0] == outputs[1]
+
+    def test_peak_memory_on_1080p(self, rng):
+        # The strip buffers take ~3.8 MiB; a whole-frame float64 map would
+        # add 16 MiB.
+        info = make_info(1920, 1080)
+        a = random_frame(info, rng)
+        b = noisy_copy(a, rng, 4)
+        tracemalloc.start()
+        try:
+            ssim_frame(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
 
 
 def exact_psnr(a, b):
