@@ -23,11 +23,11 @@ _EXPORTS = {
     ),
     "metrics": (
         "mse", "psnr_from_mse", "wpsnr", "ssim_frame", "sequence_quality",
-        "spatial_info", "temporal_info", "content_features",
-        "ingest_external_scores", "SequenceQuality", "ContentFeatures",
+        "content_features", "ingest_external_scores", "SequenceQuality",
+        "ContentFeatures",
     ),
     "rd": (
-        "RDPoint", "RDCurve", "BDResult", "validate_curve", "bd_rate", "bd_quality",
+        "RDPoint", "RDCurve", "BDResult", "bd_rate", "bd_quality",
         "interpolate_log_rate",
     ),
     "subjective": (

@@ -350,48 +350,21 @@ def _sobel_magnitude(luma: np.ndarray) -> np.ndarray:
     return np.sqrt(gx)
 
 
-def _si_ti(frames, want_si=True, want_ti=True):
-    """One pass over the sequence: the max per-frame SI and the max TI over
-    successive frame pairs (None when not wanted or not defined), and the
-    number of frames seen."""
-    si = ti = previous = None
-    count = 0
-    for count, frame in enumerate(frames, start=1):
-        if want_si:
-            value = float(np.std(_sobel_magnitude(frame.y)))
-            si = value if si is None else max(si, value)
-        if want_ti:
-            if previous is not None:
-                value = float(np.std(np.subtract(frame.y, previous, dtype=np.int32)))
-                ti = value if ti is None else max(ti, value)
-            previous = frame.y
-    return si, ti, count
-
-
-def spatial_info(frames) -> float:
-    """Max over frames of the stddev of the Sobel-filtered luma plane."""
-    si, _, count = _si_ti(frames, want_ti=False)
-    if count == 0:
-        raise InputError("spatial_info requires at least one frame")
-    return si
-
-
-def temporal_info(frames) -> float:
-    """Max over successive frame pairs of the stddev of the luma difference."""
-    _, ti, count = _si_ti(frames, want_si=False)
-    if count < 2:
-        raise InputError("temporal_info requires at least two frames")
-    return ti
-
-
 def content_features(frames) -> ContentFeatures:
-    """SI and TI in a single pass over the sequence."""
-    si, ti, count = _si_ti(frames)
-    if count == 0:
+    """SI and TI in a single pass over the sequence: the max over frames of
+    the stddev of the Sobel-filtered luma plane, and the max over
+    successive frame pairs of the stddev of the luma difference."""
+    si, ti, previous = [], [], None
+    for frame in frames:
+        si.append(float(np.std(_sobel_magnitude(frame.y))))
+        if previous is not None:
+            ti.append(float(np.std(np.subtract(frame.y, previous, dtype=np.int32))))
+        previous = frame.y
+    if not si:
         raise InputError("content_features requires at least one frame")
-    if count < 2:
+    if not ti:
         raise InputError("content_features requires at least two frames for TI")
-    return ContentFeatures(si=si, ti=ti)
+    return ContentFeatures(si=max(si), ti=max(ti))
 
 
 def ingest_external_scores(

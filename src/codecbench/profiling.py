@@ -326,18 +326,24 @@ def default_mapping() -> StageMapping:
 
 
 def load_timing_csv(path) -> list[TimingRecord]:
-    records = []
+    """Read timing records, at most one per (codec, sequence, qp)."""
+    records: dict[tuple[str, str, int], TimingRecord] = {}
     with read_csv(path, TIMING_CSV_HEADER) as (header, rows):
         pick = itemgetter(*map(header.index, TIMING_CSV_HEADER))
         for lineno, cells in rows:
             codec, sequence, qp, wall, frames, fps_num, fps_den = pick(cells)
             cell = partial(read_number, path, lineno)
             try:
-                records.append(TimingRecord(
+                record = TimingRecord(
                     codec, sequence, cell("qp", qp, int), cell("wall_seconds", wall),
                     cell("frame_count", frames, int), cell("fps_num", fps_num, int),
                     cell("fps_den", fps_den, int),
-                ))
+                )
             except InputError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    return records
+            key = (codec, sequence, record.qp)
+            if key in records:
+                raise DataFormatError(f"{path}:{lineno}: duplicate timing "
+                                      f"record {codec}/{sequence}/qp{record.qp}")
+            records[key] = record
+    return list(records.values())

@@ -45,12 +45,38 @@ class RDPoint:
 
 @dataclass(frozen=True)
 class RDCurve:
+    """Points sorted by bitrate, checked at construction: at least three,
+    distinct log10 bitrates, and quality that strictly increases with
+    bitrate. Non-monotone curves (possible with subjective scores) are
+    rejected so the user inspects the data instead of the tool silently
+    reordering it."""
+
     codec_id: str
     sequence_id: str
     metric_id: str
     points: tuple[RDPoint, ...]
 
-    # Each axis is built once per curve and shared by every caller.
+    def __post_init__(self):
+        pts = tuple(sorted(self.points, key=lambda p: p.bitrate))
+        name = f"curve {self.codec_id}/{self.sequence_id}/{self.metric_id}"
+        if len(pts) < 3:
+            raise InputError(f"{name}: need at least 3 points, got {len(pts)}")
+        for i in range(len(pts) - 1):
+            # Distinct rates can still share a log10 value, the interpolation axis.
+            if math.log10(pts[i].bitrate) == math.log10(pts[i + 1].bitrate):
+                raise InputError(
+                    f"{name}: duplicate log10 bitrate between points {i} and "
+                    f"{i + 1} ({pts[i].bitrate} and {pts[i + 1].bitrate})"
+                )
+            if pts[i].quality >= pts[i + 1].quality:
+                raise InputError(
+                    f"{name}: quality not strictly increasing with bitrate "
+                    f"between points {i} and {i + 1} ({pts[i].quality} -> "
+                    f"{pts[i + 1].quality}); inspect the data"
+                )
+        object.__setattr__(self, "points", pts)
+
+    # Each axis and fit is built once per curve and shared by every caller.
     @cached_property
     def bitrates(self) -> np.ndarray:
         return _read_only([p.bitrate for p in self.points])
@@ -62,6 +88,18 @@ class RDCurve:
     @cached_property
     def log_rates(self) -> np.ndarray:
         return _read_only(np.log10(self.bitrates))
+
+    @cached_property
+    def rate_fit(self) -> _Pchip:
+        """log10 bitrate as a function of quality."""
+        with _float64_fit():
+            return _Pchip(self.qualities, self.log_rates)
+
+    @cached_property
+    def quality_fit(self) -> _Pchip:
+        """Quality as a function of log10 bitrate."""
+        with _float64_fit():
+            return _Pchip(self.log_rates, self.qualities)
 
 
 def _read_only(values) -> np.ndarray:
@@ -81,40 +119,6 @@ class BDResult:
     warnings: tuple[str, ...] = ()
 
 
-def validate_curve(
-    points, codec_id: str = "", sequence_id: str = "", metric_id: str = ""
-) -> RDCurve:
-    """Sort points by bitrate and reject curves a delta cannot use.
-
-    Requires at least three points, distinct bitrates, and quality that
-    strictly increases with bitrate. Non-monotone curves (possible with
-    subjective scores) are rejected so the user inspects the data instead
-    of the tool silently reordering it.
-    """
-    pts = sorted(points, key=lambda p: p.bitrate)
-    if len(pts) < 3:
-        raise InputError(
-            f"curve {codec_id}/{sequence_id}/{metric_id}: "
-            f"need at least 3 points, got {len(pts)}"
-        )
-    for i in range(len(pts) - 1):
-        # Distinct rates can still share a log10 value, the interpolation axis.
-        if math.log10(pts[i].bitrate) == math.log10(pts[i + 1].bitrate):
-            raise InputError(
-                f"curve {codec_id}/{sequence_id}/{metric_id}: duplicate "
-                f"log10 bitrate between points {i} and {i + 1} "
-                f"({pts[i].bitrate} and {pts[i + 1].bitrate})"
-            )
-        if pts[i].quality >= pts[i + 1].quality:
-            raise InputError(
-                f"curve {codec_id}/{sequence_id}/{metric_id}: quality not "
-                f"strictly increasing with bitrate between points {i} and "
-                f"{i + 1} ({pts[i].quality} -> {pts[i + 1].quality}); "
-                f"inspect the data"
-            )
-    return RDCurve(codec_id, sequence_id, metric_id, tuple(pts))
-
-
 def _end_slope(h0, h1, m0, m1):
     """Three-point one-sided slope at an end knot, clamped to keep the shape."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -128,15 +132,11 @@ def _end_slope(h0, h1, m0, m1):
 class _Pchip:
     """Monotone piecewise cubic through (x, y), as scipy's PchipInterpolator
     builds it: row j of ``c`` holds each interval's coefficient of
-    (x - x_k)**(3 - j)."""
+    (x - x_k)**(3 - j). x must strictly increase over at least 3 knots, as
+    both axes of an RDCurve do."""
 
     def __init__(self, x, y):
         h = np.diff(x)
-        if len(x) < 3 or not (h > 0).all():
-            raise InputError(
-                "interpolation axis must strictly increase over at least 3 "
-                f"points, got {x.tolist()}"
-            )
         m = np.diff(y) / h
         # Interior knots: weighted harmonic mean of the neighbouring secants,
         # or 0 where they change sign or either is 0.
@@ -190,19 +190,19 @@ def _float64_fit():
         raise InputError(f"curves cannot be interpolated in float64: {exc}") from None
 
 
-def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
+def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, fit: str):
     """Mean of test minus anchor over the overlap of their x ranges, each
-    curve's y(x) a PCHIP fit integrated in closed form; ``axes(curve)``
-    gives its (x, y) arrays. Returns the mean, the overlap and a warning
-    per point outside the overlap."""
+    curve's y(x) its cached PCHIP fit named ``fit``, integrated in closed
+    form. Returns the mean, the overlap and a warning per point outside the
+    overlap."""
     if anchor.metric_id != test.metric_id:
         raise InputError(
             f"metric mismatch: anchor uses {anchor.metric_id!r}, "
             f"test uses {test.metric_id!r}"
         )
-    (x_anchor, y_anchor), (x_test, y_test) = axes(anchor), axes(test)
-    lo = max(float(x_anchor.min()), float(x_test.min()))
-    hi = min(float(x_anchor.max()), float(x_test.max()))
+    fit_anchor, fit_test = getattr(anchor, fit), getattr(test, fit)
+    lo = max(float(fit_anchor.x[0]), float(fit_test.x[0]))
+    hi = min(float(fit_anchor.x[-1]), float(fit_test.x[-1]))
     width = hi - lo
     if width <= 0:
         raise InputError(f"curves do not overlap (gap of {-width:.6g})")
@@ -211,15 +211,13 @@ def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, axes):
             f"overlap width {width:.6g} is below the minimum {MIN_OVERLAP}"
         )
     with _float64_fit():
-        delta = (_Pchip(x_test, y_test).integral(lo, hi)
-                 - _Pchip(x_anchor, y_anchor).integral(lo, hi))
-        mean_diff = delta / width
+        mean_diff = (fit_test.integral(lo, hi) - fit_anchor.integral(lo, hi)) / width
     warnings = tuple(
         f"{role} point (bitrate={point.bitrate:g}, "
         f"quality={point.quality:g}) lies outside the "
         f"{axis_name} overlap [{lo:.6g}, {hi:.6g}]"
-        for role, curve, xs in (("anchor", anchor, x_anchor), ("test", test, x_test))
-        for point, value in zip(curve.points, xs)
+        for role, curve in (("anchor", anchor), ("test", test))
+        for point, value in zip(curve.points, getattr(curve, fit).x)
         if value < lo or value > hi
     )
     return float(mean_diff), (lo, hi), warnings
@@ -230,9 +228,7 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
 
     Negative values mean the test codec needs less rate than the anchor.
     """
-    d, overlap, warnings = _bd_delta(
-        anchor, test, "quality", lambda c: (c.qualities, c.log_rates)
-    )
+    d, overlap, warnings = _bd_delta(anchor, test, "quality", "rate_fit")
     try:
         percent = (10.0 ** d - 1.0) * 100.0
     except OverflowError:
@@ -249,9 +245,7 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
 
 def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average quality difference at equal rate, in metric units."""
-    d, overlap, warnings = _bd_delta(
-        anchor, test, "log-rate", lambda c: (c.log_rates, c.qualities)
-    )
+    d, overlap, warnings = _bd_delta(anchor, test, "log-rate", "quality_fit")
     return BDResult(
         bd_rate_percent=None, bd_quality=d, overlap=overlap, warnings=warnings
     )
@@ -260,9 +254,7 @@ def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
 def interpolate_log_rate(curve: RDCurve, qualities) -> np.ndarray:
     """Evaluate the curve's log10(bitrate) interpolant at given qualities."""
     with _float64_fit():
-        return _Pchip(curve.qualities, curve.log_rates)(
-            np.asarray(qualities, dtype=np.float64)
-        )
+        return curve.rate_fit(np.asarray(qualities, dtype=np.float64))
 
 
 def load_rd_csv(path) -> list[RDCurve]:
@@ -282,7 +274,4 @@ def load_rd_csv(path) -> list[RDCurve]:
             except InputError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             groups.setdefault((codec, sequence, metric), []).append(point)
-    return [
-        validate_curve(points, codec_id=k[0], sequence_id=k[1], metric_id=k[2])
-        for k, points in groups.items()
-    ]
+    return [RDCurve(*key, points) for key, points in groups.items()]

@@ -85,10 +85,11 @@ def open_output(path):
 
 @contextlib.contextmanager
 def open_input(path, newline=None):
-    """A UTF-8 text stream from path; bytes that are not UTF-8 are a format
+    """A UTF-8 text stream from path, without the byte-order mark that
+    spreadsheet exports often write; bytes that are not UTF-8 are a format
     error naming the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fp:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fp:
             yield fp
     except UnicodeDecodeError as exc:
         raise DataFormatError(

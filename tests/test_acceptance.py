@@ -29,7 +29,7 @@ from codecbench.profiling import (
     speedup,
     time_factor,
 )
-from codecbench.rd import RDPoint, bd_rate, interpolate_log_rate, validate_curve
+from codecbench.rd import RDCurve, RDPoint, bd_rate, interpolate_log_rate
 from codecbench.subjective import (
     ScoreMatrix,
     anova_oneway,
@@ -102,16 +102,16 @@ def test_criterion_4_bd_rate(rng):
         assert np.max(np.abs(fitted - curve.log_rates)) < 1e-9
 
     base = [(1000.0, 30.0), (2000.0, 35.0), (4000.0, 40.0), (8000.0, 45.0)]
-    anchor = validate_curve([RDPoint(r, q) for r, q in base], metric_id="PSNR")
-    scaled = validate_curve([RDPoint(r * 0.8, q) for r, q in base], metric_id="PSNR")
+    anchor = RDCurve("", "", "PSNR", [RDPoint(r, q) for r, q in base])
+    scaled = RDCurve("", "", "PSNR", [RDPoint(r * 0.8, q) for r, q in base])
     assert bd_rate(anchor, scaled).bd_rate_percent == pytest.approx(-20.0, abs=0.01)
 
     for _ in range(10):
         curve = random_monotone_curve(rng)
         k = float(rng.uniform(0.4, 2.5))
-        other = validate_curve(
+        other = RDCurve(
+            "", "", curve.metric_id,
             [RDPoint(p.bitrate * k, p.quality) for p in curve.points],
-            metric_id=curve.metric_id,
         )
         forward = bd_rate(curve, other).bd_rate_percent
         backward = bd_rate(other, curve).bd_rate_percent

@@ -390,6 +390,35 @@ class TestBdrateCommand:
         flags = {line.split(",")[-1] for line in lines[1:]}
         assert flags == {"0", "1"}
 
+    def test_plot_data_reuses_the_bd_rate_fits(self, tmp_path, monkeypatch):
+        # Each curve fits quality -> log-rate once for bd_rate and the plot,
+        # and log-rate -> quality once for bd_quality.
+        from codecbench import rd
+
+        built = []
+
+        class CountedPchip(rd._Pchip):
+            def __init__(self, x, y):
+                built.append(x)
+                super().__init__(x, y)
+
+        monkeypatch.setattr(rd, "_Pchip", CountedPchip)
+        points = tmp_path / "points.csv"
+        write_rd_csv(points, [
+            f"{codec},{seq},{metric},,{rate * scale},{q + offset}\n"
+            for codec, scale in (("HM", 1.0), ("VTM", 0.8), ("AV1", 0.9))
+            for seq, offset in (("s1", 0), ("s2", 3))
+            for metric in ("PSNR", "SSIM")
+            for rate, q in ((1000, 30), (2000, 35), (4000, 40), (8000, 45))
+        ])
+        rc = main([
+            "bdrate", str(points), "--anchor", "HM", "--test", "VTM",
+            "--plot-data", str(tmp_path / "plot.csv"),
+            "--output", str(tmp_path / "bd.json"), "--quiet",
+        ])
+        assert rc == 0
+        assert len(built) == 2 * 8
+
 
 def write_panel(tmp_path, reversed_subject=False):
     scores = tmp_path / "scores.csv"
@@ -676,6 +705,43 @@ def test_non_utf8_input_names_the_file(tmp_path, rng, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", [
+    "points", "timing", "scores", "pvs", "external_csv", "external_json",
+    "mapping", "callgrind",
+])
+def test_byte_order_mark_is_skipped(tmp_path, rng, kind):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark.
+    prof = tmp_path / "callgrind.out"
+    prof.write_text(CALLGRIND)
+    scores, meta = write_panel(tmp_path)
+    ref, test = write_pair(tmp_path, rng)
+    source = tmp_path / f"{kind}.in"
+    metrics_argv = ["metrics", str(ref), str(test), "--external", str(source)]
+    argv, text = {
+        "points": (["bdrate", str(source), "--anchor", "HM", "--test", "VTM"],
+                   RD_HEADER + "".join(f"{codec},s1,PSNR,,{rate},{q}\n"
+                                       for codec in ("HM", "VTM")
+                                       for rate, q in ((1e3, 30), (2e3, 35), (4e3, 40)))),
+        "timing": (["profile", str(prof), "--timing", str(source)],
+                   TIMING_HEADER + "HM,s1,32,123,500,50,1\nVTM,s1,32,414,500,50,1\n"),
+        "scores": (["mos", str(source), "--pvs-meta", str(meta)], scores.read_text()),
+        "pvs": (["mos", str(scores), "--pvs-meta", str(source)], meta.read_text()),
+        "external_csv": (metrics_argv, "frame,score\n0,90\n1,92\n2,94\n"),
+        "external_json": (metrics_argv, '{"frames": [{"metrics": {"vmaf": 90}}]}'),
+        "mapping": (["profile", str(prof), "--mapping", str(source)],
+                    "TZSearch -> Search\n"),
+        # Without its first line, a comment, the mark precedes a header line.
+        "callgrind": (["profile", str(source)], CALLGRIND.split("\n", 1)[1]),
+    }[kind]
+    results = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        source.write_bytes(prefix + text.encode())
+        out = tmp_path / "out.json"
+        assert main([*argv, "--output", str(out), "--quiet"]) == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert results[1] == results[0]
+
+
 # Claims a 6e12-byte frame, which a read must not try to allocate at once.
 HUGE_Y4M = b"YUV4MPEG2 W2000000 H2000000 F25:1 C420\nFRAME\nabc"
 HUGE_RAW_FLAGS = ["--width", "2000000", "--height", "2000000", "--bit-depth", "8",
@@ -724,6 +790,10 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     (["profile", "{prof}", "--timing", "{bad}"],
      TIMING_HEADER.encode() + b"HM,CrowdRun,32,123,500,0,1\n", 3,
      "{bad}:2: degenerate duration: fps 0:1"),
+    (["profile", "{prof}", "--timing", "{bad}"],
+     TIMING_HEADER.encode()
+     + b"A,s,22,1,50,50,1\nB,s,22,2,50,50,1\nA,s,022,2,50,50,1\n", 3,
+     "{bad}:4: duplicate timing record A/s/qp22"),
 ], ids=[
     "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
     "external_csv_header", "external_json_invalid", "external_json_too_deep",
@@ -732,7 +802,7 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     "reference_format_error_names_reference", "test_format_error_names_test",
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
     "second_callgrind_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
-    "timing_fps_num_0",
+    "timing_fps_num_0", "duplicate_timing_record",
 ])
 def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
                                        message):
@@ -999,8 +1069,8 @@ def test_bd_functions_leave_out_scipy():
     src = os.path.dirname(os.path.dirname(codecbench.__file__))
     probe = (
         "import sys\n"
-        "from codecbench import RDPoint, bd_rate, interpolate_log_rate, validate_curve\n"
-        "c = validate_curve([RDPoint(r, q) for r, q in ((1e3, 30), (2e3, 35), (4e3, 40))])\n"
+        "from codecbench import RDCurve, RDPoint, bd_rate, interpolate_log_rate\n"
+        "c = RDCurve('', '', '', [RDPoint(r, q) for r, q in ((1e3, 30), (2e3, 35), (4e3, 40))])\n"
         "bd_rate(c, c), interpolate_log_rate(c, [32.0])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -1111,6 +1181,17 @@ def test_package_exports_resolve(name):
     namespace = {}
     exec(f"from codecbench import {name}", namespace)
     assert namespace[name] is getattr(codecbench, name)
+
+
+def test_readme_library_imports_resolve():
+    # A removed or renamed export fails here instead of leaving README stale.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    tree = ast.parse(code.split("```", 1)[0])
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module == "codecbench"]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
 
 
 def test_package_dir_and_unknown_names():

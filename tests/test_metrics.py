@@ -25,9 +25,7 @@ from codecbench.metrics import (
     mse,
     psnr_from_mse,
     sequence_quality,
-    spatial_info,
     ssim_frame,
-    temporal_info,
     wpsnr,
 )
 from codecbench.video_io import CHROMA_444, FrameBuffer
@@ -536,14 +534,14 @@ class TestSpatialTemporalInfo:
     def test_constant_frames_si_zero(self):
         info = make_info(16, 16)
         frames = [make_frame(info, np.full((16, 16), 128)) for _ in range(3)]
-        assert spatial_info(frames) == 0.0
+        assert content_features(frames).si == 0.0
 
     def test_si_against_sobel_oracle(self):
         info = make_info(16, 16)
         y = np.zeros((16, 16))
         y[:, 8:] = 255
         frame = make_frame(info, y)
-        assert spatial_info([frame]) == pytest.approx(
+        assert content_features([frame, frame]).si == pytest.approx(
             sobel_std_brute_force(y), abs=1e-9
         )
 
@@ -553,12 +551,9 @@ class TestSpatialTemporalInfo:
         edge[:, 8:] = 255
         flat = make_frame(info, np.full((16, 16), 40))
         edgy = make_frame(info, edge)
-        assert spatial_info([flat, edgy]) == spatial_info([edgy])
+        assert content_features([flat, edgy]).si == content_features([edgy, edgy]).si
 
     def test_si_empty(self):
-        message = "spatial_info requires at least one frame"
-        with pytest.raises(InputError, match=message):
-            spatial_info([])
         message = "content_features requires at least one frame"
         with pytest.raises(InputError, match=message):
             content_features([])
@@ -566,7 +561,7 @@ class TestSpatialTemporalInfo:
     def test_ti_static_zero(self, rng):
         info = make_info(16, 16)
         frame = random_frame(info, rng)
-        assert temporal_info([frame, frame, frame]) == 0.0
+        assert content_features([frame, frame, frame]).ti == 0.0
 
     def test_ti_uniform_shift_zero(self):
         info = make_info(16, 16)
@@ -574,27 +569,24 @@ class TestSpatialTemporalInfo:
             make_frame(info, np.full((16, 16), 0)),
             make_frame(info, np.full((16, 16), 10)),
         ]
-        assert temporal_info(frames) == 0.0
+        assert content_features(frames).ti == 0.0
 
     def test_ti_checkerboard_inverse(self):
         info = make_info(16, 16)
         board = np.indices((16, 16)).sum(axis=0) % 2 * 255
         frames = [make_frame(info, board), make_frame(info, 255 - board)]
-        assert temporal_info(frames) == 255.0
+        assert content_features(frames).ti == 255.0
 
     def test_ti_needs_two_frames(self, rng):
-        with pytest.raises(InputError):
-            temporal_info([random_frame(make_info(16, 16), rng)])
+        message = "content_features requires at least two frames for TI"
+        with pytest.raises(InputError, match=message):
+            content_features([random_frame(make_info(16, 16), rng)])
 
     def test_duplicate_frames_do_not_change_si_ti(self, rng):
         info = make_info(16, 16)
         frames = [random_frame(info, rng, i) for i in range(3)]
         extended = frames + [frames[-1]]
-        assert spatial_info(extended) == spatial_info(frames)
-        assert temporal_info(extended) == temporal_info(frames)
-        features = content_features(extended)
-        assert features.si == spatial_info(frames)
-        assert features.ti == temporal_info(frames)
+        assert content_features(extended) == content_features(frames)
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_reductions_match_per_frame_values(self, rng, count):
@@ -603,24 +595,18 @@ class TestSpatialTemporalInfo:
         si = [float(np.std(metrics._sobel_magnitude(f.y))) for f in frames]
         lumas = [f.y.astype(np.float64) for f in frames]
         ti = [float(np.std(b - a)) for a, b in zip(lumas, lumas[1:])]
-        assert spatial_info(iter(frames)) == max(si)
         if count == 1:
-            message = "temporal_info requires at least two frames"
-            with pytest.raises(InputError, match=message):
-                temporal_info(frames)
             message = "content_features requires at least two frames for TI"
             with pytest.raises(InputError, match=message):
-                content_features(frames)
+                content_features(iter(frames))
             return
-        assert temporal_info(iter(frames)) == max(ti)
         assert content_features(iter(frames)) == metrics.ContentFeatures(max(si), max(ti))
 
     def test_ti_on_frames_too_small_for_sobel(self):
         info = make_info(2, 2)
         frames = [make_frame(info, [[0, 0], [0, 0]]), make_frame(info, [[0, 2], [0, 2]])]
-        assert temporal_info(frames) == 1.0
-        with pytest.raises(InputError):
-            spatial_info(frames)
+        with pytest.raises(InputError, match=r"plane \(2, 2\) too small for a 3x3 Sobel"):
+            content_features(frames)
 
 
 def si_ti_float64(frames):

@@ -14,17 +14,11 @@ from codecbench.rd import (
     bd_rate,
     interpolate_log_rate,
     load_rd_csv,
-    validate_curve,
 )
 
 
 def curve(points, codec="A", sequence="seq", metric="PSNR"):
-    return validate_curve(
-        [RDPoint(r, q) for r, q in points],
-        codec_id=codec,
-        sequence_id=sequence,
-        metric_id=metric,
-    )
+    return RDCurve(codec, sequence, metric, [RDPoint(r, q) for r, q in points])
 
 
 def random_monotone_curve(rng, n_points=5):
@@ -50,13 +44,14 @@ class TestValidateCurve:
     def test_sorted_and_accepted(self):
         c = curve([(8000, 45), (1000, 30), (4000, 40), (2000, 35)])
         assert [p.bitrate for p in c.points] == [1000, 2000, 4000, 8000]
+        assert isinstance(c.points, tuple)
 
     def test_non_monotone_quality_names_pair(self):
         points = [RDPoint(1000, 30), RDPoint(2000, 35), RDPoint(4000, 34),
                   RDPoint(8000, 40)]
         message = "not strictly increasing .* points 1 and 2"
         with pytest.raises(InputError, match=message):
-            validate_curve(points)
+            RDCurve("A", "seq", "PSNR", points)
 
     def test_too_few_points(self):
         with pytest.raises(InputError, match="need at least 3 points, got 2"):
@@ -188,7 +183,8 @@ class TestBdFloatRange:
 
 
 class TestHandBuiltCurve:
-    # An RDCurve built without validate_curve: the fit checks its own axis.
+    # An RDCurve built by hand is checked at construction, as a loaded one is:
+    # unsorted points are sorted, and too few points never reach a fit.
     @pytest.mark.parametrize(
         "points", [[(2000, 35), (1000, 30), (4000, 40)], [(1000, 30), (2000, 35)]],
         ids=["unsorted", "two_points"],
@@ -196,12 +192,52 @@ class TestHandBuiltCurve:
     @pytest.mark.parametrize("call", [
         lambda c: bd_rate(curve(BASE), c),
         lambda c: bd_quality(curve(BASE), c),
-        lambda c: interpolate_log_rate(c, [32.0]),
+        lambda c: interpolate_log_rate(c, [32.0]).tolist(),
     ], ids=["bd_rate", "bd_quality", "interpolate_log_rate"])
     def test_axis_not_increasing(self, points, call):
-        hand_built = RDCurve("B", "seq", "PSNR", tuple(RDPoint(r, q) for r, q in points))
-        with pytest.raises(InputError, match="axis must strictly increase"):
-            call(hand_built)
+        def hand_built():
+            return RDCurve("B", "seq", "PSNR", tuple(RDPoint(r, q) for r, q in points))
+
+        if len(points) < 3:
+            message = "^curve B/seq/PSNR: need at least 3 points, got 2$"
+            with pytest.raises(InputError, match=message):
+                call(hand_built())
+        else:
+            assert call(hand_built()) == call(curve(sorted(points), codec="B"))
+
+    @pytest.mark.parametrize("points", [
+        [(1000, 30), (2000, 35)],
+        [(1000, 30), (1000, 35), (2000, 40)],
+        [(2000, 35), (1000, 30), (4000, 34)],
+    ], ids=["two_points", "duplicate_bitrate", "non_monotone"])
+    def test_same_message_as_load_rd_csv(self, tmp_path, points):
+        path = tmp_path / "points.csv"
+        path.write_text("codec,sequence,metric,label,bitrate_kbps,quality\n" + "".join(
+            f"B,seq,PSNR,,{r},{q}\n" for r, q in points
+        ))
+        with pytest.raises(InputError) as loaded:
+            load_rd_csv(path)
+        with pytest.raises(InputError) as built:
+            curve([(float(r), float(q)) for r, q in points], codec="B")
+        assert str(built.value) == str(loaded.value)
+
+
+@st.composite
+def valid_curves(draw):
+    """3 to 8 points of distinct integer bitrate (so distinct log10 bitrate),
+    quality increasing with rate."""
+    n = draw(st.integers(3, 8))
+    rates = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True))
+    steps = draw(st.lists(st.floats(0.01, 10), min_size=n, max_size=n))
+    return list(zip(sorted(rates), np.cumsum(steps).tolist()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(valid_curves().flatmap(lambda pts: st.tuples(st.just(pts), st.permutations(pts))))
+def test_every_permutation_builds_an_equal_curve(pair):
+    points, shuffled = pair
+    assert curve(shuffled) == curve(points)
+    assert curve(shuffled).points == tuple(RDPoint(r, q) for r, q in points)
 
 
 class TestBdQuality:
@@ -238,7 +274,7 @@ class TestInterpolant:
         # rd's closed-form integral vs numeric quadrature of rd's own fit.
         for _ in range(5):
             c = random_monotone_curve(rng)
-            fit = _Pchip(c.qualities, c.log_rates)
+            fit = c.rate_fit
             lo, hi = float(c.qualities.min()), float(c.qualities.max())
             closed = float(fit.integral(lo, hi))
             numeric, err = quad(fit, lo, hi, limit=200)
