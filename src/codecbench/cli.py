@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 for user/input errors, 3 for malformed data.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -312,7 +313,6 @@ def cmd_metrics(args) -> int:
     jobs = min(args.jobs, cpus)
     with _open_video(args.reference, args) as ref, _open_video(args.test, args) as test:
         ri = ref.info
-        metrics._check_compatible(ri, test.info)
         results = metrics.sequence_quality(
             ref, test, metric_ids, clamp_db=args.clamp_db, jobs=jobs
         )
@@ -625,18 +625,16 @@ def cmd_profile(args) -> int:
             grouped.setdefault((r.sequence_id, r.qp), []).append(r)
         for (sequence, qp), group in sorted(grouped.items()):
             group = sorted(group, key=lambda r: r.codec_id)
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
-                    speedups.append(
-                        {
-                            "sequence": sequence,
-                            "qp": qp,
-                            "codec_a": a.codec_id,
-                            "codec_b": b.codec_id,
-                            "speedup_a_over_b": profiling.speedup(a, b),
-                        }
-                    )
+            for a, b in itertools.combinations(group, 2):
+                speedups.append(
+                    {
+                        "sequence": sequence,
+                        "qp": qp,
+                        "codec_a": a.codec_id,
+                        "codec_b": b.codec_id,
+                        "speedup_a_over_b": profiling.speedup(a, b),
+                    }
+                )
         timing_section = {"time_factors": factors, "speedups": speedups}
 
     results = {"mapping": mapping_origin, "profiles": profiles}

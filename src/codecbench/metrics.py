@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -131,7 +132,7 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
     Fixed parameters (Wang et al. 2004): 11x11 Gaussian window, sigma 1.5,
     K1 0.01, K2 0.03.
     """
-    _check_compatible(ref.info, test.info)
+    ref.info.check_compatible(test.info)
     h, w = ref.y.shape
     if min(h, w) < _SSIM_WINDOW:
         raise InputError(
@@ -203,30 +204,15 @@ def ssim_frame(ref: FrameBuffer, test: FrameBuffer) -> float:
     return total / ((h - halo) * (w - halo))
 
 
-def _check_compatible(a, b):
-    if (a.width, a.height) != (b.width, b.height):
-        raise InputError(
-            f"geometry mismatch: reference {a.width}x{a.height} "
-            f"vs test {b.width}x{b.height}"
-        )
-    if a.bit_depth != b.bit_depth:
-        raise InputError(
-            f"bit depth mismatch: reference {a.bit_depth} vs test {b.bit_depth}"
-        )
-    if a.chroma != b.chroma:
-        raise InputError(
-            f"chroma mismatch: reference {a.chroma} vs test {b.chroma}"
-        )
-
-
 # Planes whose PSNR each metric reads.
 _METRIC_PLANES = {PSNR_Y: (0,), PSNR_U: (1,), PSNR_V: (2,), WPSNR: (0, 1, 2), SSIM: ()}
 
 
 def _frame_pair_metrics(pair, metric_ids, clamp_db):
     """The per-frame kernel: MSE/PSNR of only the planes the selection reads,
-    then each selected value (infinite PSNR replaced by clamp_db) and
-    whether a clamp went into it."""
+    then one (value, clamped) per selected metric, in selection order: the
+    value with infinite PSNR replaced by clamp_db, and whether a clamp went
+    into it."""
     ref, test = pair
     exact = {
         i: psnr_from_mse(mse(ref.planes[i], test.planes[i]), ref.info.bit_depth)
@@ -234,36 +220,28 @@ def _frame_pair_metrics(pair, metric_ids, clamp_db):
     }
     psnr = {i: p if math.isfinite(p) else clamp_db for i, p in exact.items()}
 
-    values = {}
-    clamped = {}
+    results = []
     for mid in metric_ids:
+        planes = _METRIC_PLANES[mid]
         if mid == SSIM:
-            values[mid] = ssim_frame(ref, test)
+            value = ssim_frame(ref, test)
         elif mid == WPSNR:
-            values[mid] = wpsnr(psnr[0], psnr[1], psnr[2])
+            value = wpsnr(psnr[0], psnr[1], psnr[2])
         else:
-            values[mid] = psnr[_METRIC_PLANES[mid][0]]
-        clamped[mid] = any(not math.isfinite(exact[i]) for i in _METRIC_PLANES[mid])
-    return values, clamped
+            value = psnr[planes[0]]
+        results.append((value, any(not math.isfinite(exact[i]) for i in planes)))
+    return results
 
 
 def _paired(ref_source, test_source):
-    ref_it = iter(ref_source)
-    test_it = iter(test_source)
-    index = 0
-    while True:
-        ref = next(ref_it, None)
-        test = next(test_it, None)
-        if ref is None and test is None:
-            return
+    for index, (ref, test) in enumerate(itertools.zip_longest(ref_source, test_source)):
         if ref is None or test is None:
             side = "reference" if ref is None else "test"
             raise InputError(
                 f"frame-count mismatch: {side} sequence ended at frame {index}"
             )
-        _check_compatible(ref.info, test.info)
+        ref.info.check_compatible(test.info)
         yield ref, test
-        index += 1
 
 
 def _ordered_map(fn, items, jobs):
@@ -302,29 +280,22 @@ def sequence_quality(
     for mid in metric_ids:
         if mid not in COMPUTABLE_METRICS:
             raise InputError(f"unknown metric {mid!r}")
-    per_frame = {mid: [] for mid in metric_ids}
-    clamp_hit = {mid: False for mid in metric_ids}
 
     def work(pair):
         return _frame_pair_metrics(pair, metric_ids, clamp_db)
 
-    for values, clamped in _ordered_map(work, _paired(ref_source, test_source), jobs):
-        for mid in metric_ids:
-            per_frame[mid].append(values[mid])
-            clamp_hit[mid] = clamp_hit[mid] or clamped[mid]
-
-    n = len(per_frame[metric_ids[0]])
-    if n == 0:
+    frames = list(_ordered_map(work, _paired(ref_source, test_source), jobs))
+    if not frames:
         raise InputError("no frames in input sequences")
 
     out = {}
-    for mid in metric_ids:
-        frames = per_frame[mid]
+    for mid, per_frame in zip(metric_ids, zip(*frames)):
+        values, clamped = zip(*per_frame)
         out[mid] = SequenceQuality(
             metric_id=mid,
-            frame_values=tuple(frames),
-            value=sum(frames) / n,
-            clamp_applied=clamp_hit[mid],
+            frame_values=values,
+            value=sum(values) / len(values),
+            clamp_applied=any(clamped),
         )
     return out
 
@@ -355,10 +326,13 @@ def content_features(frames) -> ContentFeatures:
     the stddev of the Sobel-filtered luma plane, and the max over
     successive frame pairs of the stddev of the luma difference."""
     si, ti, previous = [], [], None
-    for frame in frames:
-        si.append(float(np.std(_sobel_magnitude(frame.y))))
-        if previous is not None:
+    for n, frame in enumerate(frames):
+        if previous is None:
+            first = frame.info
+        else:
+            first.check_compatible(frame.info, ("frame 0", f"frame {n}"))
             ti.append(float(np.std(np.subtract(frame.y, previous, dtype=np.int32))))
+        si.append(float(np.std(_sobel_magnitude(frame.y))))
         previous = frame.y
     if not si:
         raise InputError("content_features requires at least one frame")
@@ -388,7 +362,14 @@ def ingest_external_scores(
             raise DataFormatError(
                 f"{path}: expected header 'frame,score', got {','.join(header)!r}"
             )
-        scores = [read_number(path, lineno, "score", cells[1]) for lineno, cells in rows]
+        scores = []
+        for lineno, (frame, score) in rows:
+            index = read_number(path, lineno, "frame", frame, int)
+            if index != len(scores):
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected frame {len(scores)}, got {index}"
+                )
+            scores.append(read_number(path, lineno, "score", score))
 
     if not scores:
         raise InputError(f"{path}: no scores present")

@@ -69,6 +69,17 @@ class SequenceInfo:
                 f"C420 requires even dimensions, got {self.width}x{self.height}"
             )
 
+    def check_compatible(self, other: SequenceInfo, roles=("reference", "test")):
+        """Raise InputError, naming both sides by their roles, when other
+        differs from this sequence in geometry, bit depth or chroma layout."""
+        for what, a, b in (
+            ("geometry", f"{self.width}x{self.height}", f"{other.width}x{other.height}"),
+            ("bit depth", self.bit_depth, other.bit_depth),
+            ("chroma", self.chroma, other.chroma),
+        ):
+            if a != b:
+                raise InputError(f"{what} mismatch: {roles[0]} {a} vs {roles[1]} {b}")
+
     @property
     def sample_max(self) -> int:
         return (1 << self.bit_depth) - 1
@@ -343,12 +354,7 @@ def write_y4m(dest, frames, info: SequenceInfo | None = None) -> int:
             if info is None:
                 info = frame.info
                 fp.write(_format_header(info))
-            if (frame.info.width, frame.info.height, frame.info.bit_depth,
-                    frame.info.chroma) != (info.width, info.height,
-                                           info.bit_depth, info.chroma):
-                raise InputError(
-                    f"frame {frame.frame_index} format differs from stream format"
-                )
+            info.check_compatible(frame.info, ("stream", f"frame {written}"))
             fp.write(FRAME_MAGIC + b"\n")
             for plane in frame.planes:
                 if info.bit_depth == 8:

@@ -62,7 +62,7 @@ class TestMetricsCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "32x32" in err and "16x16" in err
-        # Same size and bit depth, other chroma layout: caught before streaming.
+        # Same size and bit depth, other chroma layout: caught at the first frame pair.
         write_y4m(other, [random_frame(make_info(32, 32, chroma=CHROMA_444), rng)])
         assert main(["metrics", str(ref), str(other), "--quiet"]) == 2
         err = capsys.readouterr().err
@@ -603,6 +603,29 @@ class TestProfileCommand:
         assert len(speedups) == 1
         assert speedups[0]["speedup_a_over_b"] == pytest.approx(12.3 / 41.4)
 
+    def test_speedup_rows_for_three_codecs(self, tmp_path):
+        prof = tmp_path / "callgrind.out"
+        prof.write_text(CALLGRIND)
+        timing = tmp_path / "timing.csv"
+        timing.write_text(
+            TIMING_HEADER
+            + "C,CrowdRun,32,400,500,50,1\n"
+            + "A,CrowdRun,32,100,500,50,1\n"
+            + "B,CrowdRun,32,200,500,50,1\n"
+        )
+        out = tmp_path / "profile.json"
+        rc = main([
+            "profile", str(prof), "--timing", str(timing),
+            "--output", str(out), "--quiet", "--full-precision",
+        ])
+        assert rc == 0
+        speedups = json.loads(out.read_text())["results"]["timing"]["speedups"]
+        assert [(s["codec_a"], s["codec_b"]) for s in speedups] == [
+            ("A", "B"), ("A", "C"), ("B", "C")
+        ]
+        assert [s["speedup_a_over_b"] for s in speedups] == pytest.approx([0.5, 0.25, 0.5])
+        assert {(s["sequence"], s["qp"]) for s in speedups} == {("CrowdRun", 32)}
+
     def test_pie_data(self, tmp_path):
         prof = tmp_path / "callgrind.out"
         prof.write_text(CALLGRIND)
@@ -757,6 +780,8 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      "--exclude names unknown stimuli: p9"),
     (METRICS_EXTERNAL, b"idx,score\n0,90\n", 3,
      "{bad}: expected header 'frame,score', got 'idx,score'"),
+    (METRICS_EXTERNAL, b"frame,score\n3,90\n1,10\n1,50\n", 3,
+     "{bad}:2: expected frame 0, got 3"),
     (METRICS_EXTERNAL, b'{"frames": [', 3,
      "{bad}: invalid JSON: Expecting value: line 1 column 13 (char 12)"),
     (METRICS_EXTERNAL, b"[" * 100_000 + b"]" * 100_000, 3,
@@ -796,8 +821,8 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      "{bad}:4: duplicate timing record A/s/qp22"),
 ], ids=[
     "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
-    "external_csv_header", "external_json_invalid", "external_json_too_deep",
-    "external_json_no_frames", "external_json_frames_not_array",
+    "external_csv_header", "external_csv_frame_order", "external_json_invalid",
+    "external_json_too_deep", "external_json_no_frames", "external_json_frames_not_array",
     "external_json_metric_missing", "y4m_header_non_ascii",
     "reference_format_error_names_reference", "test_format_error_names_test",
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
@@ -1095,6 +1120,34 @@ def test_no_module_imports_scipy():
                 continue
             found += [f"{path.name}:{node.lineno}" for n in names
                       if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A module's underscore names are its own: no other codecbench module reads
+    # them, as module._name or through from .module import _name.
+    package = Path(codecbench.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            for alias in node.names:
+                if is_private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                elif node.module is None and alias.name in modules:
+                    aliases.add(alias.asname or alias.name)
+        found += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and is_private(node.attr)]
     assert found == []
 
 

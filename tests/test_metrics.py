@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -602,6 +603,20 @@ class TestSpatialTemporalInfo:
             return
         assert content_features(iter(frames)) == metrics.ContentFeatures(max(si), max(ti))
 
+    @pytest.mark.parametrize("other,message", [
+        (make_info(32, 16), "geometry mismatch: frame 0 16x16 vs frame 3 32x16"),
+        (make_info(16, 16, bit_depth=10), "bit depth mismatch: frame 0 8 vs frame 3 10"),
+        (make_info(16, 16, chroma=CHROMA_444), "chroma mismatch: frame 0 C420 vs frame 3 C444"),
+    ])
+    def test_frames_checked_against_frame_0(self, rng, other, message):
+        frames = [random_frame(make_info(16, 16), rng, i) for i in range(3)]
+        frames.append(random_frame(other, rng, 3))
+        with pytest.raises(InputError, match=f"^{message}$"):
+            content_features(frames)
+        # The mismatch is also caught on the first pair, before any TI.
+        with pytest.raises(InputError, match=f"^{message.replace('frame 3', 'frame 1')}$"):
+            content_features([frames[0], frames[3]])
+
     def test_ti_on_frames_too_small_for_sobel(self):
         info = make_info(2, 2)
         frames = [make_frame(info, [[0, 0], [0, 0]]), make_frame(info, [[0, 2], [0, 2]])]
@@ -689,6 +704,23 @@ class TestExternalScores:
         path = tmp_path / "scores.csv"
         path.write_text("frame,score\n0,high\n")
         with pytest.raises(DataFormatError):
+            ingest_external_scores(path)
+
+    @pytest.mark.parametrize("rows,message", [
+        ("3,90\n1,10\n1,50\n", ":2: expected frame 0, got 3"),
+        ("0,90\n2,10\n1,50\n", ":3: expected frame 1, got 2"),
+        ("0,90\n1,10\n1,50\n", ":4: expected frame 2, got 1"),
+        ("0,90\n1,10\n3,50\n", ":4: expected frame 2, got 3"),
+        ("1,90\n2,10\n", ":2: expected frame 0, got 1"),
+        ("0,90\n-1,10\n", ":3: expected frame 1, got -1"),
+        ("0,90\n1.0,10\n", ":3: frame must be an integer, got '1.0'"),
+        ("0,90\nx,10\n", ":3: frame must be an integer, got 'x'"),
+    ], ids=["reordered", "swapped", "repeated", "gapped", "from_one", "negative",
+            "float", "text"])
+    def test_frames_must_count_from_zero(self, tmp_path, rows, message):
+        path = tmp_path / "scores.csv"
+        path.write_text("frame,score\n" + rows)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path) + message)}$"):
             ingest_external_scores(path)
 
     def test_count_mismatch_warns(self, tmp_path):

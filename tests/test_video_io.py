@@ -195,6 +195,25 @@ class TestFrameBuffer:
             FrameBuffer(info=info, planes=(y, c, c), frame_index=0)
 
 
+class TestCheckCompatible:
+    def test_frame_rate_is_not_compared(self):
+        make_info(16, 16, fps=(50, 1)).check_compatible(make_info(16, 16, fps=(25, 1)))
+
+    @pytest.mark.parametrize("other,message", [
+        (make_info(16, 32, bit_depth=10), "geometry mismatch: reference 16x16 vs test 16x32"),
+        (make_info(16, 16, bit_depth=10, chroma=CHROMA_444),
+         "bit depth mismatch: reference 8 vs test 10"),
+        (make_info(16, 16, chroma=CHROMA_444), "chroma mismatch: reference C420 vs test C444"),
+    ])
+    def test_first_difference_named_with_default_roles(self, other, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make_info(16, 16).check_compatible(other)
+
+    def test_roles_name_the_sides(self):
+        with pytest.raises(InputError, match="^bit depth mismatch: a 10 vs b 8$"):
+            make_info(bit_depth=10).check_compatible(make_info(), roles=("a", "b"))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "bit_depth,chroma",
@@ -213,6 +232,21 @@ class TestRoundTrip:
             for pa, pb in zip(a.planes, b.planes):
                 assert pa.dtype == pb.dtype
                 assert np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("other,message", [
+        (make_info(32, 16), "geometry mismatch: stream 16x16 vs frame 1 32x16"),
+        (make_info(16, 16, bit_depth=10), "bit depth mismatch: stream 8 vs frame 1 10"),
+        (make_info(16, 16, chroma=CHROMA_444), "chroma mismatch: stream C420 vs frame 1 C444"),
+    ])
+    def test_frame_in_another_format_rejected(self, rng, other, message):
+        frames = [random_frame(make_info(16, 16), rng), random_frame(other, rng, 1)]
+        with pytest.raises(InputError, match=f"^{message}$"):
+            write_y4m(io.BytesIO(), frames)
+
+    def test_frame_named_by_its_position_in_the_stream(self, rng):
+        frame = random_frame(make_info(16, 16), rng, 4)
+        with pytest.raises(InputError, match="^geometry mismatch: stream 32x32 vs frame 0 16x16$"):
+            write_y4m(io.BytesIO(), [frame], info=make_info(32, 32))
 
     def test_reader_frames_are_readonly(self, tmp_path, rng):
         info = make_info(16, 16)
