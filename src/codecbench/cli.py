@@ -226,17 +226,11 @@ def _emit(args, report_doc, csv_header, csv_rows, summary_lines):
 
 
 def _parse_fps(text: str) -> tuple[int, int]:
-    for sep in (":", "/"):
-        if sep in text:
-            num, _, den = text.partition(sep)
-            try:
-                return int(num), int(den)
-            except ValueError:
-                raise InputError(f"malformed --fps value {text!r}") from None
-    try:
-        return int(text), 1
-    except ValueError:
-        raise InputError(f"malformed --fps value {text!r}") from None
+    num, sep, den = text.replace("/", ":").partition(":")
+    fps = (report.parse_number(num, int), report.parse_number(den, int) if sep else 1)
+    if None in fps:
+        raise InputError(f"malformed --fps value {text!r}")
+    return fps
 
 
 def _open_video(path, args):

@@ -18,7 +18,7 @@ from importlib import resources
 from operator import itemgetter
 
 from .errors import DataFormatError, InputError
-from .report import open_input, read_csv, read_number
+from .report import named_errors, open_input, read_csv, read_number
 
 OTHER_STAGE = "Other"
 BUCKET_THRESHOLD = 1.0  # percent
@@ -106,11 +106,8 @@ def parse_callgrind(source, event: str | None = None) -> list[FunctionCost]:
     """
     if not isinstance(source, (str, bytes, os.PathLike)):
         return _parse_callgrind_lines(source, event)
-    with open_input(source) as fp:
-        try:
-            return _parse_callgrind_lines(fp, event)
-        except DataFormatError as exc:
-            raise DataFormatError(f"{os.fsdecode(source)}: {exc}") from None
+    with open_input(source) as fp, named_errors(source):
+        return _parse_callgrind_lines(fp, event)
 
 
 def _parse_callgrind_lines(lines, event):

@@ -98,6 +98,19 @@ def open_input(path, newline=None):
 
 
 @contextlib.contextmanager
+def named_errors(source):
+    """Put `source: ` in front of a DataFormatError raised in the block when
+    source is a path (str, bytes or PathLike); over a stream the message
+    stays bare."""
+    try:
+        yield
+    except DataFormatError as exc:
+        if not isinstance(source, (str, bytes, os.PathLike)):
+            raise
+        raise DataFormatError(f"{os.fsdecode(source)}: {exc}") from None
+
+
+@contextlib.contextmanager
 def read_csv(path, required=()):
     """Open a UTF-8 CSV file and parse it with parse_csv: the context is
     (header, rows), and the rows stream from the file while it is open."""
@@ -148,14 +161,23 @@ def _table_rows(lines, path):
         raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_number(path, lineno, column, text, kind=float):
-    """Parse one cell as a finite int or float, or fail naming path:line and
-    the column."""
+def parse_number(text, kind=float):
+    """The one rule for a number in input text: Python's int or float
+    notation without `_` digit grouping, and a float must be finite.
+    Returns the value, or None when text is no such number."""
+    if "_" in text:
+        return None
     try:
         value = kind(text)
-        if kind is int or math.isfinite(value):
-            return value
     except ValueError:
-        pass
-    what = "an integer" if kind is int else "a finite number"
-    raise DataFormatError(f"{path}:{lineno}: {column} must be {what}, got {text!r}")
+        return None
+    return value if kind is int or math.isfinite(value) else None
+
+
+def read_number(path, lineno, column, text, kind=float):
+    """One cell by parse_number, or a format error naming path:line and column."""
+    value = parse_number(text, kind)
+    if value is None:
+        what = "an integer" if kind is int else "a finite number"
+        raise DataFormatError(f"{path}:{lineno}: {column} must be {what}, got {text!r}")
+    return value

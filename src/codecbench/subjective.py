@@ -443,7 +443,7 @@ def load_scores_csv(path) -> ScoreMatrix:
         subjects, grid = {}, []  # subjects: an ordered set, as dict keys
         for lineno, cells in rows:
             if cells[0] in subjects:
-                raise DataFormatError(f"{path}: duplicate subject ids")
+                raise DataFormatError(f"{path}:{lineno}: duplicate subject id {cells[0]!r}")
             subjects[cells[0]] = None
             grid.append(_score_row(path, lineno, stimuli, cells[1:]))
     scores = np.array(grid, dtype=np.float64).reshape(len(grid), len(stimuli))
@@ -454,10 +454,13 @@ def load_scores_csv(path) -> ScoreMatrix:
 def _score_row(path, lineno, stimuli, cells) -> np.ndarray:
     """One row of scores; a cell that is not a finite number in [0, 100]
     is a format error naming its line and stimulus."""
-    # One float() pass; only a failing row is re-read to name its cell.
+    # One float() pass; a row it fails on, or one holding a `_` that float()
+    # reads as digit grouping, is re-read by read_number to name its cell.
     try:
         row = np.array([float(c) if c else math.nan for c in cells], dtype=np.float64)
     except ValueError:
+        row = None
+    if row is None or "_" in "".join(cells):
         for column, text in zip(stimuli, cells):
             if text:
                 read_number(path, lineno, column, text)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, InputError
+from .report import named_errors, parse_number
 
 Y4M_MAGIC = b"YUV4MPEG2"
 FRAME_MAGIC = b"FRAME"
@@ -85,8 +86,9 @@ class SequenceInfo:
         return (1 << self.bit_depth) - 1
 
     @property
-    def dtype(self):
-        return np.dtype(np.uint8) if self.bit_depth == 8 else np.dtype(np.uint16)
+    def dtype(self) -> np.dtype:
+        """The sample type in the file: u1, or <u2 (little-endian) for 10-bit."""
+        return np.dtype("u1") if self.bit_depth == 8 else np.dtype("<u2")
 
     @property
     def plane_shapes(self) -> tuple[tuple[int, int], ...]:
@@ -99,8 +101,7 @@ class SequenceInfo:
     @property
     def frame_bytes(self) -> int:
         """Payload bytes of one frame (excluding any FRAME prefix line)."""
-        samples = sum(h * w for h, w in self.plane_shapes)
-        return samples * (1 if self.bit_depth == 8 else 2)
+        return sum(h * w for h, w in self.plane_shapes) * self.dtype.itemsize
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +214,9 @@ def parse_y4m_header(stream) -> SequenceInfo:
 
 
 def _positive_int(value: str, tag: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise DataFormatError(f"malformed {tag} tag value {value!r}") from None
+    n = parse_number(value, int)
+    if n is None:
+        raise DataFormatError(f"malformed {tag} tag value {value!r}")
     if n <= 0:
         raise DataFormatError(f"non-positive {tag} tag value {n}")
     return n
@@ -226,10 +226,9 @@ def _parse_ratio(value: str, tag: str, allow_zero: bool = False) -> tuple[int, i
     num, sep, den = value.partition(":")
     if not sep:
         raise DataFormatError(f"malformed {tag} tag value {value!r} (expected N:D)")
-    try:
-        n, d = int(num), int(den)
-    except ValueError:
-        raise DataFormatError(f"malformed {tag} tag value {value!r}") from None
+    n, d = parse_number(num, int), parse_number(den, int)
+    if n is None or d is None:
+        raise DataFormatError(f"malformed {tag} tag value {value!r}")
     if n < 0 or d < 0 or (not allow_zero and (n == 0 or d == 0)):
         raise DataFormatError(f"non-positive {tag} tag value {value!r}")
     return n, d
@@ -265,8 +264,7 @@ def read_frame(
             f"got {len(payload)}"
         )
 
-    dtype = np.dtype("u1") if info.bit_depth == 8 else np.dtype("<u2")
-    samples = np.frombuffer(payload, dtype=dtype)
+    samples = np.frombuffer(payload, dtype=info.dtype)
     planes = []
     offset = 0
     for shape in info.plane_shapes:
@@ -280,19 +278,10 @@ class _ReaderBase:
     _container: str
 
     def __init__(self, source):
+        self._source = source
         self._owns = isinstance(source, (str, bytes, os.PathLike))
         self._fp = open(source, "rb") if self._owns else source
         self._index = 0
-
-    def _named(self, fn, *args):
-        """fn(*args), with the path of a file this reader opened in front of
-        any format error; errors on a caller's stream pass unchanged."""
-        try:
-            return fn(*args)
-        except DataFormatError as exc:
-            if not self._owns:
-                raise
-            raise DataFormatError(f"{self._fp.name}: {exc}") from None
 
     def close(self):
         if self._owns:
@@ -305,9 +294,8 @@ class _ReaderBase:
         self.close()
 
     def read_frame(self) -> FrameBuffer | None:
-        frame = self._named(
-            read_frame, self._fp, self.info, self._index, self._container
-        )
+        with named_errors(self._source):
+            frame = read_frame(self._fp, self.info, self._index, self._container)
         if frame is not None:
             self._index += 1
         return frame
@@ -328,7 +316,8 @@ class Y4MReader(_ReaderBase):
     def __init__(self, source):
         super().__init__(source)
         try:
-            self.info = self._named(parse_y4m_header, self._fp)
+            with named_errors(source):
+                self.info = parse_y4m_header(self._fp)
         except Exception:
             self.close()
             raise
@@ -357,10 +346,7 @@ def write_y4m(dest, frames, info: SequenceInfo | None = None) -> int:
             info.check_compatible(frame.info, ("stream", f"frame {written}"))
             fp.write(FRAME_MAGIC + b"\n")
             for plane in frame.planes:
-                if info.bit_depth == 8:
-                    fp.write(plane.tobytes())
-                else:
-                    fp.write(np.ascontiguousarray(plane, dtype="<u2").tobytes())
+                fp.write(plane.tobytes())
             written += 1
         if info is not None and written == 0:
             fp.write(_format_header(info))

@@ -812,6 +812,12 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      "{bad}:3: duplicate PVS id 'p1'"),
     (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2,p1\ns0,10,20,30\n", 3,
      "{bad}: duplicate stimulus columns"),
+    (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2\ns0,10,20\ns0,30,40\n", 3,
+     "{bad}:3: duplicate subject id 's0'"),
+    (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2\ns0,10,20\ns1,4_0,20\n", 3,
+     "{bad}:3: p1 must be a finite number, got '4_0'"),
+    (["metrics", "{ref}", "{bad}"], b"YUV4MPEG2 W3_2 H32 F25:1 C420\n", 3,
+     "{bad}: malformed W tag value '3_2'"),
     (["profile", "{prof}", "--timing", "{bad}"],
      TIMING_HEADER.encode() + b"HM,CrowdRun,32,123,500,0,1\n", 3,
      "{bad}:2: degenerate duration: fps 0:1"),
@@ -827,6 +833,7 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     "reference_format_error_names_reference", "test_format_error_names_test",
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
     "second_callgrind_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
+    "duplicate_subject_id", "score_grouped_digits", "y4m_header_grouped_digits",
     "timing_fps_num_0", "duplicate_timing_record",
 ])
 def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
@@ -914,9 +921,10 @@ class TestFlagErrors:
          ("--fps", "25:0", "invalid raw-input flags"),
          ("--width", "33", "invalid raw-input flags"),
          ("--fps", "25x", "malformed --fps value '25x'\n"),
-         ("--fps", "25:x", "malformed --fps value '25:x'\n")],
+         ("--fps", "25:x", "malformed --fps value '25:x'\n"),
+         ("--fps", "2_5", "malformed --fps value '2_5'\n")],
         ids=["width_0", "height_0", "fps_0", "fps_den_0", "odd_width_420",
-             "fps_not_a_number", "fps_den_not_a_number"],
+             "fps_not_a_number", "fps_den_not_a_number", "fps_grouped_digits"],
     )
     def test_bad_raw_geometry_exit_2(self, tmp_path, capsys, flag, value, message):
         raw = tmp_path / "clip.yuv"
@@ -1149,6 +1157,52 @@ def test_no_module_reads_another_modules_private_names():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and is_private(node.attr)]
     assert found == []
+
+
+# The one number rule of input text is report.parse_number. _score_row keeps
+# a bulk float() pass over a row, and _parse_callgrind_lines the int() of
+# its hot cost-line loop.
+NUMBER_PARSERS = {"report.parse_number", "subjective._score_row",
+                  "profiling._parse_callgrind_lines"}
+
+
+def catches_value_error(handler):
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(n is None or (isinstance(n, ast.Name) and n.id in
+                             ("ValueError", "Exception", "BaseException"))
+               for n in names)
+
+
+def own_nodes(fn):
+    """The nodes of a function's body, without those of functions defined
+    in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_parses_numbers_its_own_way():
+    # int(), float() or a `kind` standing for one, called in a try that
+    # catches ValueError, is a number parser.
+    package = Path(codecbench.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in own_nodes(fn):
+                if not (isinstance(node, ast.Try)
+                        and any(map(catches_value_error, node.handlers))):
+                    continue
+                called = {call.func.id for stmt in node.body for call in ast.walk(stmt)
+                          if isinstance(call, ast.Call)
+                          and isinstance(call.func, ast.Name)}
+                if called & {"int", "float", "kind"}:
+                    found.append(f"{path.stem}.{fn.name}:{node.lineno}")
+    assert [f for f in found if f.split(":")[0] not in NUMBER_PARSERS] == []
 
 
 HEAVY_MODULES = ("numpy", "scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special")

@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import os
 import re
 from pathlib import Path
 
@@ -213,6 +214,15 @@ fn=foo
         event = "Dr" if "Dr" in text else None
         with pytest.raises(DataFormatError, match=re.escape(message)):
             parse_callgrind(io.StringIO(text), event=event)
+
+    @pytest.mark.parametrize("as_source", [str, os.fsencode, Path],
+                             ids=["str", "bytes", "PathLike"])
+    def test_path_in_front_of_errors(self, tmp_path, as_source):
+        path = tmp_path / "callgrind.out"
+        path.write_text("events: Ir\nfn=foo\n1 abc\n")
+        message = f"{path}: line 3: non-numeric cost 'abc'"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            parse_callgrind(as_source(path))
 
 
 # Keys sharing fl's compressed-name ids besides fl itself.

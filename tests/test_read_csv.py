@@ -1,5 +1,6 @@
 """The one reader of input CSV tables and the five loaders built on it."""
 
+import math
 import re
 import tempfile
 import tracemalloc
@@ -14,8 +15,8 @@ from codecbench.errors import DataFormatError
 from codecbench.metrics import ingest_external_scores
 from codecbench.profiling import load_timing_csv
 from codecbench.rd import load_rd_csv
-from codecbench.report import read_csv, read_number
-from codecbench.subjective import load_pvs_csv, load_scores_csv
+from codecbench.report import parse_number, read_csv, read_number
+from codecbench.subjective import _score_row, load_pvs_csv, load_scores_csv
 
 # Each loader: its header and a row template, where {i} makes the row's id
 # unique and {x} is a number cell (good value 40).
@@ -62,6 +63,16 @@ class TestLoaders:
                                             row.format(i=1, x=cell)])
         where = re.escape(str(path))
         with pytest.raises(DataFormatError, match=f"^{where}:3: .*finite.*{cell}"):
+            load(path)
+
+    def test_grouped_digits_rejected(self, tmp_path, name):
+        """int() and float() read 4_0 as 40; no loader does."""
+        load, header, row = LOADERS[name]
+        path = write_table(tmp_path, name, [header, row.format(i=0, x=40),
+                                            row.format(i=1, x="4_0")])
+        where = re.escape(str(path))
+        with pytest.raises(DataFormatError,
+                           match=f"^{where}:3: \\w+ must be a finite number, got '4_0'$"):
             load(path)
 
     def test_first_fault_in_file_order(self, tmp_path, name):
@@ -160,9 +171,60 @@ class TestReadNumber:
         "text,kind,what",
         [("nan", float, "a finite number"), ("-inf", float, "a finite number"),
          ("1e999", float, "a finite number"), ("", float, "a finite number"),
-         ("3.5", int, "an integer"), ("inf", int, "an integer")],
+         ("3.5", int, "an integer"), ("inf", int, "an integer"),
+         ("1_0.5", float, "a finite number"), ("3_2", int, "an integer")],
     )
     def test_rejected_values_name_file_line_and_column(self, text, kind, what):
         with pytest.raises(DataFormatError) as exc:
             read_number("f.csv", 7, "col", text, kind)
         assert str(exc.value) == f"f.csv:7: col must be {what}, got {text!r}"
+
+
+# Cell text from the characters int() and float() treat specially, with an
+# Arabic-Indic digit, which both accept as a digit; and numbers they accept
+# only with `_` digit grouping (4_0, 1_000), or that float() reads as is.
+NUMBER_TEXT = st.one_of(
+    st.lists(st.sampled_from([*"0123456789+-.eE_ ", "nan", "inf", "\u0663"]),
+             max_size=6).map("".join),
+    st.integers(10, 100).map(lambda n: "_".join(str(n))),
+    st.integers(0, 10**6).map("{:_}".format),
+    st.floats(-1, 101).map(repr),
+)
+
+
+class TestNumberRule:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(NUMBER_TEXT, st.sampled_from([int, float]))
+    def test_python_notation_without_grouping(self, text, kind):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if "_" in text or value is None or (kind is float and not math.isfinite(value)):
+            assert parse_number(text, kind) is None
+        else:
+            assert parse_number(text, kind) == value
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(NUMBER_TEXT, min_size=1, max_size=4))
+    def test_score_row_reads_cells_as_read_number_does(self, cells):
+        """_score_row's one float() pass accepts the rows, and gives the
+        values, that read_number gives cell by cell."""
+        stimuli = [f"p{j}" for j in range(len(cells))]
+        try:
+            expected = [read_number("f.csv", 2, s, c) if c else math.nan
+                        for s, c in zip(stimuli, cells)]
+            for s, c, v in zip(stimuli, cells, expected):
+                if c and not 0 <= v <= 100:
+                    raise DataFormatError(
+                        f"f.csv:2: score {v:g} for {s!r} outside [0, 100]")
+        except DataFormatError as exc:
+            expected = str(exc)
+        try:
+            got = list(_score_row("f.csv", 2, stimuli, cells))
+        except DataFormatError as exc:
+            got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected, equal_nan=True)

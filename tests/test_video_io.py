@@ -1,4 +1,5 @@
 import io
+import os
 import re
 
 import numpy as np
@@ -83,6 +84,16 @@ class TestParseHeader:
         message = r"malformed F tag value '25' \(expected N:D\)"
         with pytest.raises(DataFormatError, match=message):
             parse(b"YUV4MPEG2 W64 H64 F25 C420\n")
+
+    @pytest.mark.parametrize("header,message", [
+        (b"W1_6 H64 F25:1", "malformed W tag value '1_6'"),
+        (b"W64 H6_4 F25:1", "malformed H tag value '6_4'"),
+        (b"W64 H64 F30_000:1001", "malformed F tag value '30_000:1001'"),
+        (b"W64 H64 F25:1 A1:1_0", "malformed A tag value '1:1_0'"),
+    ], ids=["W", "H", "F", "A"])
+    def test_grouped_digits_rejected(self, header, message):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            parse(b"YUV4MPEG2 " + header + b" C420\n")
 
     def test_odd_dimensions_for_420(self):
         message = "C420 requires even dimensions, got 63x64"
@@ -248,6 +259,15 @@ class TestRoundTrip:
         with pytest.raises(InputError, match="^geometry mismatch: stream 32x32 vs frame 0 16x16$"):
             write_y4m(io.BytesIO(), [frame], info=make_info(32, 32))
 
+    def test_ten_bit_samples_written_little_endian(self):
+        info = make_info(2, 2, bit_depth=10)
+        planes = tuple(np.full(shape, 0x0302, dtype=np.uint16)
+                       for shape in info.plane_shapes)
+        stream = io.BytesIO()
+        write_y4m(stream, [FrameBuffer(info, planes)])
+        payload = stream.getvalue().split(b"FRAME\n", 1)[1]
+        assert payload == b"\x02\x03" * 6 == np.full(6, 0x0302, dtype="<u2").tobytes()
+
     def test_reader_frames_are_readonly(self, tmp_path, rng):
         info = make_info(16, 16)
         write_y4m(tmp_path / "c.y4m", [random_frame(info, rng)])
@@ -279,6 +299,18 @@ class TestReaderErrors:
         path.write_bytes(b"JUNK\n")
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: missing")):
             Y4MReader(path)
+
+    def test_reader_on_a_bytes_path_decodes_it(self, tmp_path):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(bytes(10))
+        with RawReader(os.fsencode(path), make_info(8, 8)) as reader:
+            message = f"{path}: truncated frame 0: expected 96 bytes, got 10"
+            with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+                reader.read_frame()
+        path.write_bytes(b"JUNK\n")
+        message = f"{path}: missing YUV4MPEG2 magic"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            Y4MReader(os.fsencode(path))
 
     def test_reader_on_a_stream_keeps_the_message(self):
         with pytest.raises(DataFormatError, match="^missing YUV4MPEG2 magic$"):
