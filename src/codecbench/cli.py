@@ -9,6 +9,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, replace
 
@@ -17,38 +18,11 @@ from dataclasses import asdict, replace
 from . import __version__, profiling, report
 from .errors import CodecBenchError, DataFormatError, InputError, StatsError
 
-# Metric ids as in metrics.COMPUTABLE_METRICS.
-_METRIC_TOKENS = {
-    "psnr": ("PSNR_Y", "PSNR_U", "PSNR_V", "WPSNR"),
-    "psnr_y": ("PSNR_Y",),
-    "psnr_u": ("PSNR_U",),
-    "psnr_v": ("PSNR_V",),
-    "wpsnr": ("WPSNR",),
-    "ssim": ("SSIM",),
-}
-
 # Defaults of numeric flags, equal to the library's (metrics.DEFAULT_CLAMP_DB,
 # subjective.SCREENING_THRESHOLD and CI_CONSTANT) without importing numpy.
 _CLAMP_DB = 100.0
 _SCREENING_THRESHOLD = 0.75
 _CI_CONSTANT = 1.95
-
-
-# Bounds of numeric flags, keyed by subcommand because mos and profile both
-# have a --threshold. Each test is one comparison chain, which nan fails.
-_FLAG_BOUNDS = {
-    "metrics": {
-        "clamp_db": ("be finite", lambda v: -math.inf < v < math.inf),
-        "jobs": ("be at least 1", lambda v: v >= 1),
-    },
-    "mos": {
-        "ci_constant": ("be finite and above 0", lambda v: 0 < v < math.inf),
-        "threshold": ("be finite and lie in [-1, 1]", lambda v: -1 <= v <= 1),
-    },
-    "profile": {
-        "threshold": ("be finite and lie in [0, 100]", lambda v: 0 <= v <= 100),
-    },
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +31,39 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"codecbench: error: {message}\n")
+
+
+# Python's float spellings of nan and infinity, which report.parse_number
+# rejects as numbers but a float flag reports against its bound.
+_NON_FINITE = re.compile(r"\s*[+-]?(nan|inf|infinity)\s*", re.IGNORECASE)
+
+
+def _number(flag, kind, rule="", ok=lambda value: True):
+    """The argparse type of a numeric flag: report.parse_number's rule, then
+    the flag's bound `ok`, worded by `rule`. Each fails with an InputError,
+    which argparse lets through to main's handler."""
+    what = "an integer" if kind is int else "a finite number"
+
+    def parse(text):
+        value = report.parse_number(text, kind)
+        if value is None and kind is float and _NON_FINITE.fullmatch(text):
+            value = float(text)  # outside every float flag's bound
+        if value is None:
+            raise InputError(f"{flag} must be {what}, got {text!r}")
+        if not ok(value):
+            raise InputError(f"{flag} must {rule}, got {value}")
+        return value
+
+    return parse
+
+
+def _parse_fps(text: str) -> tuple[int, int]:
+    """The argparse type of --fps: N, N:D or N/D as (num, den)."""
+    num, sep, den = text.replace("/", ":").partition(":")
+    fps = (report.parse_number(num, int), report.parse_number(den, int) if sep else 1)
+    if None in fps:
+        raise InputError(f"malformed --fps value {text!r}")
+    return fps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,13 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
         "(default psnr,ssim)",
     )
     p.add_argument(
-        "--clamp-db", type=float, default=_CLAMP_DB,
+        "--clamp-db", type=_number("--clamp-db", float, "be finite", math.isfinite),
+        default=_CLAMP_DB,
         help="replacement for infinite per-frame PSNR (default 100)",
     )
-    p.add_argument("--width", type=int, help="raw input: frame width")
-    p.add_argument("--height", type=int, help="raw input: frame height")
-    p.add_argument("--bit-depth", type=int, choices=(8, 10), help="raw input: bit depth")
-    p.add_argument("--fps", help="raw input: frame rate as N, N:D or N/D")
+    p.add_argument("--width", type=_number("--width", int), help="raw input: frame width")
+    p.add_argument("--height", type=_number("--height", int), help="raw input: frame height")
+    p.add_argument(
+        "--bit-depth", type=_number("--bit-depth", int), choices=(8, 10),
+        help="raw input: bit depth",
+    )
+    p.add_argument("--fps", type=_parse_fps, help="raw input: frame rate as N, N:D or N/D")
     p.add_argument(
         "--chroma", choices=("420", "444"), default="420",
         help="raw input: chroma layout (default 420)",
@@ -119,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="metric key inside the external file (default: vmaf for JSON)",
     )
     p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_number("--jobs", int, "be at least 1", lambda v: v >= 1),
+        default=1,
         help="worker threads, capped at the CPUs this process may use (default 1)",
     )
     p.set_defaults(func=cmd_metrics)
@@ -144,11 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores", help="subject scores CSV (one session per file)")
     p.add_argument("--pvs-meta", required=True, help="PVS metadata CSV")
     p.add_argument(
-        "--threshold", type=float, default=_SCREENING_THRESHOLD,
+        "--threshold",
+        type=_number("--threshold", float, "be finite and lie in [-1, 1]",
+                     lambda v: -1 <= v <= 1),
+        default=_SCREENING_THRESHOLD,
         help="screening correlation threshold (default 0.75)",
     )
     p.add_argument(
-        "--ci-constant", type=float, default=_CI_CONSTANT,
+        "--ci-constant",
+        type=_number("--ci-constant", float, "be finite and above 0",
+                     lambda v: 0 < v < math.inf),
+        default=_CI_CONSTANT,
         help="confidence interval multiplier (default 1.95)",
     )
     p.add_argument("--session", default="", help="session label echoed in the report")
@@ -168,7 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="stage mapping file (default: the built-in taxonomy)",
     )
     p.add_argument(
-        "--threshold", type=float, default=profiling.BUCKET_THRESHOLD,
+        "--threshold",
+        type=_number("--threshold", float, "be finite and lie in [0, 100]",
+                     lambda v: 0 <= v <= 100),
+        default=profiling.BUCKET_THRESHOLD,
         help="fold stages below this percentage into Other (default 1.0)",
     )
     p.add_argument("--event", help="cost event name (default: first declared)")
@@ -185,11 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = argv
     try:
-        _check_flag_bounds(args)
+        args = build_parser().parse_args(argv)
+        args.argv = argv
         return args.func(args)
     except DataFormatError as exc:
         print(f"codecbench: format error: {exc}", file=sys.stderr)
@@ -205,13 +224,6 @@ def _write_csv(args, path, header, rows):
         report.render_csv(header, rows, fp, full_precision=args.full_precision)
 
 
-def _check_flag_bounds(args):
-    for dest, (rule, ok) in _FLAG_BOUNDS.get(args.subcommand, {}).items():
-        value = getattr(args, dest)
-        if not ok(value):
-            raise InputError(f"--{dest.replace('_', '-')} must {rule}, got {value}")
-
-
 def _emit(args, report_doc, csv_header, csv_rows, summary_lines):
     if args.format == "json":
         text = report.render_json(report_doc, full_precision=args.full_precision)
@@ -225,14 +237,6 @@ def _emit(args, report_doc, csv_header, csv_rows, summary_lines):
     return 0
 
 
-def _parse_fps(text: str) -> tuple[int, int]:
-    num, sep, den = text.replace("/", ":").partition(":")
-    fps = (report.parse_number(num, int), report.parse_number(den, int) if sep else 1)
-    if None in fps:
-        raise InputError(f"malformed --fps value {text!r}")
-    return fps
-
-
 def _open_video(path, args):
     from . import video_io
 
@@ -242,28 +246,20 @@ def _open_video(path, args):
         magic = probe.read(len(video_io.Y4M_MAGIC))
     if magic == video_io.Y4M_MAGIC or str(path).lower().endswith(".y4m"):
         return video_io.Y4MReader(path)
-    missing = [
-        flag
-        for flag, value in (
-            ("--width", args.width),
-            ("--height", args.height),
-            ("--bit-depth", args.bit_depth),
-            ("--fps", args.fps),
-        )
-        if value is None
-    ]
+    flags = {"--width": args.width, "--height": args.height,
+             "--bit-depth": args.bit_depth, "--fps": args.fps}
+    missing = [flag for flag, value in flags.items() if value is None]
     if missing:
         raise InputError(
             f"{path} is not a Y4M stream; raw input requires "
             f"{' '.join(missing)} (no geometry autodetection)"
         )
-    fps_num, fps_den = _parse_fps(args.fps)
     try:
         info = video_io.SequenceInfo(
             width=args.width,
             height=args.height,
-            fps_num=fps_num,
-            fps_den=fps_den,
+            fps_num=args.fps[0],
+            fps_den=args.fps[1],
             bit_depth=args.bit_depth,
             chroma=video_io.CHROMA_420 if args.chroma == "420" else video_io.CHROMA_444,
         )
@@ -275,29 +271,10 @@ def _open_video(path, args):
     return video_io.RawReader(path, info)
 
 
-def _parse_metric_selection(text: str) -> tuple[str, ...]:
-    selected = set()
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in _METRIC_TOKENS:
-            raise InputError(
-                f"unknown metric {token!r}; choose from "
-                f"{', '.join(sorted(_METRIC_TOKENS))}"
-            )
-        selected.update(_METRIC_TOKENS[token])
-    if not selected:
-        raise InputError("empty metric selection")
-    from . import metrics
-
-    return tuple(m for m in metrics.COMPUTABLE_METRICS if m in selected)
-
-
 def cmd_metrics(args) -> int:
     from . import metrics
 
-    metric_ids = _parse_metric_selection(args.metrics)
+    metric_ids = metrics.parse_metric_selection(args.metrics)
     # Results do not depend on the worker count, so the cap is safe. The
     # affinity mask counts the CPUs this process may run on, not the host's.
     if hasattr(os, "sched_getaffinity"):

@@ -28,6 +28,10 @@ PSNR_V = "PSNR_V"
 WPSNR = "WPSNR"
 SSIM = "SSIM"
 COMPUTABLE_METRICS = (PSNR_Y, PSNR_U, PSNR_V, WPSNR, SSIM)
+# The tokens of a --metrics list: each metric id in lower case, and psnr
+# for every PSNR.
+_METRIC_TOKENS = {"psnr": (PSNR_Y, PSNR_U, PSNR_V, WPSNR),
+                  **{m.lower(): (m,) for m in COMPUTABLE_METRICS}}
 
 DEFAULT_CLAMP_DB = 100.0
 
@@ -43,6 +47,22 @@ _SSIM_STRIP = 16
 _SSIM_TILE = 16
 # Leading-axis rows per strip of mse's int64 difference buffer.
 _MSE_STRIP = 64
+
+
+def parse_metric_selection(text: str) -> tuple[str, ...]:
+    """The metric ids a --metrics comma list selects, in COMPUTABLE_METRICS
+    order; case and blank tokens are ignored."""
+    selected = set()
+    for token in filter(None, (t.strip().lower() for t in text.split(","))):
+        if token not in _METRIC_TOKENS:
+            raise InputError(
+                f"unknown metric {token!r}; choose from "
+                f"{', '.join(sorted(_METRIC_TOKENS))}"
+            )
+        selected.update(_METRIC_TOKENS[token])
+    if not selected:
+        raise InputError("empty metric selection")
+    return tuple(m for m in COMPUTABLE_METRICS if m in selected)
 
 
 @dataclass(frozen=True)

@@ -902,8 +902,11 @@ class TestSideFilePrecision:
         assert 30.1235 in plot_floats(tmp_path)
 
 
-def float_flag_argv(tmp_path, command):
-    """A valid mos or profile command line to append a float flag to."""
+def flag_argv(tmp_path, command):
+    """A valid metrics, mos or profile command line to append a flag to."""
+    if command == "metrics":
+        ref, test = write_pair(tmp_path, np.random.default_rng(0), frames=1)
+        return ["metrics", str(ref), str(test)]
     if command == "mos":
         scores, meta = write_panel(tmp_path)
         return ["mos", str(scores), "--pvs-meta", str(meta)]
@@ -922,9 +925,17 @@ class TestFlagErrors:
          ("--width", "33", "invalid raw-input flags"),
          ("--fps", "25x", "malformed --fps value '25x'\n"),
          ("--fps", "25:x", "malformed --fps value '25:x'\n"),
-         ("--fps", "2_5", "malformed --fps value '2_5'\n")],
+         ("--fps", "2_5", "malformed --fps value '2_5'\n"),
+         ("--width", "6_4", "--width must be an integer, got '6_4'\n"),
+         ("--width", "x", "--width must be an integer, got 'x'\n"),
+         ("--height", "6_4", "--height must be an integer, got '6_4'\n"),
+         ("--height", "x", "--height must be an integer, got 'x'\n"),
+         ("--bit-depth", "8_0", "--bit-depth must be an integer, got '8_0'\n"),
+         ("--bit-depth", "x", "--bit-depth must be an integer, got 'x'\n")],
         ids=["width_0", "height_0", "fps_0", "fps_den_0", "odd_width_420",
-             "fps_not_a_number", "fps_den_not_a_number", "fps_grouped_digits"],
+             "fps_not_a_number", "fps_den_not_a_number", "fps_grouped_digits",
+             "width_grouped_digits", "width_not_a_number", "height_grouped_digits",
+             "height_not_a_number", "bit_depth_grouped_digits", "bit_depth_not_a_number"],
     )
     def test_bad_raw_geometry_exit_2(self, tmp_path, capsys, flag, value, message):
         raw = tmp_path / "clip.yuv"
@@ -947,7 +958,7 @@ class TestFlagErrors:
     )
     def test_non_finite_float_flag_exit_2(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "report.json"
-        argv = float_flag_argv(tmp_path, command)
+        argv = flag_argv(tmp_path, command)
         assert main(argv + [f"{flag}={value}", "-q", "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"codecbench: error: {flag} must be finite")
@@ -967,19 +978,47 @@ class TestFlagErrors:
         self, tmp_path, capsys, command, flag, value, rule
     ):
         out = tmp_path / "report.json"
-        argv = float_flag_argv(tmp_path, command)
+        argv = flag_argv(tmp_path, command)
         assert main(argv + [f"{flag}={value}", "-q", "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"codecbench: error: {flag} must {rule}, got {float(value)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["6_4", "x"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("metrics", "--jobs"), ("metrics", "--clamp-db"), ("mos", "--threshold"),
+         ("mos", "--ci-constant"), ("profile", "--threshold")],
+    )
+    def test_not_a_number_flag_exit_2(self, tmp_path, capsys, command, flag, value):
+        # The number rule of input text holds for flags: no `_` grouping.
+        what = "an integer" if flag == "--jobs" else "a finite number"
+        out = tmp_path / "report.json"
+        argv = flag_argv(tmp_path, command)
+        assert main(argv + [flag, value, "-q", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"codecbench: error: {flag} must be {what}, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fps,code", [("25x", 2), ("50", 0)])
+    def test_fps_parsed_with_y4m_inputs(self, tmp_path, rng, capsys, fps, code):
+        # Y4M inputs carry their own frame rate, but --fps is still checked.
+        ref, test = write_pair(tmp_path, rng, frames=1)
+        out = tmp_path / "r.json"
+        argv = ["metrics", str(ref), str(test), "--fps", fps, "-q", "-o", str(out)]
+        assert main(argv) == code
+        message = f"codecbench: error: malformed --fps value '{fps}'\n"
+        assert capsys.readouterr().err == ("" if code == 0 else message)
+
     @pytest.mark.parametrize(
         "command,flag,value",
         [("mos", "--threshold", "-1"), ("mos", "--ci-constant", "1e-9"),
-         ("profile", "--threshold", "0"), ("profile", "--threshold", "100")],
+         ("profile", "--threshold", "0"), ("profile", "--threshold", "100"),
+         ("metrics", "--jobs", "1"), ("metrics", "--clamp-db", "-1.7976931348623157e308"),
+         ("metrics", "--clamp-db", "1.7976931348623157e308")],
     )
     def test_float_flag_bounds_accepted(self, tmp_path, command, flag, value):
-        argv = float_flag_argv(tmp_path, command)
+        argv = flag_argv(tmp_path, command)
         assert main(argv + [f"{flag}={value}", "-q", "-o", str(tmp_path / "r.json")]) == 0
 
     def test_pie_data_stem_collision_exit_2(self, tmp_path, capsys):
@@ -1203,6 +1242,21 @@ def test_no_function_parses_numbers_its_own_way():
                 if called & {"int", "float", "kind"}:
                     found.append(f"{path.stem}.{fn.name}:{node.lineno}")
     assert [f for f in found if f.split(":")[0] not in NUMBER_PARSERS] == []
+
+
+def test_no_flag_is_converted_by_int_or_float():
+    # A numeric flag's argparse type is built on report.parse_number, so its
+    # value follows the number rule of input text; int and float do not.
+    package = Path(codecbench.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"
+             for kw in node.keywords
+             if kw.arg == "type" and isinstance(kw.value, ast.Name)
+             and kw.value.id in ("int", "float")]
+    assert found == []
 
 
 HEAVY_MODULES = ("numpy", "scipy", "scipy.ndimage", "scipy.interpolate", "scipy.special")
