@@ -6,7 +6,6 @@ Exit codes: 0 on success, 2 for user/input errors, 3 for malformed data.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import re
@@ -355,65 +354,27 @@ def cmd_metrics(args) -> int:
 def cmd_bdrate(args) -> int:
     from . import rd
 
-    if args.anchor == args.test:
-        raise InputError(f"--anchor and --test name the same codec {args.anchor!r}")
     curves = rd.load_rd_csv(args.points)
-    codecs = dict.fromkeys(curve.codec_id for curve in curves)
-    for role, codec in (("anchor", args.anchor), ("test", args.test)):
-        if codec not in codecs:
-            raise InputError(
-                f"no curves for {role} codec {codec!r} "
-                f"(codecs in file: {', '.join(codecs) or 'none'})"
-            )
-    anchors = {}
-    tests = {}
-    for curve in curves:
-        if curve.codec_id == args.anchor:
-            anchors[(curve.sequence_id, curve.metric_id)] = curve
-        elif curve.codec_id == args.test:
-            tests[(curve.sequence_id, curve.metric_id)] = curve
-    orphans = sorted(set(anchors) ^ set(tests))
-    if orphans:
-        names = ", ".join(f"{seq}/{met}" for seq, met in orphans)
-        raise InputError(f"curves without a counterpart: {names}")
-
-    rows = []
-    warnings = []
-    by_metric: dict[str, list[tuple[float, float]]] = {}
-    for key in anchors:
-        seq, met = key
-        r = rd.bd_rate(anchors[key], tests[key])
-        q = rd.bd_quality(anchors[key], tests[key])
-        rows.append(
-            {
-                "sequence": seq,
-                "metric": met,
-                "bd_rate_percent": r.bd_rate_percent,
-                "bd_quality": q.bd_quality,
-                "overlap": list(r.overlap),
-            }
-        )
-        warnings.extend(f"{seq}/{met}: {w}" for w in r.warnings)
-        by_metric.setdefault(met, []).append((r.bd_rate_percent, q.bd_quality))
-    rows.sort(key=lambda row: (row["metric"], row["sequence"]))
-
-    averages = []
-    for met in sorted(by_metric):
-        pairs = by_metric[met]
-        averages.append(
-            {
-                "sequence": "Average",
-                "metric": met,
-                "bd_rate_percent": sum(p[0] for p in pairs) / len(pairs),
-                "bd_quality": sum(p[1] for p in pairs) / len(pairs),
-            }
-        )
+    pairs, means = rd.compare(curves, args.anchor, args.test)
+    rows = sorted(
+        ({"sequence": seq, "metric": met, "bd_rate_percent": r.bd_rate_percent,
+          "bd_quality": q.bd_quality, "overlap": list(r.overlap)}
+         for seq, met, r, q in pairs),
+        key=lambda row: (row["metric"], row["sequence"]),
+    )
+    warnings = [f"{seq}/{met}: {w}" for seq, met, r, _ in pairs for w in r.warnings]
+    averages = [
+        {"sequence": "Average", "metric": met, "bd_rate_percent": rate,
+         "bd_quality": quality}
+        for met, (rate, quality) in means.items()
+    ]
 
     if args.plot_data:
         _write_csv(
             args, args.plot_data,
             ["codec", "sequence", "metric", "quality", "log10_rate_kbps", "interpolated"],
-            _plot_rows(list(anchors.values()) + list(tests.values())),
+            rd.plot_rows([curve for codec in (args.anchor, args.test)
+                          for curve in curves if curve.codec_id == codec]),
         )
 
     doc = report.make_report(
@@ -442,23 +403,6 @@ def cmd_bdrate(args) -> int:
         for r in rows + averages
     ]
     return _emit(args, doc, header, csv_rows, summary)
-
-
-def _plot_rows(curves):
-    import numpy as np
-
-    from . import rd
-
-    rows = []
-    for curve in curves:
-        ids = [curve.codec_id, curve.sequence_id, curve.metric_id]
-        dense = np.linspace(curve.qualities.min(), curve.qualities.max(), 100)
-        fitted = rd.interpolate_log_rate(curve, dense)
-        rows.extend(ids + [point.quality, log_rate, 0]
-                    for point, log_rate in zip(curve.points, curve.log_rates.tolist()))
-        rows.extend(ids + [q, log_rate, 1]
-                    for q, log_rate in zip(dense.tolist(), fitted.tolist()))
-    return rows
 
 
 def cmd_mos(args) -> int:
@@ -576,8 +520,9 @@ def cmd_profile(args) -> int:
             _write_csv(args, pies[i], ["stage", "percent"],
                        [[stage, percent] for stage, percent in stages])
 
-    timing_section = None
+    results = {"mapping": mapping_origin, "profiles": profiles}
     inputs = list(args.callgrind)
+    speedups = []
     if args.timing:
         inputs.append(args.timing)
         records = profiling.load_timing_csv(args.timing)
@@ -590,27 +535,10 @@ def cmd_profile(args) -> int:
             }
             for r in records
         ]
-        speedups = []
-        grouped: dict[tuple[str, int], list[profiling.TimingRecord]] = {}
-        for r in records:
-            grouped.setdefault((r.sequence_id, r.qp), []).append(r)
-        for (sequence, qp), group in sorted(grouped.items()):
-            group = sorted(group, key=lambda r: r.codec_id)
-            for a, b in itertools.combinations(group, 2):
-                speedups.append(
-                    {
-                        "sequence": sequence,
-                        "qp": qp,
-                        "codec_a": a.codec_id,
-                        "codec_b": b.codec_id,
-                        "speedup_a_over_b": profiling.speedup(a, b),
-                    }
-                )
-        timing_section = {"time_factors": factors, "speedups": speedups}
-
-    results = {"mapping": mapping_origin, "profiles": profiles}
-    if timing_section is not None:
-        results["timing"] = timing_section
+        speedups = [{"sequence": a.sequence_id, "qp": a.qp, "codec_a": a.codec_id,
+                     "codec_b": b.codec_id, "speedup_a_over_b": profiling.speedup(a, b)}
+                    for a, b in profiling.codec_pairs(records)]
+        results["timing"] = {"time_factors": factors, "speedups": speedups}
 
     doc = report.make_report(
         command=args.argv,
@@ -634,12 +562,11 @@ def cmd_profile(args) -> int:
         summary.extend(
             f"  {s['stage']}: {s['percent']:.1f}%" for s in p["stages"]
         )
-    if timing_section:
-        summary.extend(
-            f"{s['sequence']} qp{s['qp']}: {s['codec_a']} / {s['codec_b']} "
-            f"= {s['speedup_a_over_b']:.2f}x"
-            for s in timing_section["speedups"]
-        )
+    summary.extend(
+        f"{s['sequence']} qp{s['qp']}: {s['codec_a']} / {s['codec_b']} "
+        f"= {s['speedup_a_over_b']:.2f}x"
+        for s in speedups
+    )
     return _emit(args, doc, header, csv_rows, summary)
 
 

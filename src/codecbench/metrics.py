@@ -122,7 +122,21 @@ def psnr_from_mse(mse_value: float, bit_depth: int) -> float:
 
 def wpsnr(psnr_y: float, psnr_u: float, psnr_v: float) -> float:
     """Combine per-plane PSNR as (6*Y + U + V) / 8."""
-    return (6.0 * psnr_y + psnr_u + psnr_v) / 8.0
+    value = (6.0 * psnr_y + psnr_u + psnr_v) / 8.0
+    if math.isinf(value) and all(map(math.isfinite, (psnr_y, psnr_u, psnr_v))):
+        # Finite planes near the float64 limit overflow the weighted sum.
+        value = 0.75 * psnr_y + psnr_u / 8.0 + psnr_v / 8.0
+    return value
+
+
+def _mean(values) -> float:
+    """Mean of finite values: sum / count or, where that sum overflows, the
+    sum of each value / count, kept within the values' range."""
+    total = sum(values)
+    if math.isinf(total):
+        total = sum(v / len(values) for v in values)
+        return min(max(total, min(values)), max(values))
+    return total / len(values)
 
 
 _SSIM_AXIS = np.arange(_SSIM_WINDOW, dtype=np.float64) - (_SSIM_WINDOW - 1) / 2.0
@@ -314,7 +328,7 @@ def sequence_quality(
         out[mid] = SequenceQuality(
             metric_id=mid,
             frame_values=values,
-            value=sum(values) / len(values),
+            value=_mean(values),
             clamp_applied=any(clamped),
         )
     return out
@@ -402,7 +416,7 @@ def ingest_external_scores(
     return SequenceQuality(
         metric_id=f"EXTERNAL:{metric_name}",
         frame_values=tuple(scores),
-        value=sum(scores) / len(scores),
+        value=_mean(scores),
         warnings=tuple(warnings),
     )
 

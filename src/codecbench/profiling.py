@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from operator import itemgetter
+from itertools import combinations, groupby
+from operator import attrgetter, itemgetter
 
 from .errors import DataFormatError, InputError
 from .report import named_errors, open_input, read_csv, read_number
@@ -70,6 +71,14 @@ def speedup(a: TimingRecord, b: TimingRecord) -> float:
             f"content durations differ: {a.duration:g}s vs {b.duration:g}s"
         )
     return time_factor(a) / time_factor(b)
+
+
+def codec_pairs(records) -> list[tuple[TimingRecord, TimingRecord]]:
+    """Every two records of one (sequence, qp), as (a, b) with a's codec id
+    first, sorted by sequence, qp and codec id."""
+    ordered = sorted(records, key=attrgetter("sequence_id", "qp", "codec_id"))
+    return [pair for _, group in groupby(ordered, attrgetter("sequence_id", "qp"))
+            for pair in combinations(group, 2)]
 
 
 @dataclass(frozen=True)

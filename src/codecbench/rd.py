@@ -257,6 +257,54 @@ def interpolate_log_rate(curve: RDCurve, qualities) -> np.ndarray:
         return curve.rate_fit(np.asarray(qualities, dtype=np.float64))
 
 
+def compare(curves, anchor: str, test: str):
+    """Pair each anchor curve with the test curve of its (sequence, metric)
+    and take both deltas. Returns the pairs as (sequence, metric, bd_rate
+    result, bd_quality result) in anchor-curve order, and each metric's
+    mean (BD-rate percent, BD-quality) in sorted metric order, each mean
+    summed in pair order and divided once."""
+    if anchor == test:
+        raise InputError(f"--anchor and --test name the same codec {anchor!r}")
+    index: dict[str, dict[tuple[str, str], RDCurve]] = {}
+    for curve in curves:
+        index.setdefault(curve.codec_id, {})[curve.sequence_id, curve.metric_id] = curve
+    for role, codec in (("anchor", anchor), ("test", test)):
+        if codec not in index:
+            raise InputError(
+                f"no curves for {role} codec {codec!r} "
+                f"(codecs in file: {', '.join(index) or 'none'})"
+            )
+    anchors, tests = index[anchor], index[test]
+    orphans = sorted(anchors.keys() ^ tests.keys())
+    if orphans:
+        names = ", ".join(f"{seq}/{met}" for seq, met in orphans)
+        raise InputError(f"curves without a counterpart: {names}")
+    pairs = [(seq, met, bd_rate(a, tests[seq, met]), bd_quality(a, tests[seq, met]))
+             for (seq, met), a in anchors.items()]
+    by_metric: dict[str, list[tuple[float, float]]] = {}
+    for _, met, r, q in pairs:
+        by_metric.setdefault(met, []).append((r.bd_rate_percent, q.bd_quality))
+    averages = {met: tuple(sum(column) / len(column) for column in zip(*by_metric[met]))
+                for met in sorted(by_metric)}
+    return pairs, averages
+
+
+def plot_rows(curves):
+    """Rows of codec, sequence, metric, quality, log10 rate and an
+    interpolated flag per curve: its measured points (flag 0), then 100
+    samples of its fit evenly spaced over its quality range (flag 1)."""
+    rows = []
+    for curve in curves:
+        ids = [curve.codec_id, curve.sequence_id, curve.metric_id]
+        dense = np.linspace(curve.qualities.min(), curve.qualities.max(), 100)
+        fitted = interpolate_log_rate(curve, dense)
+        rows.extend(ids + [point.quality, log_rate, 0]
+                    for point, log_rate in zip(curve.points, curve.log_rates.tolist()))
+        rows.extend(ids + [q, log_rate, 1]
+                    for q, log_rate in zip(dense.tolist(), fitted.tolist()))
+    return rows
+
+
 def load_rd_csv(path) -> list[RDCurve]:
     """Read operating points and group them into validated curves.
 

@@ -340,8 +340,8 @@ def write_y4m(dest, frames, info: SequenceInfo | None = None) -> int:
     written = 0
     try:
         for frame in frames:
-            if info is None:
-                info = frame.info
+            if not written:
+                info = info or frame.info
                 fp.write(_format_header(info))
             info.check_compatible(frame.info, ("stream", f"frame {written}"))
             fp.write(FRAME_MAGIC + b"\n")

@@ -87,3 +87,26 @@ def test_mos_layers_are_traced(tmp_path, monkeypatch):
                         ("subjective.mos_point", len(stimuli)),
                         ("subjective.anova_oneway", 4)]:
         assert names.count(name) == count, name
+
+
+def test_bd_layers_are_traced(tmp_path, monkeypatch):
+    # rd.compare and rd.plot_rows call the BD functions through the module,
+    # so every pair and every plotted curve shows as a span.
+    spans = load_spans(monkeypatch)
+    points = tmp_path / "points.csv"
+    points.write_text("codec,sequence,metric,label,bitrate_kbps,quality\n" + "".join(
+        f"{codec},{seq},{metric},,{rate * scale},{quality}\n"
+        for codec, scale in (("HM", 1.0), ("AV1", 0.9), ("VTM", 0.8))
+        for seq in ("s2", "s1")
+        for metric in ("PSNR", "SSIM")
+        for rate, quality in [(1000, 30), (2000, 35), (4000, 40)]
+    ))
+    tracer = spans.Tracer()
+    with spans.traced_layers(tracer):
+        assert main(["bdrate", str(points), "--anchor", "HM", "--test", "VTM", "-q",
+                     "--plot-data", str(tmp_path / "plot.csv"),
+                     "-o", str(tmp_path / "bd.json")]) == 0
+    names = [s.name for s in tracer.spans]
+    for name, count in [("rd.load_rd_csv", 1), ("rd.bd_rate", 4), ("rd.bd_quality", 4),
+                        ("rd.interpolate_log_rate", 8)]:
+        assert names.count(name) == count, name

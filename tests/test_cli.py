@@ -626,6 +626,36 @@ class TestProfileCommand:
         assert [s["speedup_a_over_b"] for s in speedups] == pytest.approx([0.5, 0.25, 0.5])
         assert {(s["sequence"], s["qp"]) for s in speedups} == {("CrowdRun", 32)}
 
+    def test_speedup_rows_across_groups_of_a_shuffled_file(self, tmp_path, capsys):
+        prof = tmp_path / "callgrind.out"
+        prof.write_text(CALLGRIND)
+        timing = tmp_path / "timing.csv"
+        timing.write_text(
+            TIMING_HEADER
+            + "VTM,seqB,27,800,500,50,1\n"
+            + "HM,seqA,37,100,500,50,1\n"
+            + "VTM,seqA,22,1000,500,50,1\n"
+            + "HM,seqB,27,200,500,50,1\n"
+            + "AV1,seqA,22,250,500,50,1\n"
+            + "VTM,seqA,37,400,500,50,1\n"
+            + "HM,seqA,22,125,500,50,1\n"
+        )
+        out = tmp_path / "profile.json"
+        rc = main(["profile", str(prof), "--timing", str(timing), "--output", str(out)])
+        assert rc == 0
+        speedups = json.loads(out.read_text())["results"]["timing"]["speedups"]
+        assert [(s["sequence"], s["qp"], s["codec_a"], s["codec_b"], s["speedup_a_over_b"])
+                for s in speedups] == [
+            ("seqA", 22, "AV1", "HM", 2.0), ("seqA", 22, "AV1", "VTM", 0.25),
+            ("seqA", 22, "HM", "VTM", 0.125), ("seqA", 37, "HM", "VTM", 0.25),
+            ("seqB", 27, "HM", "VTM", 0.25),
+        ]
+        assert capsys.readouterr().out.splitlines()[-5:] == [
+            "seqA qp22: AV1 / HM = 2.00x", "seqA qp22: AV1 / VTM = 0.25x",
+            "seqA qp22: HM / VTM = 0.12x", "seqA qp37: HM / VTM = 0.25x",
+            "seqB qp27: HM / VTM = 0.25x",
+        ]
+
     def test_pie_data(self, tmp_path):
         prof = tmp_path / "callgrind.out"
         prof.write_text(CALLGRIND)
@@ -1021,6 +1051,21 @@ class TestFlagErrors:
         argv = flag_argv(tmp_path, command)
         assert main(argv + [f"{flag}={value}", "-q", "-o", str(tmp_path / "r.json")]) == 0
 
+    @pytest.mark.parametrize("clamp", [sys.float_info.max, -sys.float_info.max])
+    def test_extreme_clamp_keeps_every_metric_finite(self, tmp_path, rng, clamp):
+        # Every frame of a lossless pair is clamped, so each mean, and WPSNR's
+        # weighted sum, is the clamp itself, not an overflow to infinity.
+        ref, test = write_pair(tmp_path, rng, frames=2)
+        out = tmp_path / "r.json"
+        argv = ["metrics", str(ref), str(test), "--metrics", "psnr",
+                f"--clamp-db={clamp!r}", "--full-precision", "-q", "-o", str(out)]
+        assert main(argv) == 0
+        rows = json.loads(out.read_text())["results"]["metrics"]
+        assert [r["metric"] for r in rows] == ["PSNR_Y", "PSNR_U", "PSNR_V", "WPSNR"]
+        for row in rows:
+            assert isinstance(row["mean"], float)
+            assert row["mean"] == pytest.approx(clamp, rel=1e-12)
+
     def test_pie_data_stem_collision_exit_2(self, tmp_path, capsys):
         inputs = []
         for name in ("a/enc.out", "b/enc.out", "b/dec.out"):
@@ -1195,6 +1240,28 @@ def test_no_module_reads_another_modules_private_names():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and is_private(node.attr)]
+    assert found == []
+
+
+def test_cli_renders_what_the_library_computes():
+    # The CLI turns library results into reports: it imports no numpy, even
+    # inside a function, and takes no Bjøntegaard delta itself.
+    path = Path(codecbench.__file__).parent / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        found += [f"cli.py:{node.lineno} imports {m}" for m in modules
+                  if m.split(".")[0] == "numpy"]
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("bd_rate", "bd_quality"):
+                found.append(f"cli.py:{node.lineno} calls {name}")
     assert found == []
 
 

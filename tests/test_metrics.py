@@ -119,6 +119,12 @@ class TestWpsnr:
     def test_hand_value(self):
         assert wpsnr(48.1308, 48.1308, 60.1956) == pytest.approx(49.6389, abs=1e-3)
 
+    @pytest.mark.parametrize("x", [sys.float_info.max, -sys.float_info.max])
+    def test_finite_at_the_float64_limit(self, x):
+        # 6 * Y overflows, but the weighted mean of finite planes is finite.
+        assert wpsnr(x, x, x) == x
+        assert wpsnr(math.inf, x, x) == math.inf
+
     def test_chroma_permutation_invariant(self, rng):
         y = rng.uniform(20, 60)
         u = y + 5.0
@@ -693,6 +699,14 @@ class TestExternalScores:
         path = tmp_path / "scores.csv"
         path.write_text("frame,score\n" + "".join(f"{i},83.7\n" for i in range(300)))
         assert ingest_external_scores(path).value == pytest.approx(83.7)
+
+    @pytest.mark.parametrize("count", [2, 3, 7])
+    def test_mean_finite_at_the_float64_limit(self, tmp_path, count):
+        # The plain sum overflows; the mean of finite scores stays finite.
+        path = tmp_path / "scores.csv"
+        big = sys.float_info.max
+        path.write_text("frame,score\n" + "".join(f"{i},{big!r}\n" for i in range(count)))
+        assert ingest_external_scores(path).value == big
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import os
+import random
 import re
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from codecbench.profiling import (
     StageMapping,
     TimingRecord,
     aggregate_stages,
+    codec_pairs,
     default_mapping,
     load_mapping,
     load_timing_csv,
@@ -55,6 +57,27 @@ class TestTimeFactor:
     def test_positive_frames_required(self):
         with pytest.raises(InputError):
             record(frames=0)
+
+
+class TestCodecPairs:
+    def test_pairs_within_each_group_in_sorted_order(self):
+        groups = {("seqA", 22): "VTM HM AV1", ("seqA", 37): "VTM HM",
+                  ("seqB", 27): "HM AV1 VTM JM", ("seqB", 32): "HM"}
+        records = [record(codec, seq, qp) for (seq, qp), codecs in groups.items()
+                   for codec in codecs.split()]
+        random.Random(5).shuffle(records)
+        pairs = codec_pairs(records)
+        assert [(a.sequence_id, a.qp, a.codec_id, b.codec_id) for a, b in pairs] == [
+            ("seqA", 22, "AV1", "HM"), ("seqA", 22, "AV1", "VTM"), ("seqA", 22, "HM", "VTM"),
+            ("seqA", 37, "HM", "VTM"),
+            ("seqB", 27, "AV1", "HM"), ("seqB", 27, "AV1", "JM"), ("seqB", 27, "AV1", "VTM"),
+            ("seqB", 27, "HM", "JM"), ("seqB", 27, "HM", "VTM"), ("seqB", 27, "JM", "VTM"),
+        ]
+        assert all((a.sequence_id, a.qp) == (b.sequence_id, b.qp) for a, b in pairs)
+
+    def test_no_pairs_without_two_records_of_a_group(self):
+        assert codec_pairs([]) == []
+        assert codec_pairs([record("HM", qp=22), record("VTM", qp=27)]) == []
 
 
 class TestSpeedup:

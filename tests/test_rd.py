@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from codecbench.rd import (
     _Pchip,
     bd_quality,
     bd_rate,
+    compare,
     interpolate_log_rate,
     load_rd_csv,
+    plot_rows,
 )
 
 
@@ -364,3 +368,84 @@ class TestLoadCsv:
         message = "curve A/s/m: need at least 3 points, got 2"
         with pytest.raises(InputError, match=message):
             load_rd_csv(path)
+
+
+# Planted panel: the test curve of each (sequence, metric) is its anchor's
+# rates times a factor, so its BD-rate is (factor - 1) * 100 up to rounding.
+PANEL_FACTORS = {("s2", "SSIM"): 0.7, ("s1", "PSNR"): 0.9, ("s3", "PSNR"): 0.65,
+                 ("s1", "SSIM"): 0.8, ("s2", "PSNR"): 0.75, ("s3", "SSIM"): 1.1}
+
+
+def panel(codec, keys, factor=lambda key: 1.0):
+    return [curve([(r * factor(key), q) for r, q in BASE], codec, *key) for key in keys]
+
+
+def planted_panel():
+    """Anchor curves in PANEL_FACTORS order, a third codec's curves, then
+    the test curves in the reverse order."""
+    keys = list(PANEL_FACTORS)
+    return (panel("HM", keys) + panel("AV1", keys, lambda key: 0.5)
+            + panel("VTM", keys[::-1], PANEL_FACTORS.get))
+
+
+class TestCompare:
+    def test_planted_factors_and_averages(self):
+        pairs, averages = compare(planted_panel(), "HM", "VTM")
+        assert [(seq, met) for seq, met, _, _ in pairs] == list(PANEL_FACTORS)
+        for seq, met, r, q in pairs:
+            assert r.bd_rate_percent == pytest.approx(
+                (PANEL_FACTORS[seq, met] - 1) * 100, abs=1e-9)
+        assert list(averages) == ["PSNR", "SSIM"]
+        for metric, (rate, quality) in averages.items():
+            mine = [(r.bd_rate_percent, q.bd_quality)
+                    for _, met, r, q in pairs if met == metric]
+            assert rate == sum(r for r, _ in mine) / len(mine)
+            assert quality == sum(q for _, q in mine) / len(mine)
+        assert averages["PSNR"][0] == pytest.approx(-(10 + 35 + 25) / 3, abs=1e-9)
+
+    def test_pairs_follow_the_anchor_curves(self):
+        # Swapping the roles walks the other codec's file order.
+        pairs, _ = compare(planted_panel(), "VTM", "HM")
+        assert [(seq, met) for seq, met, _, _ in pairs] == list(PANEL_FACTORS)[::-1]
+        for seq, met, r, _ in pairs:
+            assert r.bd_rate_percent == pytest.approx(
+                (1 / PANEL_FACTORS[seq, met] - 1) * 100, abs=1e-9)
+
+    @pytest.mark.parametrize(("anchor", "test", "message"), [
+        ("HM", "HM", "--anchor and --test name the same codec 'HM'"),
+        ("HM", "JM", "no curves for test codec 'JM' (codecs in file: HM, AV1, VTM)"),
+        ("JM", "HM", "no curves for anchor codec 'JM' (codecs in file: HM, AV1, VTM)"),
+    ])
+    def test_codec_messages(self, anchor, test, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            compare(planted_panel(), anchor, test)
+
+    def test_no_curves_at_all(self):
+        message = "no curves for anchor codec 'HM' (codecs in file: none)"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            compare([], "HM", "VTM")
+
+    def test_orphans_named_in_sorted_order(self):
+        curves = [c for c in planted_panel()
+                  if not (c.codec_id == "VTM" and c.sequence_id == "s3")
+                  and not (c.codec_id == "HM" and c.sequence_id == "s1"
+                           and c.metric_id == "SSIM")]
+        message = "curves without a counterpart: s1/SSIM, s3/PSNR, s3/SSIM"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            compare(curves, "HM", "VTM")
+
+
+class TestPlotRows:
+    def test_points_then_samples_per_curve(self):
+        a, b = curve(BASE), curve([(r * 0.8, q) for r, q in BASE], codec="B")
+        rows = plot_rows([a, b])
+        assert len(rows) == 2 * (len(BASE) + 100)
+        first = rows[: len(BASE) + 100]
+        assert [row[:3] for row in first] == [["A", "seq", "PSNR"]] * (len(BASE) + 100)
+        assert [row[3:] for row in first[: len(BASE)]] == [
+            [q, float(np.log10(r)), 0] for r, q in BASE]
+        dense = first[len(BASE):]
+        assert [row[5] for row in dense] == [1] * 100
+        assert (dense[0][3], dense[-1][3]) == (30.0, 45.0)
+        assert dense[-1][4] == pytest.approx(np.log10(8000), abs=1e-12)
+        assert rows[len(BASE) + 100][0] == "B"

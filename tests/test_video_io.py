@@ -244,6 +244,23 @@ class TestRoundTrip:
                 assert pa.dtype == pb.dtype
                 assert np.array_equal(pa, pb)
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_write_with_info_then_read(self, rng, count):
+        # A given info heads the stream once, before the first frame, as the
+        # first frame's own info does when none is given.
+        info = make_info(32, 16, fps=(25, 1), bit_depth=10)
+        frames = [random_frame(info, rng, i) for i in range(count)]
+        stream = io.BytesIO()
+        assert write_y4m(stream, frames, info) == count
+        assert stream.getvalue().startswith(b"YUV4MPEG2 W32 H16 F25:1 ")
+        stream.seek(0)
+        with Y4MReader(stream) as reader:
+            assert reader.info == info
+            got = list(reader)
+        assert len(got) == count
+        for a, b in zip(frames, got):
+            assert all(np.array_equal(pa, pb) for pa, pb in zip(a.planes, b.planes))
+
     @pytest.mark.parametrize("other,message", [
         (make_info(32, 16), "geometry mismatch: stream 16x16 vs frame 1 32x16"),
         (make_info(16, 16, bit_depth=10), "bit depth mismatch: stream 8 vs frame 1 10"),
