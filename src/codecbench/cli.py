@@ -6,9 +6,7 @@ Exit codes: 0 on success, 2 for user/input errors, 3 for malformed data.
 from __future__ import annotations
 
 import argparse
-import math
 import os
-import re
 import sys
 from dataclasses import asdict, replace
 
@@ -32,11 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"codecbench: error: {message}\n")
 
 
-# Python's float spellings of nan and infinity, which report.parse_number
-# rejects as numbers but a float flag reports against its bound.
-_NON_FINITE = re.compile(r"\s*[+-]?(nan|inf|infinity)\s*", re.IGNORECASE)
-
-
 def _number(flag, kind, rule="", ok=lambda value: True):
     """The argparse type of a numeric flag: report.parse_number's rule, then
     the flag's bound `ok`, worded by `rule`. Each fails with an InputError,
@@ -45,8 +38,6 @@ def _number(flag, kind, rule="", ok=lambda value: True):
 
     def parse(text):
         value = report.parse_number(text, kind)
-        if value is None and kind is float and _NON_FINITE.fullmatch(text):
-            value = float(text)  # outside every float flag's bound
         if value is None:
             raise InputError(f"{flag} must be {what}, got {text!r}")
         if not ok(value):
@@ -104,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default psnr,ssim)",
     )
     p.add_argument(
-        "--clamp-db", type=_number("--clamp-db", float, "be finite", math.isfinite),
+        "--clamp-db", type=_number("--clamp-db", float),
         default=_CLAMP_DB,
         help="replacement for infinite per-frame PSNR (default 100)",
     )
@@ -163,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ci-constant",
-        type=_number("--ci-constant", float, "be finite and above 0",
-                     lambda v: 0 < v < math.inf),
+        type=_number("--ci-constant", float, "be finite and above 0", lambda v: v > 0),
         default=_CI_CONSTANT,
         help="confidence interval multiplier (default 1.95)",
     )
@@ -362,7 +352,8 @@ def cmd_bdrate(args) -> int:
          for seq, met, r, q in pairs),
         key=lambda row: (row["metric"], row["sequence"]),
     )
-    warnings = [f"{seq}/{met}: {w}" for seq, met, r, _ in pairs for w in r.warnings]
+    warnings = [f"{seq}/{met}: {w}" for seq, met, r, q in pairs
+                for w in r.warnings + q.warnings]
     averages = [
         {"sequence": "Average", "metric": met, "bd_rate_percent": rate,
          "bd_quality": quality}

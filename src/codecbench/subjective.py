@@ -88,35 +88,52 @@ class ScoreMatrix:
         return {s: i for i, s in reversed(tuple(enumerate(self.stimuli)))}
 
     @cached_property
-    def _mos_of(self) -> dict[str, float]:
-        """Each stimulus's MOS, taken on first use by _mos."""
-        return {}
+    def _stats(self) -> np.ndarray:
+        """Rows: each column's present-score count, MOS and population stddev,
+        taken in one pass on first use. A column without scores holds nan."""
+        stats = np.full((3, len(self.stimuli)), math.nan)
+        for j, col in enumerate(self.scores.T):
+            col = col[~np.isnan(col)]
+            stats[0, j] = col.size
+            if col.size:
+                stats[1, j] = mean = float(np.mean(col))
+                stats[2, j] = math.sqrt(float(np.mean((col - mean) ** 2)))
+        return _frozen(stats)
 
-    def _mos(self, stimulus: str) -> float:
-        value = self._mos_of.get(stimulus)
-        if value is None:
-            value = self._mos_of[stimulus] = _column_mos(self.column(stimulus), stimulus)
-        return value
+    def _stats_of(self, stimulus: str) -> tuple[int, float, float]:
+        count, mean, stddev = self._stats[:, self._index(stimulus)].tolist()
+        return int(count), mean, stddev
+
+    def _index(self, stimulus: str) -> int:
+        try:
+            return self._column_of[stimulus]
+        except KeyError:
+            raise InputError(f"unknown stimulus {stimulus!r}") from None
 
     def column(self, stimulus: str) -> np.ndarray:
         """Present (non-missing) scores for one stimulus."""
-        try:
-            idx = self._column_of[stimulus]
-        except KeyError:
-            raise InputError(f"unknown stimulus {stimulus!r}") from None
-        col = self.scores[:, idx]
+        col = self.scores[:, self._index(stimulus)]
         return col[~np.isnan(col)]
 
     def with_subjects(self, keep: list[str]) -> "ScoreMatrix":
+        if unknown := [s for s in keep if s not in self.subjects]:
+            raise InputError(f"unknown subject {unknown[0]!r}")
         rows = [self.subjects.index(s) for s in keep]
-        return replace(self, subjects=keep, scores=self.scores[rows, :])
+        return replace(self, subjects=keep, scores=_frozen(self.scores[rows, :]))
 
     def without_stimuli(self, drop) -> "ScoreMatrix":
         drop = set(drop)
         keep = [i for i, s in enumerate(self.stimuli) if s not in drop]
         return replace(
-            self, stimuli=[self.stimuli[i] for i in keep], scores=self.scores[:, keep]
+            self, stimuli=[self.stimuli[i] for i in keep],
+            scores=_frozen(self.scores[:, keep]),
         )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A fresh array marked read-only, so ScoreMatrix keeps it uncopied."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -154,40 +171,29 @@ class AnovaResult:
 
 def mos(matrix: ScoreMatrix, stimulus: str) -> float:
     """Mean opinion score over present scores for one stimulus."""
-    # Each MOS point and every ANOVA factor read the same per-stimulus MOS.
-    return matrix._mos(stimulus)
+    count, mean, _ = matrix._stats_of(stimulus)
+    if count == 0:
+        raise StatsError(f"stimulus {stimulus!r} has no scores")
+    return mean
 
 
 def ci95(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> float:
     """Half-width of the confidence interval around the MOS."""
-    return _column_ci95(matrix.column(stimulus), stimulus, constant)
+    count, _, stddev = matrix._stats_of(stimulus)
+    if count < 2:
+        raise StatsError(
+            f"stimulus {stimulus!r} needs at least 2 scores for a CI, got {count}"
+        )
+    return constant * stddev / math.sqrt(count)
 
 
 def mos_point(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> MosPoint:
-    col = matrix.column(stimulus)
     return MosPoint(
         stimulus=stimulus,
         mos=mos(matrix, stimulus),
-        ci95=_column_ci95(col, stimulus, constant),
-        n=int(col.size),
+        ci95=ci95(matrix, stimulus, constant),
+        n=matrix._stats_of(stimulus)[0],
     )
-
-
-def _column_mos(col: np.ndarray, stimulus: str) -> float:
-    if col.size == 0:
-        raise StatsError(f"stimulus {stimulus!r} has no scores")
-    return float(np.mean(col))
-
-
-def _column_ci95(col: np.ndarray, stimulus: str, constant: float) -> float:
-    if col.size < 2:
-        raise StatsError(
-            f"stimulus {stimulus!r} needs at least 2 scores for a CI, "
-            f"got {col.size}"
-        )
-    mean = float(np.mean(col))
-    delta = math.sqrt(float(np.mean((col - mean) ** 2)))
-    return constant * delta / math.sqrt(col.size)
 
 
 def pearson(x, y) -> float:
@@ -239,9 +245,9 @@ def screen_subjects(
     if len(matrix.stimuli) < 3:
         raise StatsError(f"screening needs >= 3 stimuli, got {len(matrix.stimuli)}")
 
-    mos_vector = np.empty(len(matrix.stimuli), dtype=np.float64)
-    for j, stimulus in enumerate(matrix.stimuli):
-        mos_vector[j] = mos(matrix, stimulus)
+    count, mos_vector, _ = matrix._stats
+    if not count.all():  # a stimulus without scores: mos raises its error
+        mos(matrix, matrix.stimuli[int(np.argmin(count))])
 
     screens = []
     for i, subject in enumerate(matrix.subjects):
@@ -291,8 +297,6 @@ def anova_oneway(matrix: ScoreMatrix, factor: str) -> AnovaResult:
     Observations are the MOS values of the matrix's stimuli; the factor
     level of each stimulus comes from the attached metadata.
     """
-    if factor not in FACTORS:
-        raise StatsError(f"unknown factor {factor!r}; expected one of {FACTORS}")
     if matrix.meta is None:
         raise InputError("score matrix carries no stimulus metadata")
 
@@ -447,8 +451,7 @@ def load_scores_csv(path) -> ScoreMatrix:
             subjects[cells[0]] = None
             grid.append(_score_row(path, lineno, stimuli, cells[1:]))
     scores = np.array(grid, dtype=np.float64).reshape(len(grid), len(stimuli))
-    scores.flags.writeable = False  # handed over without a copy
-    return ScoreMatrix(subjects=tuple(subjects), stimuli=tuple(stimuli), scores=scores)
+    return ScoreMatrix(tuple(subjects), tuple(stimuli), _frozen(scores))
 
 
 def _score_row(path, lineno, stimuli, cells) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -10,10 +11,10 @@ from scipy.special import betainc
 from scipy.stats import f as f_distribution
 from scipy.stats import rankdata
 
-from codecbench import subjective
 from codecbench.errors import DataFormatError, InputError, StatsError
 from codecbench.subjective import (
     FACTORS,
+    MosPoint,
     ScoreMatrix,
     StimulusInfo,
     anova_oneway,
@@ -109,6 +110,30 @@ class TestImmutableMatrix:
         assert fewer_stimuli.stimuli == ("p0", "p2")
         assert fewer_stimuli.scores.tolist() == [[10.0, 30.0], [40.0, 60.0]]
         assert m.scores.tolist() == [[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]]
+
+    @pytest.mark.parametrize("derive", [
+        lambda m: m.with_subjects([s for i, s in enumerate(m.subjects) if i % 10]),
+        lambda m: m.without_stimuli(m.stimuli[::10]),
+    ], ids=["with_subjects", "without_stimuli"])
+    def test_derived_grid_copied_once(self, derive):
+        """Deriving from a 150 x 2000 panel holds one copy of the subset."""
+        rng = np.random.default_rng(3)
+        scores = rng.integers(0, 101, size=(150, 2000)).astype(np.float64)
+        scores[rng.random(scores.shape) < 0.02] = math.nan
+        m = matrix_from(scores)
+        tracemalloc.start()
+        try:
+            derived = derive(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert derived.scores.shape in ((135, 2000), (150, 1800))
+        assert peak <= 1.5 * derived.scores.nbytes
+
+    def test_unknown_subject(self):
+        m = matrix_from([[60, 70], [80, 90]])
+        with pytest.raises(InputError, match="^unknown subject 's9'$"):
+            m.with_subjects(["s0", "s9"])
 
     def test_partial_metadata_lists_every_missing_id(self):
         stimuli = ("p0", "p1", "p2", "p3")
@@ -416,7 +441,15 @@ class TestAnova:
         with pytest.raises(InputError, match="carries no stimulus metadata"):
             anova_oneway(matrix_from([[50.0, 60.0]]), "codec")
 
+    def test_unknown_factor(self):
+        m = two_group_matrix([10, 12], [20, 22])
+        with pytest.raises(StatsError) as exc:
+            anova_oneway(m, "bogus")
+        assert str(exc.value) == f"unknown factor 'bogus'; expected one of {FACTORS}"
+
     def test_mos_taken_once_per_stimulus(self, rng, monkeypatch):
+        # Screening, MOS points, CIs and all four ANOVA factors share one
+        # average of each stimulus's scores per matrix.
         scores = rng.uniform(0, 100, (6, 24))
         scores[rng.uniform(size=scores.shape) < 0.2] = math.nan
         stimuli = tuple(f"p{j}" for j in range(24))
@@ -427,25 +460,72 @@ class TestAnova:
             )
             for j, pvs in enumerate(stimuli)
         }
-        taken = []
-        column_mos = subjective._column_mos
+        columns = {pvs: col[~np.isnan(col)] for pvs, col in zip(stimuli, scores.T)}
+        averaged = []
+        mean = np.mean
 
-        def counting(col, stimulus):
-            taken.append(stimulus)
-            return column_mos(col, stimulus)
+        def counting(a, *args, **kwargs):
+            averaged.append(np.array(a, dtype=np.float64))
+            return mean(a, *args, **kwargs)
 
-        monkeypatch.setattr(subjective, "_column_mos", counting)
         m = matrix_from(scores, meta=meta, stimuli=stimuli)
+        monkeypatch.setattr(np, "mean", counting)
+        screen_subjects(m, threshold=-1.0)
         points = [mos_point(m, pvs) for pvs in stimuli]
+        intervals = [ci95(m, pvs) for pvs in stimuli]
         results = [anova_oneway(m, factor) for factor in FACTORS]
-        assert sorted(taken) == sorted(stimuli)
+        monkeypatch.undo()
+        for pvs, col in columns.items():
+            assert sum(np.array_equal(a, col) for a in averaged) == 1, pvs
 
-        for point in points:
-            col = scores[:, stimuli.index(point.stimulus)]
-            assert point.mos == float(np.mean(col[~np.isnan(col)]))
+        for point, interval in zip(points, intervals):
+            col = columns[point.stimulus]
+            assert point.mos == float(np.mean(col))
+            assert point.ci95 == interval
         for factor, result in zip(FACTORS, results):
             fresh = matrix_from(scores, meta=meta, stimuli=stimuli)
             assert anova_oneway(fresh, factor) == result
+
+
+# Score grids with holes: columns hold 0, 1 or more present scores.
+SCORE_GRIDS = st.integers(1, 5).flatmap(
+    lambda subjects: st.lists(
+        st.lists(st.one_of(st.just(math.nan), st.floats(0, 100)),
+                 min_size=subjects, max_size=subjects),
+        min_size=1, max_size=6,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SCORE_GRIDS, st.floats(0.5, 3.0))
+def test_statistics_match_per_column_formulas(columns, constant):
+    m = matrix_from(np.array(columns).T)
+    for j, stimulus in enumerate(m.stimuli):
+        col = np.array(columns[j])
+        col = col[~np.isnan(col)]
+        if col.size == 0:
+            with pytest.raises(StatsError, match=f"^stimulus '{stimulus}' has no scores$"):
+                mos(m, stimulus)
+            with pytest.raises(StatsError, match=f"^stimulus '{stimulus}' has no scores$"):
+                mos_point(m, stimulus, constant)
+        else:
+            assert mos(m, stimulus) == float(np.mean(col))
+        if col.size < 2:
+            message = (f"^stimulus '{stimulus}' needs at least 2 scores for a CI, "
+                       f"got {col.size}$")
+            with pytest.raises(StatsError, match=message):
+                ci95(m, stimulus, constant)
+            if col.size == 1:
+                with pytest.raises(StatsError, match=message):
+                    mos_point(m, stimulus, constant)
+            continue
+        mean = float(np.mean(col))
+        stddev = math.sqrt(float(np.mean((col - mean) ** 2)))
+        half_width = constant * stddev / math.sqrt(col.size)
+        assert ci95(m, stimulus, constant) == half_width
+        point = MosPoint(stimulus, mean, half_width, col.size)
+        assert mos_point(m, stimulus, constant) == point
 
 
 # The relative bound README states for f_survival against scipy's betainc
