@@ -264,17 +264,10 @@ def cmd_metrics(args) -> int:
     from . import metrics
 
     metric_ids = metrics.parse_metric_selection(args.metrics)
-    # Results do not depend on the worker count, so the cap is safe. The
-    # affinity mask counts the CPUs this process may run on, not the host's.
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    jobs = min(args.jobs, cpus)
     with _open_video(args.reference, args) as ref, _open_video(args.test, args) as test:
         ri = ref.info
         results = metrics.sequence_quality(
-            ref, test, metric_ids, clamp_db=args.clamp_db, jobs=jobs
+            ref, test, metric_ids, clamp_db=args.clamp_db, jobs=args.jobs
         )
 
     frame_count = len(next(iter(results.values())).frame_values)
@@ -401,9 +394,6 @@ def cmd_mos(args) -> int:
 
     matrix = subjective.load_scores_csv(args.scores)
     if args.exclude:
-        unknown = [p for p in args.exclude if p not in matrix.stimuli]
-        if unknown:
-            raise InputError(f"--exclude names unknown stimuli: {', '.join(unknown)}")
         matrix = matrix.without_stimuli(args.exclude)
     matrix = replace(matrix, meta=subjective.load_pvs_csv(args.pvs_meta))
 
@@ -455,12 +445,6 @@ def cmd_mos(args) -> int:
     return _emit(args, doc, header, csv_rows, summary)
 
 
-def _load_stage_mapping(args):
-    if args.mapping:
-        return profiling.load_mapping(args.mapping), args.mapping
-    return profiling.default_mapping(), "built-in"
-
-
 def _pie_paths(base, inputs):
     """One --pie-data file per input: several inputs get the input stem
     suffixed, and two inputs with the same stem are refused before any
@@ -481,7 +465,7 @@ def _pie_paths(base, inputs):
 
 
 def cmd_profile(args) -> int:
-    mapping, mapping_origin = _load_stage_mapping(args)
+    mapping = profiling.load_mapping(args.mapping or None)
     pies = _pie_paths(args.pie_data, args.callgrind) if args.pie_data else None
     profiles = []
     for i, path in enumerate(args.callgrind):
@@ -511,7 +495,7 @@ def cmd_profile(args) -> int:
             _write_csv(args, pies[i], ["stage", "percent"],
                        [[stage, percent] for stage, percent in stages])
 
-    results = {"mapping": mapping_origin, "profiles": profiles}
+    results = {"mapping": args.mapping or "built-in", "profiles": profiles}
     inputs = list(args.callgrind)
     speedups = []
     if args.timing:

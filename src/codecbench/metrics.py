@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,6 +306,8 @@ def sequence_quality(
 ) -> dict[str, SequenceQuality]:
     """Stream frame pairs once and compute the selected metrics.
 
+    `jobs` threads work at most, capped at the CPUs this process may use:
+    its affinity mask where the platform has one, else the host's count.
     The reduction consumes per-frame results in ascending frame order, so
     results are identical regardless of the worker count.
     """
@@ -318,6 +321,10 @@ def sequence_quality(
     def work(pair):
         return _frame_pair_metrics(pair, metric_ids, clamp_db)
 
+    if hasattr(os, "sched_getaffinity"):
+        jobs = min(jobs, len(os.sched_getaffinity(0)))
+    else:
+        jobs = min(jobs, os.cpu_count() or 1)
     frames = list(_ordered_map(work, _paired(ref_source, test_source), jobs))
     if not frames:
         raise InputError("no frames in input sequences")

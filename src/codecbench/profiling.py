@@ -316,19 +316,18 @@ def parse_mapping(text: str, origin: str = "<mapping>") -> StageMapping:
     return StageMapping(rules=tuple(rules))
 
 
-def load_mapping(path) -> StageMapping:
+def load_mapping(path=None) -> StageMapping:
+    """The mapping file at path, or with None the built-in codec stage
+    taxonomy; copy the packaged file to customize."""
+    if path is None:
+        text = (
+            resources.files("codecbench")
+            .joinpath("data/default_stage_map.txt")
+            .read_text(encoding="utf-8")
+        )
+        return parse_mapping(text, origin="default_stage_map.txt")
     with open_input(path) as fp:
         return parse_mapping(fp.read(), origin=str(path))
-
-
-def default_mapping() -> StageMapping:
-    """Built-in codec stage taxonomy; copy the packaged file to customize."""
-    text = (
-        resources.files("codecbench")
-        .joinpath("data/default_stage_map.txt")
-        .read_text(encoding="utf-8")
-    )
-    return parse_mapping(text, origin="default_stage_map.txt")
 
 
 def load_timing_csv(path) -> list[TimingRecord]:

@@ -12,6 +12,7 @@ reaches the threshold.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -50,9 +51,10 @@ class ScoreMatrix:
 
     An immutable value: `scores` is a read-only float64 grid. A writable
     array is copied, so the caller's array is neither aliased nor frozen;
-    an array that is already read-only is kept as it is. `meta`, when
-    given, must annotate every stimulus. Derive a new matrix with
-    with_subjects, without_stimuli or dataclasses.replace.
+    an array that is already read-only is kept as it is. Subject ids and
+    stimulus ids are each unique. `meta`, when given, must annotate every
+    stimulus. Derive a new matrix with with_subjects, without_stimuli or
+    dataclasses.replace; an id that the matrix does not hold is an error.
     """
 
     subjects: tuple[str, ...]
@@ -73,6 +75,10 @@ class ScoreMatrix:
                 f"score grid {scores.shape} does not match "
                 f"{len(self.subjects)} subjects x {len(self.stimuli)} stimuli"
             )
+        for kind, ids in (("subject", self.subjects), ("stimulus", self.stimuli)):
+            if len(set(ids)) != len(ids):
+                repeat = next(i for i, n in Counter(ids).items() if n > 1)
+                raise InputError(f"repeated {kind} id {repeat!r}")
         # nan (missing) compares false both ways.
         if np.any((scores < 0) | (scores > 100)):
             raise DataFormatError("scores must lie in [0, 100]")
@@ -83,9 +89,7 @@ class ScoreMatrix:
 
     @cached_property
     def _column_of(self) -> dict[str, int]:
-        # Filled from the last column back, so the first occurrence wins,
-        # as with index().
-        return {s: i for i, s in reversed(tuple(enumerate(self.stimuli)))}
+        return {s: i for i, s in enumerate(self.stimuli)}
 
     @cached_property
     def _stats(self) -> np.ndarray:
@@ -122,8 +126,8 @@ class ScoreMatrix:
         return replace(self, subjects=keep, scores=_frozen(self.scores[rows, :]))
 
     def without_stimuli(self, drop) -> "ScoreMatrix":
-        drop = set(drop)
-        keep = [i for i, s in enumerate(self.stimuli) if s not in drop]
+        drop = {self._index(s) for s in drop}
+        keep = [i for i in range(len(self.stimuli)) if i not in drop]
         return replace(
             self, stimuli=[self.stimuli[i] for i in keep],
             scores=_frozen(self.scores[:, keep]),

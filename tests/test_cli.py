@@ -94,46 +94,52 @@ class TestMetricsCommand:
         expected = f"codecbench: error: --jobs must be at least 1, got {value}\n"
         assert captured.err == expected
 
-    @staticmethod
-    def jobs_passed_on(tmp_path, rng, monkeypatch, requested):
-        """The jobs value cmd_metrics hands to sequence_quality."""
+    def test_jobs_handed_on_as_given(self, tmp_path, rng, monkeypatch):
+        # sequence_quality applies the CPU cap, so the CLI passes --jobs on
+        # unchanged, as the jobs= keyword.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         ref, test = write_pair(tmp_path, rng, frames=1)
         seen = []
 
-        def record(ref_source, test_source, metric_ids, clamp_db, jobs):
-            seen.append(jobs)
+        def record(ref_source, test_source, metric_ids, **kwargs):
+            seen.append(kwargs["jobs"])
             return {m: metrics.SequenceQuality(m, (1.0,), 1.0) for m in metric_ids}
 
         monkeypatch.setattr(metrics, "sequence_quality", record)
         rc = main([
-            "metrics", str(ref), str(test), "--jobs", str(requested),
+            "metrics", str(ref), str(test), "--jobs", "4",
             "--output", str(tmp_path / "report.json"), "--quiet",
         ])
-        assert rc == 0
-        assert len(seen) == 1
-        return seen[0]
+        assert (rc, seen) == (0, [4])
 
     @pytest.mark.parametrize("requested,expected", [(1, 1), (3, 3), (4, 3), (10**6, 3)])
     def test_jobs_capped_at_cpu_count(
         self, tmp_path, rng, monkeypatch, requested, expected
     ):
+        # End to end: --jobs reaches sequence_quality, which runs on at most
+        # the three usable CPUs; one worker means no pool. The spy records
+        # the pool size asked for but starts at most 4 threads itself.
+        import concurrent.futures
+
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
         )
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert self.jobs_passed_on(tmp_path, rng, monkeypatch, requested) == expected
+        sizes = []
 
-    @pytest.mark.parametrize("has_affinity", [True, False])
-    def test_jobs_capped_at_usable_cpus(self, tmp_path, rng, monkeypatch, has_affinity):
-        # The affinity mask, not the host's CPU count, bounds the threads;
-        # without one the CPU count does.
-        if has_affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert self.jobs_passed_on(tmp_path, rng, monkeypatch, 4) == 1
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(min(max_workers, 4), *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        ref, test = write_pair(tmp_path, rng, frames=3)
+        rc = main([
+            "metrics", str(ref), str(test), "--jobs", str(requested),
+            "--output", str(tmp_path / "report.json"), "--quiet",
+        ])
+        assert (rc, sizes) == (0, [expected] if expected > 1 else [])
 
     def test_raw_without_geometry_flags_exit_2(self, tmp_path, rng, capsys):
         raw = tmp_path / "clip.yuv"
@@ -829,7 +835,7 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      "unknown metric 'vmaf'; choose from psnr, psnr_u, psnr_v, psnr_y, ssim, wpsnr"),
     (["metrics", "{ref}", "{test}", "--metrics", ","], None, 2, "empty metric selection"),
     (["mos", "{scores}", "--pvs-meta", "{meta}", "--exclude", "p9"], None, 2,
-     "--exclude names unknown stimuli: p9"),
+     "unknown stimulus 'p9'"),
     (METRICS_EXTERNAL, b"idx,score\n0,90\n", 3,
      "{bad}: expected header 'frame,score', got 'idx,score'"),
     (METRICS_EXTERNAL, b"frame,score\n3,90\n1,10\n1,50\n", 3,
@@ -1286,6 +1292,18 @@ def test_cli_renders_what_the_library_computes():
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             if name in ("bd_rate", "bd_quality"):
                 found.append(f"cli.py:{node.lineno} calls {name}")
+    assert found == []
+
+
+def test_cli_leaves_the_worker_cap_to_the_library():
+    # sequence_quality caps the worker count at the usable CPUs; cli.py
+    # neither reads the CPU count nor the affinity mask.
+    path = Path(codecbench.__file__).parent / "cli.py"
+    found = [f"cli.py:{node.lineno} reads {name}"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for name in [node.attr if isinstance(node, ast.Attribute)
+                          else getattr(node, "id", None)]
+             if name in ("sched_getaffinity", "cpu_count")]
     assert found == []
 
 

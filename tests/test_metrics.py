@@ -498,7 +498,11 @@ class TestSequenceQuality:
         with pytest.raises(InputError, match=message):
             sequence_quality(a, b, (PSNR_Y,))
 
-    def test_parallel_matches_serial(self, rng):
+    def test_parallel_matches_serial(self, rng, monkeypatch):
+        # Four usable CPUs, so jobs=4 runs four workers on any host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         metric_ids = (PSNR_Y, PSNR_U, PSNR_V, WPSNR, SSIM)
         # One SSIM strip and tile, then a frame taller than two strips and
         # wider than two tiles.
@@ -518,6 +522,46 @@ class TestSequenceQuality:
         frames = [random_frame(info, rng)]
         with pytest.raises(InputError):
             sequence_quality(frames, frames, ("VMAF",))
+
+    @staticmethod
+    def pool_sizes(rng, monkeypatch, jobs):
+        """max_workers of each pool a 3-frame sequence_quality(jobs=jobs)
+        makes; a serial run makes none."""
+        import concurrent.futures
+
+        sizes = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        info = make_info(16, 16)
+        ref = [random_frame(info, rng, i) for i in range(3)]
+        test = [random_frame(info, rng, i) for i in range(3)]
+        sequence_quality(ref, test, (PSNR_Y,), jobs=jobs)
+        return sizes
+
+    @pytest.mark.parametrize("cpus,jobs,pools", [
+        ({0, 1, 2}, 1, []), ({0, 1, 2}, 3, [3]), ({0, 1, 2}, 4, [3]), ({2, 7}, 3, [2]),
+    ], ids=["1-serial", "3-3", "4-3", "3-on-two-cpus-2"])
+    def test_jobs_capped_at_cpu_count(self, rng, monkeypatch, cpus, jobs, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+        assert self.pool_sizes(rng, monkeypatch, jobs) == pools
+
+    @pytest.mark.parametrize("has_affinity", [True, False])
+    def test_jobs_capped_at_usable_cpus(self, rng, monkeypatch, has_affinity):
+        # The affinity mask, not the host's CPU count, bounds the threads;
+        # without one the CPU count does. One usable CPU means no pool.
+        if has_affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert self.pool_sizes(rng, monkeypatch, 4) == []
 
 
 def sobel_std_brute_force(y):

@@ -16,7 +16,6 @@ from codecbench.profiling import (
     TimingRecord,
     aggregate_stages,
     codec_pairs,
-    default_mapping,
     load_mapping,
     load_timing_csv,
     parse_callgrind,
@@ -477,7 +476,7 @@ class TestMappingFiles:
         assert load_mapping(path).stage_for("xQuantCore") == "Tr/Inv.Tr"
 
     def test_default_mapping_taxonomy(self):
-        mapping = default_mapping()
+        mapping = load_mapping()
         assert mapping.stage_for("xDMVRSubPixelErrorSurface") == "DMVR"
         assert mapping.stage_for("EncAdaptiveLoopFilter::process") == "ALF"
         assert mapping.stage_for("SampleAdaptiveOffset::offsetBlock") == "SAO"

@@ -135,6 +135,22 @@ class TestImmutableMatrix:
         with pytest.raises(InputError, match="^unknown subject 's9'$"):
             m.with_subjects(["s0", "s9"])
 
+    def test_unknown_stimulus(self):
+        m = matrix_from([[60, 70, 80], [80, 90, 70]])
+        with pytest.raises(InputError, match="^unknown stimulus 'p9'$"):
+            m.without_stimuli(["p1", "p9"])
+
+    def test_repeated_subject_rejected(self):
+        with pytest.raises(InputError, match="^repeated subject id 'a'$"):
+            matrix_from([[20, 90], [20, 80], [20, 70]], subjects=("a", "b", "a"))
+
+    def test_derived_repeated_id_rejected(self):
+        m = matrix_from([[60, 70], [80, 90]], subjects=("a", "b"))
+        with pytest.raises(InputError, match="^repeated subject id 'a'$"):
+            m.with_subjects(["a", "a"])
+        with pytest.raises(InputError, match="^repeated stimulus id 'p0'$"):
+            replace(m, stimuli=("p0", "p0"))
+
     def test_partial_metadata_lists_every_missing_id(self):
         stimuli = ("p0", "p1", "p2", "p3")
         meta = annotate(("p1", "p3"))
@@ -182,10 +198,10 @@ class TestColumn:
         with pytest.raises(InputError, match="unknown stimulus 'p9'"):
             m.column("p9")
 
-    def test_repeated_stimulus_returns_first_column(self):
-        m = matrix_from([[60, 70, 10], [80, 90, 20]], stimuli=("a", "b", "a"))
-        assert m.column("a").tolist() == [60.0, 80.0]
-        assert m.column("b").tolist() == [70.0, 90.0]
+    def test_repeated_stimulus_rejected(self):
+        # A repeated id would name only its first column.
+        with pytest.raises(InputError, match="^repeated stimulus id 'a'$"):
+            matrix_from([[60, 70, 10], [80, 90, 20]], stimuli=("a", "b", "a"))
 
 
 class TestCi95:
