@@ -465,7 +465,7 @@ def _pie_paths(base, inputs):
 
 
 def cmd_profile(args) -> int:
-    mapping = profiling.load_mapping(args.mapping or None)
+    mapping = profiling.load_mapping(args.mapping)
     pies = _pie_paths(args.pie_data, args.callgrind) if args.pie_data else None
     profiles = []
     for i, path in enumerate(args.callgrind):

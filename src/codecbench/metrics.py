@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataFormatError, InputError
-from .report import open_input, parse_csv, read_number
+from .report import named_errors, open_input, parse_csv, read_number
 from .video_io import FrameBuffer
 
 PSNR_Y = "PSNR_Y"
@@ -390,27 +390,25 @@ def ingest_external_scores(
     Supports a two-column CSV (frame,score) and the JSON layout of the
     common VMAF tool: {"frames": [{"metrics": {"<name>": value}}, ...]}.
     """
-    with open_input(path) as fp:
+    with named_errors(path) as where, open_input(path) as fp:
         text = fp.read()
-    body = text.lstrip()
-    if body.startswith(("{", "[")):
-        metric_name = name or "vmaf"
-        scores = _scores_from_json(body, metric_name, path)
-    else:
-        metric_name = name or "score"
-        header, rows = parse_csv(io.StringIO(text), path)
-        if [cell.lower() for cell in header] != ["frame", "score"]:
-            raise DataFormatError(
-                f"{path}: expected header 'frame,score', got {','.join(header)!r}"
-            )
-        scores = []
-        for lineno, (frame, score) in rows:
-            index = read_number(path, lineno, "frame", frame, int)
-            if index != len(scores):
+        body = text.lstrip()
+        if body.startswith(("{", "[")):
+            metric_name = name or "vmaf"
+            scores = _scores_from_json(body, metric_name)
+        else:
+            metric_name = name or "score"
+            header, rows = parse_csv(io.StringIO(text), where)
+            if [cell.lower() for cell in header] != ["frame", "score"]:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected frame {len(scores)}, got {index}"
+                    f"expected header 'frame,score', got {','.join(header)!r}"
                 )
-            scores.append(read_number(path, lineno, "score", score))
+            scores = []
+            for frame, score in rows:
+                index = read_number("frame", frame, int)
+                if index != len(scores):
+                    raise DataFormatError(f"expected frame {len(scores)}, got {index}")
+                scores.append(read_number("score", score))
 
     if not scores:
         raise InputError(f"{path}: no scores present")
@@ -428,28 +426,25 @@ def ingest_external_scores(
     )
 
 
-def _scores_from_json(text, metric_name, path):
+def _scores_from_json(text, metric_name):
     try:
         # Integers parse as floats, so an oversized one is inf, not an error.
         doc = json.loads(text, parse_int=float)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's recursion limit.
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+        raise DataFormatError(f"invalid JSON: {exc}") from None
     frames = doc.get("frames") if isinstance(doc, dict) else None
     if not isinstance(frames, list):
-        raise DataFormatError(f'{path}: missing "frames" array')
+        raise DataFormatError('missing "frames" array')
     scores = []
     for i, entry in enumerate(frames):
         try:
             value = entry["metrics"][metric_name]
         except (TypeError, KeyError):
-            raise DataFormatError(
-                f"{path}: frame {i} lacks metric {metric_name!r}"
-            ) from None
+            raise DataFormatError(f"frame {i} lacks metric {metric_name!r}") from None
         if not (isinstance(value, float) and math.isfinite(value)):
             raise DataFormatError(
-                f"{path}: frame {i}: {metric_name} must be a finite number, got {value!r}"
+                f"frame {i}: {metric_name} must be a finite number, got {value!r}"
             )
         scores.append(value)
     return scores
-

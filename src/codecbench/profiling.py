@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from itertools import combinations, groupby
 from operator import attrgetter, itemgetter
@@ -115,7 +114,7 @@ def parse_callgrind(source, event: str | None = None) -> list[FunctionCost]:
     """
     if not isinstance(source, (str, bytes, os.PathLike)):
         return _parse_callgrind_lines(source, event)
-    with open_input(source) as fp, named_errors(source):
+    with named_errors(source), open_input(source) as fp:
         return _parse_callgrind_lines(fp, event)
 
 
@@ -294,25 +293,23 @@ def aggregate_stages(
     )
 
 
-def parse_mapping(text: str, origin: str = "<mapping>") -> StageMapping:
-    """Parse `pattern -> stage` lines; `#` starts a full-line comment."""
+def parse_mapping(text: str, origin="<mapping>") -> StageMapping:
+    """Parse `pattern -> stage` lines; `#` starts a full-line comment.
+    A fault names origin and its line, by named_errors."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        pattern, sep, stage = line.partition("->")
-        if not sep:
-            raise DataFormatError(
-                f"{origin}:{lineno}: expected 'pattern -> stage', got {line!r}"
-            )
-        pattern = pattern.strip()
-        stage = stage.strip()
-        if not pattern or not stage:
-            raise DataFormatError(
-                f"{origin}:{lineno}: empty pattern or stage in {line!r}"
-            )
-        rules.append((pattern, stage))
+    with named_errors(origin) as where:
+        for where.line, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            pattern, sep, stage = line.partition("->")
+            if not sep:
+                raise DataFormatError(f"expected 'pattern -> stage', got {line!r}")
+            pattern = pattern.strip()
+            stage = stage.strip()
+            if not pattern or not stage:
+                raise DataFormatError(f"empty pattern or stage in {line!r}")
+            rules.append((pattern, stage))
     return StageMapping(rules=tuple(rules))
 
 
@@ -326,8 +323,9 @@ def load_mapping(path=None) -> StageMapping:
             .read_text(encoding="utf-8")
         )
         return parse_mapping(text, origin="default_stage_map.txt")
-    with open_input(path) as fp:
-        return parse_mapping(fp.read(), origin=str(path))
+    with named_errors(path), open_input(path) as fp:
+        text = fp.read()
+    return parse_mapping(text, origin=path)
 
 
 def load_timing_csv(path) -> list[TimingRecord]:
@@ -335,20 +333,17 @@ def load_timing_csv(path) -> list[TimingRecord]:
     records: dict[tuple[str, str, int], TimingRecord] = {}
     with read_csv(path, TIMING_CSV_HEADER) as (header, rows):
         pick = itemgetter(*map(header.index, TIMING_CSV_HEADER))
-        for lineno, cells in rows:
+        for cells in rows:
             codec, sequence, qp, wall, frames, fps_num, fps_den = pick(cells)
-            cell = partial(read_number, path, lineno)
-            try:
-                record = TimingRecord(
-                    codec, sequence, cell("qp", qp, int), cell("wall_seconds", wall),
-                    cell("frame_count", frames, int), cell("fps_num", fps_num, int),
-                    cell("fps_den", fps_den, int),
-                )
-            except InputError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            record = TimingRecord(
+                codec, sequence, read_number("qp", qp, int),
+                read_number("wall_seconds", wall), read_number("frame_count", frames, int),
+                read_number("fps_num", fps_num, int), read_number("fps_den", fps_den, int),
+            )
             key = (codec, sequence, record.qp)
             if key in records:
-                raise DataFormatError(f"{path}:{lineno}: duplicate timing "
-                                      f"record {codec}/{sequence}/qp{record.qp}")
+                raise DataFormatError(
+                    f"duplicate timing record {codec}/{sequence}/qp{record.qp}"
+                )
             records[key] = record
     return list(records.values())

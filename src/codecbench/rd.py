@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataFormatError, InputError
+from .errors import InputError
 from .report import read_csv, read_number
 
 # Narrower overlap than this (in integration-axis units) makes the
@@ -314,12 +314,9 @@ def load_rd_csv(path) -> list[RDCurve]:
     groups: dict[tuple[str, str, str], list[RDPoint]] = {}
     with read_csv(path, RD_CSV_HEADER) as (header, rows):
         pick = itemgetter(*map(header.index, RD_CSV_HEADER))
-        for lineno, cells in rows:
+        for cells in rows:
             codec, sequence, metric, label, bitrate, quality = pick(cells)
-            try:
-                point = RDPoint(read_number(path, lineno, "bitrate_kbps", bitrate),
-                                read_number(path, lineno, "quality", quality), label)
-            except InputError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            point = RDPoint(read_number("bitrate_kbps", bitrate),
+                            read_number("quality", quality), label)
             groups.setdefault((codec, sequence, metric), []).append(point)
     return [RDCurve(*key, points) for key, points in groups.items()]

@@ -1,4 +1,5 @@
-"""Deterministic report assembly and serialization; the one input CSV reader.
+"""Deterministic report assembly and serialization; the one input CSV reader
+and the one rule that names the file and line of an input fault.
 
 Reports are plain dicts serialized as JSON with stable key order; float
 values are rounded to six significant digits by default so repeated runs
@@ -13,8 +14,9 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
-from .errors import DataFormatError
+from .errors import DataFormatError, InputError
 
 SCHEMA_VERSION = 1
 DEFAULT_SIG_DIGITS = 6
@@ -87,62 +89,69 @@ def open_output(path):
 def open_input(path, newline=None):
     """A UTF-8 text stream from path, without the byte-order mark that
     spreadsheet exports often write; bytes that are not UTF-8 are a format
-    error naming the file."""
+    error, which a named_errors block around this one names."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline=newline) as fp:
             yield fp
     except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{os.fsdecode(path)}: not UTF-8 text ({exc.reason})"
-        ) from None
+        raise DataFormatError(f"not UTF-8 text ({exc.reason})") from None
 
 
 @contextlib.contextmanager
 def named_errors(source):
-    """Put `source: ` in front of a DataFormatError raised in the block when
-    source is a path (str, bytes or PathLike); over a stream the message
-    stays bare."""
+    """The one rule that names the file of an input fault.
+
+    An InputError or DataFormatError raised in the block becomes a
+    DataFormatError that starts with the file name when source is a path
+    (str, bytes or PathLike): `path:N: msg` while the yielded cursor's
+    `line` holds N, the physical line of the data row a table or mapping
+    reader has handed out, else `path: msg`. Over a stream the fault
+    passes unchanged.
+    """
+    where = SimpleNamespace(line=None)
     try:
-        yield
-    except DataFormatError as exc:
+        yield where
+    except (InputError, DataFormatError) as exc:
         if not isinstance(source, (str, bytes, os.PathLike)):
             raise
-        raise DataFormatError(f"{os.fsdecode(source)}: {exc}") from None
+        line = "" if where.line is None else f":{where.line}"
+        raise DataFormatError(f"{os.fsdecode(source)}{line}: {exc}") from None
 
 
 @contextlib.contextmanager
 def read_csv(path, required=()):
-    """Open a UTF-8 CSV file and parse it with parse_csv: the context is
-    (header, rows), and the rows stream from the file while it is open."""
-    with open_input(path, newline="") as fp:
-        yield parse_csv(fp, path, required)
+    """Open a UTF-8 CSV file and parse it with parse_csv, under
+    named_errors(path): the context is (header, rows), and the rows stream
+    from the file while it is open."""
+    with named_errors(path) as where, open_input(path, newline="") as fp:
+        yield parse_csv(fp, where, required)
 
 
-def parse_csv(lines, path, required=()):
+def parse_csv(lines, where, required=()):
     """Parse a CSV table: its header and an iterator over its data rows,
-    cells stripped.
+    each a list of stripped cells.
 
     The header is the first non-blank row and must name every `required`
-    column. Blank rows are skipped; each data row is (physical line
-    number, cells) and must have as many cells as the header. Rows are
-    read and checked one at a time as the iterator reaches them, so a
-    caller that checks each row as it arrives reports the first fault in
-    file order. Messages name `path`, the table's file.
+    column. Blank rows are skipped; each data row must have as many cells
+    as the header. Rows are read and checked one at a time as the
+    iterator reaches them, so a caller that checks each row as it arrives
+    reports the first fault in file order. While the caller holds a row,
+    `where.line` (the cursor of the enclosing named_errors block) is its
+    physical line number, and None otherwise.
     """
-    rows = _table_rows(lines, path)
-    first = next(rows, None)
-    if first is None:
-        raise DataFormatError(f"{path}: no header row")
-    header = first[1]
+    rows = _table_rows(lines, where)
+    header = next(rows, None)
+    if header is None:
+        raise DataFormatError("no header row")
     missing = [c for c in required if c not in header]
     if missing:
-        raise DataFormatError(f"{path}: missing CSV columns: {', '.join(missing)}")
+        raise DataFormatError(f"missing CSV columns: {', '.join(missing)}")
     return header, rows
 
 
-def _table_rows(lines, path):
-    """The non-blank rows of a CSV table as (line number, stripped cells);
-    every row must be as wide as the first, its header."""
+def _table_rows(lines, where):
+    """The non-blank rows of a CSV table as stripped cells, the header
+    first; every row must be as wide as the header."""
     reader = csv.reader(lines)
     width = None
     try:
@@ -152,13 +161,15 @@ def _table_rows(lines, path):
                 continue
             if width is None:
                 width = len(cells)
-            elif len(cells) != width:
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: expected {width} cells, got {len(cells)}"
-                )
-            yield reader.line_num, cells
+            else:
+                where.line = reader.line_num
+                if len(cells) != width:
+                    raise DataFormatError(f"expected {width} cells, got {len(cells)}")
+            yield cells
+            where.line = None
     except csv.Error as exc:  # e.g. a cell over the csv field size limit
-        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+        where.line = reader.line_num
+        raise DataFormatError(str(exc)) from None
 
 
 def parse_number(text, kind=float):
@@ -174,10 +185,10 @@ def parse_number(text, kind=float):
     return value if kind is int or math.isfinite(value) else None
 
 
-def read_number(path, lineno, column, text, kind=float):
-    """One cell by parse_number, or a format error naming path:line and column."""
+def read_number(column, text, kind=float):
+    """One cell by parse_number, or a format error naming its column."""
     value = parse_number(text, kind)
     if value is None:
         what = "an integer" if kind is int else "a finite number"
-        raise DataFormatError(f"{path}:{lineno}: {column} must be {what}, got {text!r}")
+        raise DataFormatError(f"{column} must be {what}, got {text!r}")
     return value

@@ -444,23 +444,23 @@ def load_scores_csv(path) -> ScoreMatrix:
     """
     with read_csv(path) as (header, rows):
         if header[0].lower() != "subject":
-            raise DataFormatError(f"{path}: first column must be 'subject'")
+            raise DataFormatError("first column must be 'subject'")
         stimuli = header[1:]
         if len(set(stimuli)) != len(stimuli):
-            raise DataFormatError(f"{path}: duplicate stimulus columns")
+            raise DataFormatError("duplicate stimulus columns")
         subjects, grid = {}, []  # subjects: an ordered set, as dict keys
-        for lineno, cells in rows:
+        for cells in rows:
             if cells[0] in subjects:
-                raise DataFormatError(f"{path}:{lineno}: duplicate subject id {cells[0]!r}")
+                raise DataFormatError(f"duplicate subject id {cells[0]!r}")
             subjects[cells[0]] = None
-            grid.append(_score_row(path, lineno, stimuli, cells[1:]))
+            grid.append(_score_row(stimuli, cells[1:]))
     scores = np.array(grid, dtype=np.float64).reshape(len(grid), len(stimuli))
     return ScoreMatrix(tuple(subjects), tuple(stimuli), _frozen(scores))
 
 
-def _score_row(path, lineno, stimuli, cells) -> np.ndarray:
+def _score_row(stimuli, cells) -> np.ndarray:
     """One row of scores; a cell that is not a finite number in [0, 100]
-    is a format error naming its line and stimulus."""
+    is a format error naming its stimulus."""
     # One float() pass; a row it fails on, or one holding a `_` that float()
     # reads as digit grouping, is re-read by read_number to name its cell.
     try:
@@ -470,14 +470,12 @@ def _score_row(path, lineno, stimuli, cells) -> np.ndarray:
     if row is None or "_" in "".join(cells):
         for column, text in zip(stimuli, cells):
             if text:
-                read_number(path, lineno, column, text)
+                read_number(column, text)
     # Missing cells are nan too: only a non-empty cell outside [0, 100] is bad.
     for j in np.flatnonzero(~((row >= 0) & (row <= 100))):
         if cells[j]:
-            value = read_number(path, lineno, stimuli[j], cells[j])
-            raise DataFormatError(
-                f"{path}:{lineno}: score {value:g} for {stimuli[j]!r} outside [0, 100]"
-            )
+            value = read_number(stimuli[j], cells[j])
+            raise DataFormatError(f"score {value:g} for {stimuli[j]!r} outside [0, 100]")
     return row
 
 
@@ -486,10 +484,10 @@ def load_pvs_csv(path) -> dict[str, StimulusInfo]:
     meta: dict[str, StimulusInfo] = {}
     with read_csv(path, PVS_CSV_HEADER) as (header, rows):
         pick = itemgetter(*map(header.index, PVS_CSV_HEADER))
-        for lineno, cells in rows:
+        for cells in rows:
             pvs, codec, resolution, bitrate, content = pick(cells)
             if pvs in meta:
-                raise DataFormatError(f"{path}:{lineno}: duplicate PVS id {pvs!r}")
-            bitrate_kbps = read_number(path, lineno, "bitrate_kbps", bitrate)
+                raise DataFormatError(f"duplicate PVS id {pvs!r}")
+            bitrate_kbps = read_number("bitrate_kbps", bitrate)
             meta[pvs] = StimulusInfo(codec, resolution, bitrate_kbps, content)
     return meta

@@ -883,6 +883,8 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      TIMING_HEADER.encode()
      + b"A,s,22,1,50,50,1\nB,s,22,2,50,50,1\nA,s,022,2,50,50,1\n", 3,
      "{bad}:4: duplicate timing record A/s/qp22"),
+    (["profile", "{prof}", "--mapping", ""], None, 2,
+     "[Errno 2] No such file or directory: ''"),
 ], ids=[
     "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
     "external_csv_header", "external_csv_frame_order", "external_json_invalid",
@@ -892,7 +894,7 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
     "second_callgrind_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
     "duplicate_subject_id", "score_grouped_digits", "y4m_header_grouped_digits",
-    "timing_fps_num_0", "duplicate_timing_record",
+    "timing_fps_num_0", "duplicate_timing_record", "empty_mapping_path",
 ])
 def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
                                        message):
@@ -1351,6 +1353,28 @@ def test_no_function_parses_numbers_its_own_way():
                 if called & {"int", "float", "kind"}:
                     found.append(f"{path.stem}.{fn.name}:{node.lineno}")
     assert [f for f in found if f.split(":")[0] not in NUMBER_PARSERS] == []
+
+
+def names_a_file(message):
+    """Whether an f-string message starts with a `{value}:` prefix, such
+    as `{path}:{lineno}: ` or `{os.fsdecode(path)}: `."""
+    parts = message.values if isinstance(message, ast.JoinedStr) else []
+    return (len(parts) > 1 and isinstance(parts[0], ast.FormattedValue)
+            and isinstance(parts[1], ast.Constant) and parts[1].value.startswith(":"))
+
+
+def test_only_named_errors_names_a_file():
+    # report.named_errors is the one rule that puts the file (and line) in
+    # front of an input fault; elsewhere a DataFormatError message is bare.
+    package = Path(codecbench.__file__).parent
+    found = [f"{path.stem}.{fn.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in own_nodes(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DataFormatError"
+             and node.args and names_a_file(node.args[0])]
+    assert [f for f in found if not f.startswith("report.named_errors:")] == []
 
 
 def test_no_flag_is_converted_by_int_or_float():

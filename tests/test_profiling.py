@@ -466,6 +466,14 @@ class TestMappingFiles:
         with pytest.raises(DataFormatError, match=":2"):
             parse_mapping("a -> A\nnot a rule\n")
 
+    @pytest.mark.parametrize("as_source", [Path, os.fsencode], ids=["path", "bytes"])
+    def test_file_fault_names_file_and_line(self, tmp_path, as_source):
+        path = tmp_path / "map.txt"
+        path.write_text("a -> A\nnot a rule\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_mapping(as_source(path))
+        assert str(exc.value) == f"{path}:2: expected 'pattern -> stage', got 'not a rule'"
+
     def test_empty_sides_rejected(self):
         with pytest.raises(DataFormatError):
             parse_mapping(" -> Stage\n")

@@ -1,4 +1,6 @@
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +350,14 @@ class TestLoadCsv:
         )
         with pytest.raises(DataFormatError, match="2"):
             load_rd_csv(path)
+
+    @pytest.mark.parametrize("as_source", [Path, os.fsencode], ids=["path", "bytes"])
+    def test_rejected_point_names_file_and_line(self, tmp_path, as_source):
+        path = tmp_path / "pts.csv"
+        path.write_text("codec,sequence,metric,label,bitrate_kbps,quality\nA,s,m,,-5,30\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_rd_csv(as_source(path))
+        assert str(exc.value) == f"{path}:2: bitrate must be positive and finite, got -5.0"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, tmp_path, cell):

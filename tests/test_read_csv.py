@@ -46,6 +46,19 @@ def read_table(path, required=()):
         return header, list(rows)
 
 
+def fault_line(path, index):
+    """The physical line that read_csv names for a fault its caller raises
+    on data row `index` (from 0)."""
+    with pytest.raises(DataFormatError) as exc:
+        with read_csv(path) as (header, rows):
+            for i, cells in enumerate(rows):
+                if i == index:
+                    raise DataFormatError("bad row")
+    match = re.fullmatch(f"{re.escape(str(path))}:(\\d+): bad row", str(exc.value))
+    assert match, str(exc.value)
+    return int(match[1])
+
+
 @pytest.mark.parametrize("name", LOADERS)
 class TestLoaders:
     def test_bad_cell_after_blank_line_names_physical_line(self, tmp_path, name):
@@ -96,13 +109,13 @@ class TestLoaders:
 class TestReadCsv:
     def test_cells_stripped_and_blank_rows_skipped(self, tmp_path):
         path = write_table(tmp_path, "t", ["", " a , b", "", "1 ,2", " , ", "3, 4"])
-        assert read_table(path, required=("a",)) == (
-            ["a", "b"], [(4, ["1", "2"]), (6, ["3", "4"])]
-        )
+        assert read_table(path, required=("a",)) == (["a", "b"], [["1", "2"], ["3", "4"]])
+        assert [fault_line(path, i) for i in range(2)] == [4, 6]
 
     def test_quoted_newline_counts_physical_lines(self, tmp_path):
         path = write_table(tmp_path, "t", ["a,b", '"x', 'y",1', "z,2"])
-        assert read_table(path)[1] == [(3, ["x\ny", "1"]), (4, ["z", "2"])]
+        assert read_table(path)[1] == [["x\ny", "1"], ["z", "2"]]
+        assert [fault_line(path, i) for i in range(2)] == [3, 4]
 
     @pytest.mark.parametrize("lines", [[], ["", " ,"]], ids=["empty", "blank"])
     def test_no_header_row(self, tmp_path, lines):
@@ -120,27 +133,44 @@ class TestReadCsv:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: "):
             read_table(path)
 
+    def test_oversized_header_cell_names_its_physical_line(self, tmp_path):
+        path = write_table(tmp_path, "t", ["", "a," + "x" * 200_000, "1,2"])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: "):
+            read_table(path)
+
+    @pytest.mark.parametrize("drain", [False, True], ids=["before_first_row", "after_last_row"])
+    def test_caller_fault_outside_a_row_names_the_file_alone(self, tmp_path, drain):
+        path = write_table(tmp_path, "t", ["a,b", "1,2", "3,4"])
+        with pytest.raises(DataFormatError) as exc:
+            with read_csv(path) as (header, rows):
+                if drain:
+                    assert len(list(rows)) == 2
+                raise DataFormatError("bad table")
+        assert str(exc.value) == f"{path}: bad table"
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3)), max_size=20),
            st.integers(0, 3), st.sampled_from(["", " ", ",", " , "]))
     def test_line_numbers_with_random_blank_lines(self, rows, lead, blank):
         """Each data row reports the physical line it was written on."""
-        lines, expected = [blank] * lead + ["n,v"], []
+        lines, expected, numbers = [blank] * lead + ["n,v"], [], []
         for value, blanks_before in rows:
             lines += [blank] * blanks_before + [f"{value},{value + 1}"]
-            expected.append((len(lines), [str(value), str(value + 1)]))
+            expected.append([str(value), str(value + 1)])
+            numbers.append(len(lines))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_table(Path(tmp), "t", lines)
             assert read_table(path) == (["n", "v"], expected)
+            assert [fault_line(path, i) for i in range(len(rows))] == numbers
 
 
     def test_rows_stream_from_the_open_file(self, tmp_path):
         """The header is read on entry; each row only when it is reached."""
         path = write_table(tmp_path, "t", ["a,b", "1,2", "3"])
-        with read_csv(path) as (header, rows):
-            assert header == ["a", "b"]
-            assert next(rows) == (2, ["1", "2"])
-            with pytest.raises(DataFormatError, match=":3: expected 2 cells, got 1"):
+        with pytest.raises(DataFormatError, match=":3: expected 2 cells, got 1$"):
+            with read_csv(path) as (header, rows):
+                assert header == ["a", "b"]
+                assert next(rows) == ["1", "2"]
                 next(rows)
 
 
@@ -164,8 +194,8 @@ def test_score_grid_is_read_row_by_row(tmp_path):
 
 class TestReadNumber:
     def test_finite_values(self):
-        assert read_number("f.csv", 2, "x", "1e3") == 1000.0
-        assert read_number("f.csv", 2, "qp", "32", int) == 32
+        assert read_number("x", "1e3") == 1000.0
+        assert read_number("qp", "32", int) == 32
 
     @pytest.mark.parametrize(
         "text,kind,what",
@@ -174,10 +204,18 @@ class TestReadNumber:
          ("3.5", int, "an integer"), ("inf", int, "an integer"),
          ("1_0.5", float, "a finite number"), ("3_2", int, "an integer")],
     )
-    def test_rejected_values_name_file_line_and_column(self, text, kind, what):
+    def test_rejected_values_name_file_line_and_column(self, tmp_path, text, kind, what):
+        """read_number names the column; read_csv puts the file and line
+        of the row in front."""
         with pytest.raises(DataFormatError) as exc:
-            read_number("f.csv", 7, "col", text, kind)
-        assert str(exc.value) == f"f.csv:7: col must be {what}, got {text!r}"
+            read_number("col", text, kind)
+        assert str(exc.value) == f"col must be {what}, got {text!r}"
+        path = write_table(tmp_path, "f", ["id,col", "a,1", f"b,{text}"])
+        with pytest.raises(DataFormatError) as exc:
+            with read_csv(path) as (header, rows):
+                for cells in rows:
+                    read_number("col", cells[1], kind)
+        assert str(exc.value) == f"{path}:3: col must be {what}, got {text!r}"
 
 
 # Cell text from the characters int() and float() treat specially, with an
@@ -212,16 +250,15 @@ class TestNumberRule:
         values, that read_number gives cell by cell."""
         stimuli = [f"p{j}" for j in range(len(cells))]
         try:
-            expected = [read_number("f.csv", 2, s, c) if c else math.nan
+            expected = [read_number(s, c) if c else math.nan
                         for s, c in zip(stimuli, cells)]
             for s, c, v in zip(stimuli, cells, expected):
                 if c and not 0 <= v <= 100:
-                    raise DataFormatError(
-                        f"f.csv:2: score {v:g} for {s!r} outside [0, 100]")
+                    raise DataFormatError(f"score {v:g} for {s!r} outside [0, 100]")
         except DataFormatError as exc:
             expected = str(exc)
         try:
-            got = list(_score_row("f.csv", 2, stimuli, cells))
+            got = list(_score_row(stimuli, cells))
         except DataFormatError as exc:
             got = str(exc)
         if isinstance(expected, str):
