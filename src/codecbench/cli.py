@@ -226,21 +226,21 @@ def _emit(args, report_doc, csv_header, csv_rows, summary_lines):
     return 0
 
 
-def _open_video(path, args):
+def _open_video(fp, args):
     from . import video_io
 
-    # A .y4m extension or the stream magic selects container parsing, so a
-    # corrupt Y4M file reports a format error instead of falling back to raw.
-    with open(path, "rb") as probe:
-        magic = probe.read(len(video_io.Y4M_MAGIC))
-    if magic == video_io.Y4M_MAGIC or str(path).lower().endswith(".y4m"):
-        return video_io.Y4MReader(path)
+    # The reader takes the file cmd_metrics opened, so a pipe or FIFO works:
+    # a .y4m extension or the magic peeked from the stream selects container
+    # parsing, so a corrupt Y4M file reports a format error, not raw input.
+    if (fp.peek(len(video_io.Y4M_MAGIC)).startswith(video_io.Y4M_MAGIC)
+            or fp.name.lower().endswith(".y4m")):
+        return video_io.Y4MReader(fp)
     flags = {"--width": args.width, "--height": args.height,
              "--bit-depth": args.bit_depth, "--fps": args.fps}
     missing = [flag for flag, value in flags.items() if value is None]
     if missing:
         raise InputError(
-            f"{path} is not a Y4M stream; raw input requires "
+            f"{fp.name} is not a Y4M stream; raw input requires "
             f"{' '.join(missing)} (no geometry autodetection)"
         )
     try:
@@ -257,29 +257,28 @@ def _open_video(path, args):
         raise InputError(
             f"invalid raw-input flags --width/--height/--fps/--chroma: {exc}"
         ) from None
-    return video_io.RawReader(path, info)
+    return video_io.RawReader(fp, info)
 
 
 def cmd_metrics(args) -> int:
     from . import metrics
 
     metric_ids = metrics.parse_metric_selection(args.metrics)
-    with _open_video(args.reference, args) as ref, _open_video(args.test, args) as test:
+    with open(args.reference, "rb") as ref_fp, open(args.test, "rb") as test_fp:
+        ref, test = _open_video(ref_fp, args), _open_video(test_fp, args)
         ri = ref.info
         results = metrics.sequence_quality(
             ref, test, metric_ids, clamp_db=args.clamp_db, jobs=args.jobs
         )
 
     frame_count = len(next(iter(results.values())).frame_values)
-    warnings = []
     if args.external:
-        external = metrics.ingest_external_scores(
-            args.external, name=args.external_name, frame_count=frame_count
-        )
+        external = metrics.ingest_external_scores(args.external, name=args.external_name)
         results[external.metric_id] = external
-        warnings.extend(external.warnings)
 
-    rows = []
+    # One rule for every series: a count other than the frame count is warned
+    # of, and --per-frame leaves the series out, as it cannot be placed.
+    rows, warnings, ids = [], [], []
     for mid, sq in results.items():
         rows.append(
             {
@@ -289,9 +288,16 @@ def cmd_metrics(args) -> int:
                 "clamp_applied": sq.clamp_applied,
             }
         )
+        if len(sq.frame_values) == frame_count:
+            ids.append(mid)
+        else:
+            warnings.append(
+                f"{mid}: {len(sq.frame_values)} values for {frame_count} frames; "
+                "mean taken over present values"
+                + ("; column left out of --per-frame" if args.per_frame else "")
+            )
 
     if args.per_frame:
-        ids = [mid for mid, sq in results.items() if len(sq.frame_values) == frame_count]
         _write_csv(args, args.per_frame, ["frame"] + ids, [
             [i] + [results[mid].frame_values[i] for mid in ids]
             for i in range(frame_count)

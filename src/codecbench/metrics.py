@@ -70,9 +70,12 @@ def parse_metric_selection(text: str) -> tuple[str, ...]:
 class SequenceQuality:
     metric_id: str
     frame_values: tuple[float, ...]
-    value: float
     clamp_applied: bool = False
-    warnings: tuple[str, ...] = ()
+
+    @property
+    def value(self) -> float:
+        """The sequence value: the mean of the per-frame values."""
+        return _mean(self.frame_values)
 
 
 @dataclass(frozen=True)
@@ -333,10 +336,7 @@ def sequence_quality(
     for mid, per_frame in zip(metric_ids, zip(*frames)):
         values, clamped = zip(*per_frame)
         out[mid] = SequenceQuality(
-            metric_id=mid,
-            frame_values=values,
-            value=_mean(values),
-            clamp_applied=any(clamped),
+            metric_id=mid, frame_values=values, clamp_applied=any(clamped)
         )
     return out
 
@@ -382,13 +382,12 @@ def content_features(frames) -> ContentFeatures:
     return ContentFeatures(si=max(si), ti=max(ti))
 
 
-def ingest_external_scores(
-    path, name: str | None = None, frame_count: int | None = None
-) -> SequenceQuality:
+def ingest_external_scores(path, name: str | None = None) -> SequenceQuality:
     """Load per-frame scores produced by an external metric tool.
 
     Supports a two-column CSV (frame,score) and the JSON layout of the
     common VMAF tool: {"frames": [{"metrics": {"<name>": value}}, ...]}.
+    The count is not checked: a caller with a video compares it.
     """
     with named_errors(path) as where, open_input(path) as fp:
         text = fp.read()
@@ -411,19 +410,8 @@ def ingest_external_scores(
                 scores.append(read_number("score", score))
 
     if not scores:
-        raise InputError(f"{path}: no scores present")
-    warnings = []
-    if frame_count is not None and frame_count != len(scores):
-        warnings.append(
-            f"score count {len(scores)} does not match declared frame count "
-            f"{frame_count}; mean taken over present scores"
-        )
-    return SequenceQuality(
-        metric_id=f"EXTERNAL:{metric_name}",
-        frame_values=tuple(scores),
-        value=_mean(scores),
-        warnings=tuple(warnings),
-    )
+        raise InputError(f"{os.fsdecode(path)}: no scores present")
+    return SequenceQuality(metric_id=f"EXTERNAL:{metric_name}", frame_values=tuple(scores))
 
 
 def _scores_from_json(text, metric_name):

@@ -278,9 +278,10 @@ class _ReaderBase:
     _container: str
 
     def __init__(self, source):
-        self._source = source
         self._owns = isinstance(source, (str, bytes, os.PathLike))
         self._fp = open(source, "rb") if self._owns else source
+        # Faults name the file: a stream's own name where it has one.
+        self._source = getattr(self._fp, "name", source)
         self._index = 0
 
     def close(self):
@@ -316,7 +317,7 @@ class Y4MReader(_ReaderBase):
     def __init__(self, source):
         super().__init__(source)
         try:
-            with named_errors(source):
+            with named_errors(self._source):
                 self.info = parse_y4m_header(self._fp)
         except Exception:
             self.close()

@@ -1,9 +1,11 @@
 import ast
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import codecbench
 from codecbench import metrics
 from codecbench.cli import main
 from codecbench.report import normalize_floats
-from codecbench.video_io import CHROMA_444, write_y4m
+from codecbench.video_io import CHROMA_444, Y4MReader, write_y4m
 
 from conftest import make_info, offset_frame, random_frame
 
@@ -36,6 +38,33 @@ def write_pair(tmp_path, rng, frames=3, width=32, height=32, bit_depth=8, delta=
     write_y4m(ref_path, ref)
     write_y4m(test_path, test)
     return ref_path, test_path
+
+
+def main_with_fifo(argv, fifo, data):
+    """main(argv) while a writer thread feeds data through a FIFO made at
+    fifo. A reader still waiting to open the FIFO after 10 s is given end of
+    file, so a reader that opens the FIFO twice fails instead of hanging."""
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fp:
+            fp.write(data)
+
+    def release():
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+    writer = threading.Thread(target=write, daemon=True)
+    watchdog = threading.Timer(10, release)
+    writer.start()
+    watchdog.start()
+    try:
+        rc = main(argv)
+    finally:
+        watchdog.cancel()
+    writer.join(10)
+    assert not writer.is_alive()
+    return rc
 
 
 class TestMetricsCommand:
@@ -104,7 +133,8 @@ class TestMetricsCommand:
 
         def record(ref_source, test_source, metric_ids, **kwargs):
             seen.append(kwargs["jobs"])
-            return {m: metrics.SequenceQuality(m, (1.0,), 1.0) for m in metric_ids}
+            return {m: metrics.SequenceQuality(metric_id=m, frame_values=(1.0,))
+                    for m in metric_ids}
 
         monkeypatch.setattr(metrics, "sequence_quality", record)
         rc = main([
@@ -228,6 +258,73 @@ class TestMetricsCommand:
             m for m in doc["results"]["metrics"] if m["metric"] == "EXTERNAL:vmaf"
         )
         assert ext["mean"] == 92.0
+
+    def test_external_count_mismatch_warns(self, tmp_path, rng):
+        # One rule for every series: a count other than the video's 3 frames
+        # is warned of, the mean is over the present scores, and --per-frame
+        # leaves the column out, whatever the worker count.
+        ref, test = write_pair(tmp_path, rng, delta=1)
+        scores, per_frame = tmp_path / "scores.csv", tmp_path / "frames.csv"
+        argv = ["metrics", str(ref), str(test), "--metrics", "psnr_y",
+                "--external", str(scores), "--quiet"]
+        for values in [(90.0, 92.0), (90.0, 92.0, 94.0, 100.0)]:
+            scores.write_text("frame,score\n"
+                              + "".join(f"{i},{v}\n" for i, v in enumerate(values)))
+            outputs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"report{jobs}.json"
+                assert main(argv + ["--per-frame", str(per_frame), "--output", str(out),
+                                    "--jobs", jobs]) == 0
+                doc = json.loads(out.read_text())
+                del doc["command"]
+                outputs.append((doc, per_frame.read_text()))
+            assert outputs[0] == outputs[1]
+            doc, frames_csv = outputs[0]
+            message = (f"EXTERNAL:score: {len(values)} values for 3 frames; "
+                       "mean taken over present values")
+            assert doc["warnings"] == [message + "; column left out of --per-frame"]
+            ext = doc["results"]["metrics"][1]
+            assert ext["metric"] == "EXTERNAL:score"
+            assert (ext["mean"], ext["frames"]) == (sum(values) / len(values), len(values))
+            assert frames_csv.splitlines()[0] == "frame,PSNR_Y"
+            assert len(frames_csv.splitlines()) == 4
+            out = tmp_path / "bare.json"
+            assert main(argv + ["--output", str(out)]) == 0
+            assert json.loads(out.read_text())["warnings"] == [message]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    @pytest.mark.parametrize("container", ["y4m", "raw"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["reference", "test"])
+    def test_input_through_a_fifo(self, tmp_path, rng, container, side):
+        # Each input is opened once, so a pipe's first bytes are read by the
+        # reader that peeked them. The FIFO's name has no extension: a Y4M
+        # stream is known by its magic alone.
+        paths = list(write_pair(tmp_path, rng, delta=2))
+        flags = []
+        if container == "raw":
+            for i, path in enumerate(paths):
+                with Y4MReader(path) as reader:
+                    data = b"".join(p.tobytes() for f in reader for p in f.planes)
+                paths[i] = path.with_suffix(".yuv")
+                paths[i].write_bytes(data)
+            flags = ["--width", "32", "--height", "32", "--bit-depth", "8", "--fps", "25"]
+
+        def run(inputs, name, feed=None):
+            out, frames = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            argv = (["metrics", *map(str, inputs), *flags, "--metrics", "psnr,ssim",
+                     "--per-frame", str(frames), "--output", str(out), "--quiet"])
+            rc = main_with_fifo(argv, inputs[side], feed) if feed else main(argv)
+            assert rc == 0
+            doc = json.loads(out.read_text())
+            del doc["command"]
+            # Only the input names may differ (and a FIFO's size reads 0).
+            names = [doc["results"].pop(role) for role in ("reference", "test")]
+            assert [i["name"] for i in doc.pop("inputs")] == names == list(map(str, inputs))
+            return doc, frames.read_text()
+
+        fifo = tmp_path / "pipe"
+        inputs = [fifo if i == side else p for i, p in enumerate(paths)]
+        assert run(inputs, "fifo", paths[side].read_bytes()) == run(paths, "regular")
 
     def test_deterministic_outputs(self, tmp_path, rng):
         ref, test = write_pair(tmp_path, rng, delta=2)

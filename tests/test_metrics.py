@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -454,6 +455,16 @@ class TestSequenceQuality:
         assert sq.value == 100.0
         assert sq.clamp_applied
 
+    def test_value_is_derived_from_the_frame_values(self):
+        fields = [f.name for f in dataclasses.fields(metrics.SequenceQuality)]
+        assert fields == ["metric_id", "frame_values", "clamp_applied"]
+        big = sys.float_info.max
+        for values in [(90.0, 92.5, 94.25), (big, big), (0.1,) * 7]:
+            sq = metrics.SequenceQuality(metric_id="X", frame_values=values)
+            assert sq.value == metrics._mean(values)
+        with pytest.raises(AttributeError):
+            sq.value = 1.0
+
     def test_mean_of_per_frame_values(self, rng):
         info = make_info(16, 16)
         base = [
@@ -758,6 +769,15 @@ class TestExternalScores:
         with pytest.raises(InputError, match="scores.csv: no scores present"):
             ingest_external_scores(path)
 
+    def test_empty_over_a_bytes_path_names_it_as_text(self, tmp_path):
+        # Found after the last row: an InputError (exit 2) naming no line.
+        path = tmp_path / "scores.csv"
+        path.write_text("frame,score\n")
+        with pytest.raises(InputError) as exc:
+            ingest_external_scores(os.fsencode(path))
+        assert type(exc.value) is InputError
+        assert str(exc.value) == f"{path}: no scores present"
+
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("frame,score\n0,high\n")
@@ -780,13 +800,6 @@ class TestExternalScores:
         path.write_text("frame,score\n" + rows)
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path) + message)}$"):
             ingest_external_scores(path)
-
-    def test_count_mismatch_warns(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("frame,score\n0,90\n1,92\n")
-        sq = ingest_external_scores(path, frame_count=3)
-        assert sq.value == 91.0
-        assert sq.warnings
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400])
     def test_json_non_finite_score_rejected(self, tmp_path, literal):

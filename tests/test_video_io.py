@@ -329,6 +329,20 @@ class TestReaderErrors:
         with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             Y4MReader(os.fsencode(path))
 
+    def test_reader_on_a_named_stream_names_it(self, tmp_path):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(bytes(10))
+        with open(path, "rb") as fp:
+            message = f"{path}: truncated frame 0: expected 96 bytes, got 10"
+            with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+                RawReader(fp, make_info(8, 8)).read_frame()
+        path.write_bytes(b"JUNK\n")
+        with open(path, "rb") as fp:
+            message = f"{path}: missing YUV4MPEG2 magic"
+            with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+                Y4MReader(fp)
+            assert not fp.closed
+
     def test_reader_on_a_stream_keeps_the_message(self):
         with pytest.raises(DataFormatError, match="^missing YUV4MPEG2 magic$"):
             Y4MReader(io.BytesIO(b"JUNK\n"))
