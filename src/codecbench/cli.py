@@ -213,15 +213,22 @@ def _write_csv(args, path, header, rows):
         report.render_csv(header, rows, fp, full_precision=args.full_precision)
 
 
-def _emit(args, report_doc, csv_header, csv_rows, summary_lines):
+def _emit(args, inputs, results, columns, table, summary, warnings=(), notes=()):
+    """The one report rule of every command: JSON is the whole report, and a
+    CSV report is the rows of `table` (dicts from `results`) projected on
+    `columns`, a flag written 0/1."""
     if args.format == "json":
-        text = report.render_json(report_doc, full_precision=args.full_precision)
+        doc = report.make_report(args.argv, inputs, results, warnings, notes)
+        text = report.render_json(doc, full_precision=args.full_precision)
         with report.open_output(args.output) as fp:
             fp.write(text)
     else:
-        _write_csv(args, args.output, csv_header, csv_rows)
+        _write_csv(args, args.output, columns, [
+            [int(row[c]) if isinstance(row[c], bool) else row[c] for c in columns]
+            for row in table
+        ])
     if not args.quiet and args.output != "-":
-        for line in summary_lines:
+        for line in summary:
             print(line)
     return 0
 
@@ -267,19 +274,19 @@ def cmd_metrics(args) -> int:
     with open(args.reference, "rb") as ref_fp, open(args.test, "rb") as test_fp:
         ref, test = _open_video(ref_fp, args), _open_video(test_fp, args)
         ri = ref.info
-        results = metrics.sequence_quality(
+        series = metrics.sequence_quality(
             ref, test, metric_ids, clamp_db=args.clamp_db, jobs=args.jobs
         )
 
-    frame_count = len(next(iter(results.values())).frame_values)
+    frame_count = len(next(iter(series.values())).frame_values)
     if args.external:
         external = metrics.ingest_external_scores(args.external, name=args.external_name)
-        results[external.metric_id] = external
+        series[external.metric_id] = external
 
     # One rule for every series: a count other than the frame count is warned
     # of, and --per-frame leaves the series out, as it cannot be placed.
     rows, warnings, ids = [], [], []
-    for mid, sq in results.items():
+    for mid, sq in series.items():
         rows.append(
             {
                 "metric": mid,
@@ -299,45 +306,38 @@ def cmd_metrics(args) -> int:
 
     if args.per_frame:
         _write_csv(args, args.per_frame, ["frame"] + ids, [
-            [i] + [results[mid].frame_values[i] for mid in ids]
+            [i] + [series[mid].frame_values[i] for mid in ids]
             for i in range(frame_count)
         ])
 
     inputs = [args.reference, args.test] + ([args.external] if args.external else [])
-    doc = report.make_report(
-        command=args.argv,
-        inputs=inputs,
-        results={
-            "reference": args.reference,
-            "test": args.test,
-            "geometry": {
-                "width": ri.width,
-                "height": ri.height,
-                "bit_depth": ri.bit_depth,
-                "chroma": ri.chroma,
-                "fps": f"{ri.fps_num}/{ri.fps_den}",
-            },
-            "frame_count": frame_count,
-            "metrics": rows,
+    results = {
+        "reference": args.reference,
+        "test": args.test,
+        "geometry": {
+            "width": ri.width,
+            "height": ri.height,
+            "bit_depth": ri.bit_depth,
+            "chroma": ri.chroma,
+            "fps": f"{ri.fps_num}/{ri.fps_den}",
         },
-        warnings=warnings,
-        notes=[
-            f"per-frame infinite PSNR replaced by {args.clamp_db:g} dB; "
-            "substitutions are flagged per metric",
-            "sequence value is the mean of per-frame values",
-            "SSIM: luma plane, 11x11 Gaussian window (sigma 1.5), "
-            "K1=0.01, K2=0.03, fully supported windows only",
-        ],
-    )
-    csv_rows = [
-        [r["metric"], r["mean"], r["frames"], int(r["clamp_applied"])] for r in rows
+        "frame_count": frame_count,
+        "metrics": rows,
+    }
+    notes = [
+        f"per-frame infinite PSNR replaced by {args.clamp_db:g} dB; "
+        "substitutions are flagged per metric",
+        "sequence value is the mean of per-frame values",
+        "SSIM: luma plane, 11x11 Gaussian window (sigma 1.5), "
+        "K1=0.01, K2=0.03, fully supported windows only",
     ]
     summary = [
         f"{r['metric']}: {r['mean']:.4f}"
         + (" (clamped)" if r["clamp_applied"] else "")
         for r in rows
     ]
-    return _emit(args, doc, ["metric", "mean", "frames", "clamp_applied"], csv_rows, summary)
+    return _emit(args, inputs, results, ["metric", "mean", "frames", "clamp_applied"],
+                 rows, summary, warnings, notes)
 
 
 def cmd_bdrate(args) -> int:
@@ -367,32 +367,20 @@ def cmd_bdrate(args) -> int:
                           for curve in curves if curve.codec_id == codec]),
         )
 
-    doc = report.make_report(
-        command=args.argv,
-        inputs=[args.points],
-        results={
-            "anchor": args.anchor,
-            "test": args.test,
-            "deltas": rows,
-            "averages": averages,
-        },
-        warnings=warnings,
-        notes=[
-            "interpolation: monotone piecewise cubic (PCHIP) of log10(rate) "
-            "vs quality, integrated in closed form over the shared range",
-            "Average row is the arithmetic mean of per-sequence deltas",
-        ],
-    )
-    header = ["sequence", "metric", "bd_rate_percent", "bd_quality"]
-    csv_rows = [
-        [r["sequence"], r["metric"], r["bd_rate_percent"], r["bd_quality"]]
-        for r in rows + averages
+    results = {"anchor": args.anchor, "test": args.test, "deltas": rows,
+               "averages": averages}
+    notes = [
+        "interpolation: monotone piecewise cubic (PCHIP) of log10(rate) "
+        "vs quality, integrated in closed form over the shared range",
+        "Average row is the arithmetic mean of per-sequence deltas",
     ]
     summary = [
         f"{r['sequence']} [{r['metric']}]: BD-rate {r['bd_rate_percent']:+.2f}%"
         for r in rows + averages
     ]
-    return _emit(args, doc, header, csv_rows, summary)
+    return _emit(args, [args.points], results,
+                 ["sequence", "metric", "bd_rate_percent", "bd_quality"],
+                 rows + averages, summary, warnings, notes)
 
 
 def cmd_mos(args) -> int:
@@ -417,29 +405,20 @@ def cmd_mos(args) -> int:
         except StatsError as exc:
             warnings.append(f"ANOVA skipped for factor {factor!r}: {exc}")
 
-    doc = report.make_report(
-        command=args.argv,
-        inputs=[args.scores, args.pvs_meta],
-        results={
-            "session": args.session,
-            "screening": asdict(screening),
-            "mos": [
-                {"pvs": p.stimulus, "mos": p.mos, "ci95": p.ci95, "n": p.n}
-                for p in points
-            ],
-            "anova": [asdict(res) for res in anovas],
-        },
-        warnings=warnings,
-        notes=[
-            f"confidence interval: {args.ci_constant:g} * stddev / sqrt(N), "
-            "population stddev (squared deviations, divided by N)",
-            "screening: single pass against the all-subjects MOS, retained "
-            f"when min(Pearson, Spearman) >= {args.threshold:g}",
-            "one session per scores file; screen HD and UHD sessions separately",
-        ],
-    )
-    header = ["pvs", "mos", "ci95", "n"]
-    csv_rows = [[p.stimulus, p.mos, p.ci95, p.n] for p in points]
+    mos = [{"pvs": p.stimulus, "mos": p.mos, "ci95": p.ci95, "n": p.n} for p in points]
+    results = {
+        "session": args.session,
+        "screening": asdict(screening),
+        "mos": mos,
+        "anova": [asdict(res) for res in anovas],
+    }
+    notes = [
+        f"confidence interval: {args.ci_constant:g} * stddev / sqrt(N), "
+        "population stddev (squared deviations, divided by N)",
+        "screening: single pass against the all-subjects MOS, retained "
+        f"when min(Pearson, Spearman) >= {args.threshold:g}",
+        "one session per scores file; screen HD and UHD sessions separately",
+    ]
     summary = [
         f"discarded subjects: {', '.join(screening.discarded) or 'none'}",
     ] + [f"{p.stimulus}: MOS {p.mos:.2f} +/- {p.ci95:.2f} (n={p.n})" for p in points]
@@ -448,7 +427,8 @@ def cmd_mos(args) -> int:
             f"ANOVA {res.factor}: F({res.df_between},{res.df_within}) "
             f"= {res.f_stat:.3f}, p = {res.p_value:.4g}"
         )
-    return _emit(args, doc, header, csv_rows, summary)
+    return _emit(args, [args.scores, args.pvs_meta], results, ["pvs", "mos", "ci95", "n"],
+                 mos, summary, warnings, notes)
 
 
 def _pie_paths(base, inputs):
@@ -521,21 +501,10 @@ def cmd_profile(args) -> int:
                     for a, b in profiling.codec_pairs(records)]
         results["timing"] = {"time_factors": factors, "speedups": speedups}
 
-    doc = report.make_report(
-        command=args.argv,
-        inputs=inputs,
-        results=results,
-        notes=[
-            "self cost only (no inclusive-cost propagation); cost basis is "
-            + (f"event {args.event!r}" if args.event else "the first declared event"),
-            f"stages below {args.threshold:g}% are folded into Other",
-        ],
-    )
-    header = ["file", "stage", "percent"]
-    csv_rows = [
-        [p["file"], s["stage"], s["percent"]]
-        for p in profiles
-        for s in p["stages"]
+    notes = [
+        "self cost only (no inclusive-cost propagation); cost basis is "
+        + (f"event {args.event!r}" if args.event else "the first declared event"),
+        f"stages below {args.threshold:g}% are folded into Other",
     ]
     summary = []
     for p in profiles:
@@ -548,7 +517,9 @@ def cmd_profile(args) -> int:
         f"= {s['speedup_a_over_b']:.2f}x"
         for s in speedups
     )
-    return _emit(args, doc, header, csv_rows, summary)
+    table = [{"file": p["file"], **s} for p in profiles for s in p["stages"]]
+    return _emit(args, inputs, results, ["file", "stage", "percent"], table, summary,
+                 notes=notes)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -23,9 +24,12 @@ DEFAULT_SIG_DIGITS = 6
 
 
 def inputs_digest(paths) -> list[dict]:
+    """Each input's name and size, or None for a pipe, FIFO or other non-regular file."""
     out = []
     for path in paths:
-        out.append({"name": str(path), "bytes": os.path.getsize(path)})
+        st = os.stat(path)
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None
+        out.append({"name": str(path), "bytes": size})
     return out
 
 

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -317,9 +318,13 @@ class TestMetricsCommand:
             assert rc == 0
             doc = json.loads(out.read_text())
             del doc["command"]
-            # Only the input names may differ (and a FIFO's size reads 0).
+            # Only the input names may differ, and a FIFO has no size to give.
             names = [doc["results"].pop(role) for role in ("reference", "test")]
-            assert [i["name"] for i in doc.pop("inputs")] == names == list(map(str, inputs))
+            assert names == list(map(str, inputs))
+            assert doc.pop("inputs") == [
+                {"name": str(p), "bytes": None if p == fifo else p.stat().st_size}
+                for p in inputs
+            ]
             return doc, frames.read_text()
 
         fifo = tmp_path / "pipe"
@@ -1406,6 +1411,40 @@ def test_cli_leaves_the_worker_cap_to_the_library():
     assert found == []
 
 
+def call_name(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_one_report_call_site():
+    # cli._emit is the one report rule: only it builds and renders the JSON
+    # report, and each command ends by handing it its results and one table.
+    package = Path(codecbench.__file__).parent
+    found, commands = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and call_name(node) in ("make_report", "render_json")}
+        if path.stem == "cli":
+            fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+            emit = calls & set(own_nodes(fns["_emit"]))
+            assert sorted(map(call_name, emit)) == ["make_report", "render_json"]
+            calls -= emit
+            for name, fn in fns.items():
+                if not name.startswith("cmd_"):
+                    continue
+                commands.append(name)
+                emits = [node for node in own_nodes(fn)
+                         if isinstance(node, ast.Call) and call_name(node) == "_emit"]
+                last = fn.body[-1]
+                if not (len(emits) == 1 and isinstance(last, ast.Return)
+                        and last.value is emits[0]):
+                    found.append(f"cli.{name} does not end in one _emit call")
+        found += [f"{path.name}:{node.lineno} calls {call_name(node)}" for node in calls]
+    assert sorted(commands) == ["cmd_bdrate", "cmd_metrics", "cmd_mos", "cmd_profile"]
+    assert found == []
+
+
 # The one number rule of input text is report.parse_number. _score_row keeps
 # a bulk float() pass over a row, and _parse_callgrind_lines the int() of
 # its hot cost-line loop.
@@ -1550,6 +1589,39 @@ def test_subcommand_imports_only_what_it_needs(tmp_path, command, not_loaded):
     rc, loaded = modules_loaded_by(import_contract_argv(tmp_path, command), tmp_path)
     assert rc == 0
     assert not loaded & not_loaded
+
+
+# The rows of each command's JSON results that its CSV report holds.
+CSV_TABLES = {
+    "metrics": (["metric", "mean", "frames", "clamp_applied"],
+                lambda results: results["metrics"]),
+    "bdrate": (["sequence", "metric", "bd_rate_percent", "bd_quality"],
+               lambda results: results["deltas"] + results["averages"]),
+    "mos": (["pvs", "mos", "ci95", "n"], lambda results: results["mos"]),
+    "profile": (["file", "stage", "percent"],
+                lambda results: [{"file": p["file"], **s}
+                                 for p in results["profiles"] for s in p["stages"]]),
+}
+
+
+@pytest.mark.parametrize("precision", [[], ["--full-precision"]], ids=["6-digits", "full"])
+@pytest.mark.parametrize("command", sorted(CSV_TABLES))
+def test_csv_report_is_the_json_tables_projection(tmp_path, monkeypatch, command, precision):
+    # A CSV report is the table of the JSON results projected on its header,
+    # a flag written 0/1, at the same precision.
+    monkeypatch.chdir(tmp_path)
+    # The planted command without its trailing `-o report.json -q`.
+    argv = import_contract_argv(tmp_path, command)[:-3] + precision + ["-q"]
+    assert main(argv + ["-o", "report.json"]) == 0
+    assert main(argv + ["--format", "csv", "-o", "report.csv"]) == 0
+    columns, table = CSV_TABLES[command]
+    rows = table(json.loads((tmp_path / "report.json").read_text())["results"])
+    with open(tmp_path / "report.csv", newline="") as fp:
+        header, *cells = csv.reader(fp)
+    assert header == columns
+    assert len(rows) > 1
+    assert cells == [[str(int(row[c]) if isinstance(row[c], bool) else row[c]) for c in columns]
+                     for row in rows]
 
 
 def test_package_import_is_lazy(tmp_path):
