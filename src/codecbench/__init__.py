@@ -1,6 +1,6 @@
 """codecbench: codec evaluation toolkit.
 
-Objective video quality metrics (PSNR, weighted PSNR, SSIM, SI/TI),
+Objective video quality metrics (PSNR, weighted PSNR, SSIM),
 Bjøntegaard rate-distortion deltas, subjective score statistics with
 outlier screening and one-way ANOVA, and encoder/decoder complexity
 analysis from timing data and Callgrind profiles.
@@ -23,8 +23,7 @@ _EXPORTS = {
     ),
     "metrics": (
         "mse", "psnr_from_mse", "wpsnr", "ssim_frame", "sequence_quality",
-        "content_features", "ingest_external_scores", "SequenceQuality",
-        "ContentFeatures",
+        "ingest_external_scores", "SequenceQuality",
     ),
     "rd": (
         "RDPoint", "RDCurve", "BDResult", "bd_rate", "bd_quality",

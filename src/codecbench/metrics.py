@@ -78,12 +78,6 @@ class SequenceQuality:
         return _mean(self.frame_values)
 
 
-@dataclass(frozen=True)
-class ContentFeatures:
-    si: float
-    ti: float
-
-
 def mse(ref_plane, test_plane) -> float:
     """Mean squared error between two equally sized arrays of integer
     samples of up to 16 bits."""
@@ -339,47 +333,6 @@ def sequence_quality(
             metric_id=mid, frame_values=values, clamp_applied=any(clamped)
         )
     return out
-
-
-def _sobel_magnitude(luma: np.ndarray) -> np.ndarray:
-    """Gradient magnitude on interior pixels, standard 3x3 Sobel kernels.
-
-    The gradients and their squared sum are exact in int32 (below 2**31 for
-    10-bit samples), so only the square root is a float64 frame.
-    """
-    if luma.shape[0] < 3 or luma.shape[1] < 3:
-        raise InputError(f"plane {luma.shape} too small for a 3x3 Sobel filter")
-    p = luma.astype(np.int32)
-    gx = (p[:-2, 2:] + 2 * p[1:-1, 2:] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2 * p[1:-1, :-2] + p[2:, :-2]
-    )
-    gy = (p[2:, :-2] + 2 * p[2:, 1:-1] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2 * p[:-2, 1:-1] + p[:-2, 2:]
-    )
-    gx *= gx
-    gy *= gy
-    gx += gy
-    return np.sqrt(gx)
-
-
-def content_features(frames) -> ContentFeatures:
-    """SI and TI in a single pass over the sequence: the max over frames of
-    the stddev of the Sobel-filtered luma plane, and the max over
-    successive frame pairs of the stddev of the luma difference."""
-    si, ti, previous = [], [], None
-    for n, frame in enumerate(frames):
-        if previous is None:
-            first = frame.info
-        else:
-            first.check_compatible(frame.info, ("frame 0", f"frame {n}"))
-            ti.append(float(np.std(np.subtract(frame.y, previous, dtype=np.int32))))
-        si.append(float(np.std(_sobel_magnitude(frame.y))))
-        previous = frame.y
-    if not si:
-        raise InputError("content_features requires at least one frame")
-    if not ti:
-        raise InputError("content_features requires at least two frames for TI")
-    return ContentFeatures(si=max(si), ti=max(ti))
 
 
 def ingest_external_scores(path, name: str | None = None) -> SequenceQuality:

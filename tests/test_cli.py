@@ -1660,10 +1660,15 @@ def test_readme_library_imports_resolve():
 def test_package_dir_and_unknown_names():
     assert set(codecbench.__all__) <= set(dir(codecbench))
     assert {"metrics", "rd", "subjective", "video_io"} <= set(dir(codecbench))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        codecbench.no_such_name
-    with pytest.raises(ImportError):
-        exec("from codecbench import no_such_name", {})
+    # content_features and ContentFeatures are not exports: they fail as an
+    # unknown name does. A stale _EXPORTS entry would raise from inside the
+    # submodule, naming it instead.
+    for name in ("no_such_name", "content_features", "ContentFeatures"):
+        with pytest.raises(AttributeError,
+                           match=f"^module 'codecbench' has no attribute '{name}'$"):
+            getattr(codecbench, name)
+        with pytest.raises(ImportError):
+            exec(f"from codecbench import {name}", {})
 
 
 def test_parser_defaults_match_library_constants():

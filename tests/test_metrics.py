@@ -22,7 +22,6 @@ from codecbench.metrics import (
     PSNR_Y,
     SSIM,
     WPSNR,
-    content_features,
     ingest_external_scores,
     mse,
     psnr_from_mse,
@@ -573,163 +572,6 @@ class TestSequenceQuality:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert self.pool_sizes(rng, monkeypatch, 4) == []
-
-
-def sobel_std_brute_force(y):
-    """Direct 3x3 convolution on interior pixels, then population stddev."""
-    gx_k = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-    gy_k = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    h, w = y.shape
-    mags = []
-    for i in range(1, h - 1):
-        for j in range(1, w - 1):
-            win = y[i - 1 : i + 2, j - 1 : j + 2]
-            gx = float((gx_k * win).sum())
-            gy = float((gy_k * win).sum())
-            mags.append(math.hypot(gx, gy))
-    mags = np.array(mags)
-    return float(np.sqrt(np.mean((mags - mags.mean()) ** 2)))
-
-
-class TestSpatialTemporalInfo:
-    def test_constant_frames_si_zero(self):
-        info = make_info(16, 16)
-        frames = [make_frame(info, np.full((16, 16), 128)) for _ in range(3)]
-        assert content_features(frames).si == 0.0
-
-    def test_si_against_sobel_oracle(self):
-        info = make_info(16, 16)
-        y = np.zeros((16, 16))
-        y[:, 8:] = 255
-        frame = make_frame(info, y)
-        assert content_features([frame, frame]).si == pytest.approx(
-            sobel_std_brute_force(y), abs=1e-9
-        )
-
-    def test_si_max_semantics(self):
-        info = make_info(16, 16)
-        edge = np.zeros((16, 16))
-        edge[:, 8:] = 255
-        flat = make_frame(info, np.full((16, 16), 40))
-        edgy = make_frame(info, edge)
-        assert content_features([flat, edgy]).si == content_features([edgy, edgy]).si
-
-    def test_si_empty(self):
-        message = "content_features requires at least one frame"
-        with pytest.raises(InputError, match=message):
-            content_features([])
-
-    def test_ti_static_zero(self, rng):
-        info = make_info(16, 16)
-        frame = random_frame(info, rng)
-        assert content_features([frame, frame, frame]).ti == 0.0
-
-    def test_ti_uniform_shift_zero(self):
-        info = make_info(16, 16)
-        frames = [
-            make_frame(info, np.full((16, 16), 0)),
-            make_frame(info, np.full((16, 16), 10)),
-        ]
-        assert content_features(frames).ti == 0.0
-
-    def test_ti_checkerboard_inverse(self):
-        info = make_info(16, 16)
-        board = np.indices((16, 16)).sum(axis=0) % 2 * 255
-        frames = [make_frame(info, board), make_frame(info, 255 - board)]
-        assert content_features(frames).ti == 255.0
-
-    def test_ti_needs_two_frames(self, rng):
-        message = "content_features requires at least two frames for TI"
-        with pytest.raises(InputError, match=message):
-            content_features([random_frame(make_info(16, 16), rng)])
-
-    def test_duplicate_frames_do_not_change_si_ti(self, rng):
-        info = make_info(16, 16)
-        frames = [random_frame(info, rng, i) for i in range(3)]
-        extended = frames + [frames[-1]]
-        assert content_features(extended) == content_features(frames)
-
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_reductions_match_per_frame_values(self, rng, count):
-        info = make_info(16, 16)
-        frames = [random_frame(info, rng, i) for i in range(count)]
-        si = [float(np.std(metrics._sobel_magnitude(f.y))) for f in frames]
-        lumas = [f.y.astype(np.float64) for f in frames]
-        ti = [float(np.std(b - a)) for a, b in zip(lumas, lumas[1:])]
-        if count == 1:
-            message = "content_features requires at least two frames for TI"
-            with pytest.raises(InputError, match=message):
-                content_features(iter(frames))
-            return
-        assert content_features(iter(frames)) == metrics.ContentFeatures(max(si), max(ti))
-
-    @pytest.mark.parametrize("other,message", [
-        (make_info(32, 16), "geometry mismatch: frame 0 16x16 vs frame 3 32x16"),
-        (make_info(16, 16, bit_depth=10), "bit depth mismatch: frame 0 8 vs frame 3 10"),
-        (make_info(16, 16, chroma=CHROMA_444), "chroma mismatch: frame 0 C420 vs frame 3 C444"),
-    ])
-    def test_frames_checked_against_frame_0(self, rng, other, message):
-        frames = [random_frame(make_info(16, 16), rng, i) for i in range(3)]
-        frames.append(random_frame(other, rng, 3))
-        with pytest.raises(InputError, match=f"^{message}$"):
-            content_features(frames)
-        # The mismatch is also caught on the first pair, before any TI.
-        with pytest.raises(InputError, match=f"^{message.replace('frame 3', 'frame 1')}$"):
-            content_features([frames[0], frames[3]])
-
-    def test_ti_on_frames_too_small_for_sobel(self):
-        info = make_info(2, 2)
-        frames = [make_frame(info, [[0, 0], [0, 0]]), make_frame(info, [[0, 2], [0, 2]])]
-        with pytest.raises(InputError, match=r"plane \(2, 2\) too small for a 3x3 Sobel"):
-            content_features(frames)
-
-
-def si_ti_float64(frames):
-    """SI and TI by float64 Sobel gradients and luma differences."""
-    lumas = [f.y.astype(np.float64) for f in frames]
-    si = []
-    for p in lumas:
-        gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (
-            p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2]
-        )
-        gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (
-            p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:]
-        )
-        si.append(float(np.std(np.sqrt(gx * gx + gy * gy))))
-    ti = [float(np.std(b - a)) for a, b in zip(lumas, lumas[1:])]
-    return metrics.ContentFeatures(max(si), max(ti))
-
-
-class TestSiTiIntegerArithmetic:
-    @pytest.mark.parametrize("bit_depth", [8, 10])
-    @pytest.mark.parametrize("width,height", [(1920, 1080), (64, 36), (34, 18)])
-    def test_equals_float64_formulas(self, rng, bit_depth, width, height):
-        info = make_info(width, height, bit_depth=bit_depth)
-        frames = [random_frame(info, rng, i) for i in range(3)]
-        assert content_features(frames) == si_ti_float64(frames)
-
-    def test_extreme_10_bit_gradients(self):
-        # Full-scale edges and corners: |gx|, |gy| up to 4 * 1023.
-        info = make_info(16, 16, bit_depth=10)
-        i, j = np.indices((16, 16))
-        board = (i + j) % 2 * 1023
-        edge = (j >= 8) * 1023
-        corner = ((i >= 8) | (j >= 8)) * 1023
-        frames = [make_frame(info, board), make_frame(info, edge),
-                  make_frame(info, corner), make_frame(info, 1023 - board)]
-        assert content_features(frames) == si_ti_float64(frames)
-
-    def test_peak_memory_on_1080p(self, rng):
-        info = make_info(1920, 1080)
-        frames = [random_frame(info, rng, i) for i in range(3)]
-        tracemalloc.start()
-        try:
-            content_features(frames)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 45 * 2**20
 
 
 class TestExternalScores:
