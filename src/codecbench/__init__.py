@@ -34,7 +34,7 @@ _EXPORTS = {
         "mos", "ci95", "pearson", "spearman", "screen_subjects", "anova_oneway",
     ),
     "profiling": (
-        "TimingRecord", "FunctionCost", "StageMapping", "StageProfile",
+        "TimingRecord", "StageMapping", "StageProfile",
         "time_factor", "speedup", "parse_callgrind", "aggregate_stages",
     ),
     "report": (),

@@ -456,30 +456,18 @@ def cmd_profile(args) -> int:
     profiles = []
     for i, path in enumerate(args.callgrind):
         costs = profiling.parse_callgrind(path, event=args.event)
-        profile = profiling.aggregate_stages(
-            costs, mapping, bucket_threshold=args.threshold
-        )
-        stages = sorted(
-            profile.percentages.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        profiles.append(
-            {
-                "file": str(path),
-                "total_cost": profile.total_cost,
-                "stages": [
-                    {
-                        "stage": stage,
-                        "cost": profile.totals[stage],
-                        "percent": percent,
-                    }
-                    for stage, percent in stages
-                ],
-                "other_bucket": list(profile.other_bucket),
-            }
-        )
+        with report.named_errors(path):  # an empty or zero-cost profile
+            profile = profiling.aggregate_stages(
+                costs, mapping, bucket_threshold=args.threshold
+            )
+        percentages = profile.percentages
+        stages = [{"stage": stage, "cost": cost, "percent": percentages[stage]}
+                  for stage, cost in profile.totals.items()]
+        profiles.append({"file": str(path), "total_cost": profile.total_cost,
+                         "stages": stages, "other_bucket": list(profile.other_bucket)})
         if pies:
             _write_csv(args, pies[i], ["stage", "percent"],
-                       [[stage, percent] for stage, percent in stages])
+                       [[s["stage"], s["percent"]] for s in stages])
 
     results = {"mapping": args.mapping or "built-in", "profiles": profiles}
     inputs = list(args.callgrind)

@@ -10,7 +10,6 @@ event column is selected.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -67,7 +66,8 @@ def speedup(a: TimingRecord, b: TimingRecord) -> float:
         )
     if abs(a.duration - b.duration) > 1e-9 * max(a.duration, b.duration):
         raise InputError(
-            f"content durations differ: {a.duration:g}s vs {b.duration:g}s"
+            f"{a.sequence_id} qp{a.qp}: {a.codec_id} and {b.codec_id} content "
+            f"durations differ: {a.duration:g}s vs {b.duration:g}s"
         )
     return time_factor(a) / time_factor(b)
 
@@ -78,12 +78,6 @@ def codec_pairs(records) -> list[tuple[TimingRecord, TimingRecord]]:
     ordered = sorted(records, key=attrgetter("sequence_id", "qp", "codec_id"))
     return [pair for _, group in groupby(ordered, attrgetter("sequence_id", "qp"))
             for pair in combinations(group, 2)]
-
-
-@dataclass(frozen=True)
-class FunctionCost:
-    name: str
-    self_cost: int
 
 
 # A specification or header key.
@@ -101,24 +95,17 @@ _NAMESPACE = {
 }
 
 
-def parse_callgrind(source, event: str | None = None) -> list[FunctionCost]:
-    """Accumulate per-function self cost from a Callgrind output file.
+def parse_callgrind(path, event: str | None = None) -> dict[str, int]:
+    """Per-function self cost of a Callgrind output file, {name: cost} in
+    the order the functions first appear.
 
     Handles string compression (`fn=(id) name` defines, `fn=(id)` refers),
     subposition counts from the `positions:` header, omitted trailing
     event columns, and call records: the cost line following `calls=`
     carries inclusive call cost and is excluded from the caller's self
     cost. Functions split across several source files merge by name.
-    Format errors in a file opened from a path name the file; errors on a
-    caller's stream keep the bare `line N: ...` message.
+    A format error names the file and its line, by named_errors.
     """
-    if not isinstance(source, (str, bytes, os.PathLike)):
-        return _parse_callgrind_lines(source, event)
-    with named_errors(source), open_input(source) as fp:
-        return _parse_callgrind_lines(fp, event)
-
-
-def _parse_callgrind_lines(lines, event):
     events: list[str] | None = None
     event_index = 0
     n_positions = 1
@@ -131,86 +118,86 @@ def _parse_callgrind_lines(lines, event):
     skip_next_cost = False
     costs: dict[str, int] = {}
 
-    for lineno, line in enumerate(lines, start=1):
-        # Most lines of a profile are cost lines: test for them first, on
-        # the raw line, and split only as far as the selected event.
-        if line[:1] in _COST_START:
-            if skip_next_cost:
-                skip_next_cost = False
-                continue
-            if events is None:
-                raise DataFormatError(
-                    f"line {lineno}: cost line before an 'events:' header"
-                )
-            if current_fn is None:
-                raise DataFormatError(f"line {lineno}: cost line before any fn=")
-            tokens = line.split(None, idx + 1)
-            # Trailing zero event counts may be omitted.
-            if idx < len(tokens):
-                try:
-                    value = int(tokens[idx])
-                except ValueError:
-                    raise DataFormatError(
-                        f"line {lineno}: non-numeric cost {tokens[idx]!r}"
-                    ) from None
-                if value < 0:
-                    raise DataFormatError(f"line {lineno}: negative cost {value}")
-                block += value
-            continue
+    with named_errors(path) as where, open_input(path) as lines:
+        try:
+            for lineno, line in enumerate(lines, start=1):
+                # Most lines of a profile are cost lines: test for them first,
+                # on the raw line, and split only as far as the selected event.
+                if line[:1] in _COST_START:
+                    if skip_next_cost:
+                        skip_next_cost = False
+                        continue
+                    if events is None:
+                        raise DataFormatError("cost line before an 'events:' header")
+                    if current_fn is None:
+                        raise DataFormatError("cost line before any fn=")
+                    tokens = line.split(None, idx + 1)
+                    # Trailing zero event counts may be omitted.
+                    if idx < len(tokens):
+                        try:
+                            value = int(tokens[idx])
+                        except ValueError:
+                            raise DataFormatError(
+                                f"non-numeric cost {tokens[idx]!r}"
+                            ) from None
+                        if value < 0:
+                            raise DataFormatError(f"negative cost {value}")
+                        block += value
+                    continue
 
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+                line = line.rstrip("\n")
+                if not line.strip() or line.startswith("#"):
+                    continue
 
-        key, sep, value = line.partition("=")
-        if sep:
-            namespace = _NAMESPACE.get(key)
-            if namespace is not None:
-                table = names[namespace]
-                name = table.get(value) or _define_or_resolve(table, value, lineno)
-                if key == "fn":
-                    if current_fn is not None:
-                        costs[current_fn] = costs.get(current_fn, 0) + block
-                    current_fn, block = name, 0
-                continue
-            if key == "calls":
-                skip_next_cost = True
-                continue
-            if _WORD.fullmatch(key):
-                # Remaining specification keys (jump targets etc.) carry no self cost.
-                continue
+                key, sep, value = line.partition("=")
+                if sep:
+                    namespace = _NAMESPACE.get(key)
+                    if namespace is not None:
+                        table = names[namespace]
+                        name = table.get(value) or _define_or_resolve(table, value)
+                        if key == "fn":
+                            if current_fn is not None:
+                                costs[current_fn] = costs.get(current_fn, 0) + block
+                            current_fn, block = name, 0
+                        continue
+                    if key == "calls":
+                        skip_next_cost = True
+                        continue
+                    if _WORD.fullmatch(key):
+                        # Remaining specification keys (jump targets etc.)
+                        # carry no self cost.
+                        continue
 
-        key, sep, value = line.partition(":")
-        if sep and _WORD.fullmatch(key):
-            if key == "events":
-                events = value.split()
-                if not events:
-                    raise DataFormatError(f"line {lineno}: empty events header")
-                if event is not None:
-                    if event not in events:
-                        raise DataFormatError(
-                            f"line {lineno}: event {event!r} not declared "
-                            f"(events: {' '.join(events)})"
-                        )
-                    event_index = events.index(event)
-            elif key == "positions":
-                n_positions = max(1, len(value.split()))
-            idx = n_positions + event_index
-            continue
+                key, sep, value = line.partition(":")
+                if sep and _WORD.fullmatch(key):
+                    if key == "events":
+                        events = value.split()
+                        if not events:
+                            raise DataFormatError("empty events header")
+                        if event is not None:
+                            if event not in events:
+                                raise DataFormatError(
+                                    f"event {event!r} not declared "
+                                    f"(events: {' '.join(events)})"
+                                )
+                            event_index = events.index(event)
+                    elif key == "positions":
+                        n_positions = max(1, len(value.split()))
+                    idx = n_positions + event_index
+                    continue
 
-        raise DataFormatError(f"line {lineno}: unrecognized line {line[:60]!r}")
-
-    if events is None:
-        raise DataFormatError("missing 'events:' header")
+                raise DataFormatError(f"unrecognized line {line[:60]!r}")
+        except DataFormatError:
+            where.line = lineno
+            raise
+        if events is None:
+            raise DataFormatError("missing 'events:' header")
     if current_fn is not None:
         costs[current_fn] = costs.get(current_fn, 0) + block
-    return [
-        FunctionCost(name, cost)
-        for name, cost in sorted(costs.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
+    return costs
 
 
-def _define_or_resolve(table: dict[str, str], value: str, lineno: int) -> str:
+def _define_or_resolve(table: dict[str, str], value: str) -> str:
     """The name a value gives: `(id) name` defines id, `(id)` refers to it,
     anything else is the name itself."""
     if value[:1] != "(":
@@ -225,7 +212,7 @@ def _define_or_resolve(table: dict[str, str], value: str, lineno: int) -> str:
         table[ref] = rest
         return rest
     if ref not in table:
-        raise DataFormatError(f"line {lineno}: undefined name id ({num})")
+        raise DataFormatError(f"undefined name id ({num})")
     return table[ref]
 
 
@@ -244,31 +231,37 @@ class StageMapping:
 
 @dataclass(frozen=True)
 class StageProfile:
+    """Stage costs in report order: descending percent of the total, then
+    stage name."""
+
     totals: dict[str, int]
-    percentages: dict[str, float]
     other_bucket: tuple[str, ...]
     total_cost: int
+
+    @property
+    def percentages(self) -> dict[str, float]:
+        return {s: 100.0 * c / self.total_cost for s, c in self.totals.items()}
 
 
 def aggregate_stages(
     costs, mapping: StageMapping, bucket_threshold: float = BUCKET_THRESHOLD
 ) -> StageProfile:
-    """Fold function costs into named stages with percentages of the total.
+    """Fold {function: self cost} into named stages with percentages of the
+    total.
 
     Stages below the threshold are merged into "Other"; unmatched
     functions land there directly.
     """
-    costs = list(costs)
     if not costs:
         raise InputError("empty cost list")
-    total = sum(fc.self_cost for fc in costs)
+    total = sum(costs.values())
     if total <= 0:
         raise InputError("total cost is zero")
 
     raw: dict[str, int] = {}
-    for fc in costs:
-        stage = mapping.stage_for(fc.name)
-        raw[stage] = raw.get(stage, 0) + fc.self_cost
+    for name, cost in costs.items():
+        stage = mapping.stage_for(name)
+        raw[stage] = raw.get(stage, 0) + cost
 
     folded: dict[str, int] = {}
     bucket = []
@@ -284,21 +277,22 @@ def aggregate_stages(
     if OTHER_STAGE in raw:
         folded[OTHER_STAGE] = folded.get(OTHER_STAGE, 0) + raw[OTHER_STAGE]
 
-    percentages = {s: 100.0 * c / total for s, c in folded.items()}
-    return StageProfile(
-        totals=folded,
-        percentages=percentages,
-        other_bucket=tuple(bucket),
-        total_cost=total,
-    )
+    percent = {s: 100.0 * c / total for s, c in folded.items()}
+    order = sorted(folded, key=lambda s: (-percent[s], s))
+    return StageProfile({s: folded[s] for s in order}, tuple(bucket), total)
 
 
-def parse_mapping(text: str, origin="<mapping>") -> StageMapping:
-    """Parse `pattern -> stage` lines; `#` starts a full-line comment.
-    A fault names origin and its line, by named_errors."""
+def load_mapping(path=None) -> StageMapping:
+    """The `pattern -> stage` lines of the mapping file at path, or with
+    None the built-in codec stage taxonomy (copy the packaged file to
+    customize); `#` starts a full-line comment."""
+    if path is None:
+        packaged = resources.files("codecbench") / "data/default_stage_map.txt"
+        with resources.as_file(packaged) as path:
+            return load_mapping(path)
     rules = []
-    with named_errors(origin) as where:
-        for where.line, raw in enumerate(text.splitlines(), start=1):
+    with named_errors(path) as where, open_input(path) as fp:
+        for where.line, raw in enumerate(fp.read().splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -311,21 +305,6 @@ def parse_mapping(text: str, origin="<mapping>") -> StageMapping:
                 raise DataFormatError(f"empty pattern or stage in {line!r}")
             rules.append((pattern, stage))
     return StageMapping(rules=tuple(rules))
-
-
-def load_mapping(path=None) -> StageMapping:
-    """The mapping file at path, or with None the built-in codec stage
-    taxonomy; copy the packaged file to customize."""
-    if path is None:
-        text = (
-            resources.files("codecbench")
-            .joinpath("data/default_stage_map.txt")
-            .read_text(encoding="utf-8")
-        )
-        return parse_mapping(text, origin="default_stage_map.txt")
-    with named_errors(path), open_input(path) as fp:
-        text = fp.read()
-    return parse_mapping(text, origin=path)
 
 
 def load_timing_csv(path) -> list[TimingRecord]:

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line (run with -s or -rP to see them)."""
 
-import io
 import math
 import time
 
@@ -188,7 +187,7 @@ def test_criterion_7_anova(rng):
     print("criterion 7 (one-way ANOVA): PASS")
 
 
-def test_criterion_8_callgrind():
+def test_criterion_8_callgrind(tmp_path):
     plain = "events: Ir\nfl=main.c\nfn=foo\n10 400\n11 600\nfn=bar\n20 3000\n"
     compressed = (
         "events: Ir\nfl=(1) main.c\nfn=(1) foo\n10 400\n"
@@ -203,24 +202,23 @@ def test_criterion_8_callgrind():
         "cfl=(1)\ncfn=(2) callee\ncalls=2 20\n16 800\n17 50\n"
         "fn=(2) callee\n20 400\n21 400\n"
     )
-    tally = lambda text: {
-        fc.name: fc.self_cost for fc in parse_callgrind(io.StringIO(text))
-    }
+    def tally(text):
+        path = tmp_path / "callgrind.out"
+        path.write_text(text)
+        return parse_callgrind(path)
+
     assert tally(plain) == {"foo": 1000, "bar": 3000}
     assert tally(compressed) == {"foo": 1000, "bar": 111}
     assert tally(multi_file) == {"shared": 300, "lone": 50}
     assert tally(with_calls) == {"caller": 150, "callee": 800}
 
     mapping = StageMapping(rules=(("foo", "Alpha"), ("bar", "Beta")))
-    profile = aggregate_stages(parse_callgrind(io.StringIO(plain)), mapping)
+    profile = aggregate_stages(tally(plain), mapping)
     assert sum(profile.percentages.values()) == pytest.approx(100.0, abs=0.01)
 
-    skewed = aggregate_stages(
-        [   # 0.9% stage folds under the default 1% threshold
-            *parse_callgrind(io.StringIO("events: Ir\nfl=f\nfn=foo\n1 9\nfn=bar\n2 991\n")),
-        ],
-        mapping,
-    )
+    # A 0.9% stage folds under the default 1% threshold.
+    skewed = aggregate_stages(tally("events: Ir\nfl=f\nfn=foo\n1 9\nfn=bar\n2 991\n"),
+                              mapping)
     assert "Alpha" not in skewed.percentages
     assert skewed.other_bucket == ("Alpha",)
     assert sum(skewed.percentages.values()) == pytest.approx(100.0, abs=0.01)

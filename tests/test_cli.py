@@ -839,7 +839,28 @@ class TestProfileCommand:
         prof = tmp_path / "callgrind.out"
         prof.write_text("events: Ir\nfl=a.c\nfn=foo\n1 banana\n")
         assert main(["profile", str(prof), "--quiet"]) == 3
-        assert "line 4" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"codecbench: format error: {prof}:4: non-numeric cost 'banana'\n"
+        )
+
+    def test_equal_stages_are_listed_in_name_order(self, tmp_path):
+        # Beta's function comes first in the file and in the mapping; the
+        # tie with Alpha still goes by name, in every output.
+        prof = tmp_path / "callgrind.out"
+        prof.write_text("events: Ir\nfn=b1\n1 300\nfn=a1\n2 300\nfn=g1\n3 400\n")
+        mapping = tmp_path / "map.txt"
+        mapping.write_text("b -> Beta\na -> Alpha\ng -> Gamma\n")
+        order = ["Gamma", "Alpha", "Beta"]
+        common = ["profile", str(prof), "--mapping", str(mapping), "-q"]
+        json_out, csv_out, pie = (tmp_path / n for n in ("p.json", "p.csv", "pie.csv"))
+        assert main([*common, "--pie-data", str(pie), "-o", str(json_out)]) == 0
+        assert main([*common, "--format", "csv", "-o", str(csv_out)]) == 0
+        doc = json.loads(json_out.read_text())
+        assert [s["stage"] for s in doc["results"]["profiles"][0]["stages"]] == order
+        pie_rows = list(csv.reader(pie.read_text().splitlines()))
+        csv_rows = list(csv.reader(csv_out.read_text().splitlines()))
+        assert [row[0] for row in pie_rows[1:]] == order
+        assert [row[1] for row in csv_rows[1:]] == order
 
 
 PIE_CALLGRIND = """\
@@ -963,9 +984,12 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      "{bad}: truncated frame 0: expected 6000000000000 bytes, got 3"),
     (["metrics", "{bad}", "{bad}", *HUGE_RAW_FLAGS], bytes(100), 3,
      "{bad}: truncated frame 0: expected 6000000000000 bytes, got 100"),
-    (["profile", "{bad}"], b"events:\nfn=f\n1 5\n", 3, "{bad}: line 1: empty events header"),
+    (["profile", "{bad}"], b"events:\nfn=f\n1 5\n", 3, "{bad}:1: empty events header"),
     (["profile", "{prof}", "{bad}"], b"events: Ir\nfn=f\n1 x\n", 3,
-     "{bad}: line 3: non-numeric cost 'x'"),
+     "{bad}:3: non-numeric cost 'x'"),
+    (["profile", "{prof}", "{bad}"], b"events: Ir\nfn=f\n1 0\n", 3,
+     "{bad}: total cost is zero"),
+    (["profile", "{prof}", "{bad}"], b"events: Ir\n", 3, "{bad}: empty cost list"),
     (["mos", "{scores}", "--pvs-meta", "{bad}"],
      b"pvs,codec,resolution,bitrate_kbps,content\n"
      b"p1,HM,HD,1000,CrowdRun\np1,VTM,HD,1000,CrowdRun\n", 3,
@@ -987,6 +1011,9 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
      "{bad}:4: duplicate timing record A/s/qp22"),
     (["profile", "{prof}", "--mapping", ""], None, 2,
      "[Errno 2] No such file or directory: ''"),
+    (["profile", "{prof}", "--timing", "{bad}"],
+     TIMING_HEADER.encode() + b"VTM,s,22,2,1000,50,1\nHM,s,22,1,500,50,1\n", 2,
+     "s qp22: HM and VTM content durations differ: 10s vs 20s"),
 ], ids=[
     "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
     "external_csv_header", "external_csv_frame_order", "external_json_invalid",
@@ -994,9 +1021,11 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     "external_json_metric_missing", "y4m_header_non_ascii",
     "reference_format_error_names_reference", "test_format_error_names_test",
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
-    "second_callgrind_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
+    "second_callgrind_names_its_file", "zero_cost_callgrind_names_its_file",
+    "callgrind_without_functions_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
     "duplicate_subject_id", "score_grouped_digits", "y4m_header_grouped_digits",
     "timing_fps_num_0", "duplicate_timing_record", "empty_mapping_path",
+    "timing_duration_mismatch",
 ])
 def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
                                        message):
@@ -1446,10 +1475,10 @@ def test_one_report_call_site():
 
 
 # The one number rule of input text is report.parse_number. _score_row keeps
-# a bulk float() pass over a row, and _parse_callgrind_lines the int() of
-# its hot cost-line loop.
+# a bulk float() pass over a row, and parse_callgrind the int() of its hot
+# cost-line loop.
 NUMBER_PARSERS = {"report.parse_number", "subjective._score_row",
-                  "profiling._parse_callgrind_lines"}
+                  "profiling.parse_callgrind"}
 
 
 def catches_value_error(handler):
@@ -1499,18 +1528,39 @@ def names_a_file(message):
             and isinstance(parts[1], ast.Constant) and parts[1].value.startswith(":"))
 
 
+def names_a_line(message):
+    """Whether an f-string message starts with a `line {value}` prefix,
+    such as `line {lineno}: `."""
+    parts = message.values if isinstance(message, ast.JoinedStr) else []
+    return (len(parts) > 1 and isinstance(parts[0], ast.Constant)
+            and parts[0].value.lower().startswith("line ")
+            and isinstance(parts[1], ast.FormattedValue))
+
+
+def data_format_messages():
+    """(site, message node) of every DataFormatError raised with a message
+    in the package's functions."""
+    package = Path(codecbench.__file__).parent
+    return [(f"{path.stem}.{fn.name}:{node.lineno}", node.args[0])
+            for path in sorted(package.glob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in own_nodes(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "DataFormatError" and node.args]
+
+
 def test_only_named_errors_names_a_file():
     # report.named_errors is the one rule that puts the file (and line) in
     # front of an input fault; elsewhere a DataFormatError message is bare.
-    package = Path(codecbench.__file__).parent
-    found = [f"{path.stem}.{fn.name}:{node.lineno}"
-             for path in sorted(package.glob("*.py"))
-             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in own_nodes(fn)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DataFormatError"
-             and node.args and names_a_file(node.args[0])]
+    found = [site for site, message in data_format_messages() if names_a_file(message)]
     assert [f for f in found if not f.startswith("report.named_errors:")] == []
+
+
+def test_no_message_names_its_own_line():
+    # A parser sets the line of its named_errors cursor instead of writing
+    # `line N:` into the message, so every fault reads `file:N: ...`.
+    assert [site for site, message in data_format_messages() if names_a_line(message)] == []
 
 
 def test_no_flag_is_converted_by_int_or_float():
@@ -1660,10 +1710,10 @@ def test_readme_library_imports_resolve():
 def test_package_dir_and_unknown_names():
     assert set(codecbench.__all__) <= set(dir(codecbench))
     assert {"metrics", "rd", "subjective", "video_io"} <= set(dir(codecbench))
-    # content_features and ContentFeatures are not exports: they fail as an
-    # unknown name does. A stale _EXPORTS entry would raise from inside the
-    # submodule, naming it instead.
-    for name in ("no_such_name", "content_features", "ContentFeatures"):
+    # Removed names (content_features, ContentFeatures, FunctionCost) are not
+    # exports: they fail as an unknown name does. A stale _EXPORTS entry
+    # would raise from inside the submodule, naming it instead.
+    for name in ("no_such_name", "content_features", "ContentFeatures", "FunctionCost"):
         with pytest.raises(AttributeError,
                            match=f"^module 'codecbench' has no attribute '{name}'$"):
             getattr(codecbench, name)

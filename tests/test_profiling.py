@@ -1,8 +1,8 @@
 import importlib.util
-import io
 import os
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from codecbench.errors import DataFormatError, InputError
 from codecbench.profiling import (
-    FunctionCost,
     StageMapping,
     TimingRecord,
     aggregate_stages,
@@ -19,7 +18,6 @@ from codecbench.profiling import (
     load_mapping,
     load_timing_csv,
     parse_callgrind,
-    parse_mapping,
     speedup,
     time_factor,
 )
@@ -95,6 +93,13 @@ class TestSpeedup:
         with pytest.raises(InputError, match="content durations differ: 10s vs 8s"):
             speedup(record(frames=500), record(frames=400))
 
+    def test_duration_mismatch_names_the_records(self):
+        a = record(codec="HM", sequence="s", qp=22, frames=500)
+        b = record(codec="VTM", sequence="s", qp=22, frames=1000)
+        message = "s qp22: HM and VTM content durations differ: 10s vs 20s"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            speedup(a, b)
+
     def test_reference_decode_factors(self):
         # Mean decode factors 41.4x and 12.3x on 10 s of content.
         slow = record(codec="VTM", wall=414.0, frames=500, fps=(50, 1))
@@ -157,8 +162,25 @@ fn=(2) only_two
 """
 
 
+def write(directory, text):
+    path = Path(directory) / "callgrind.out"
+    path.write_text(text)
+    return path
+
+
 def costs_dict(text, **kwargs):
-    return {fc.name: fc.self_cost for fc in parse_callgrind(io.StringIO(text), **kwargs)}
+    """parse_callgrind over text written to a file of a fresh directory."""
+    with tempfile.TemporaryDirectory() as directory:
+        return parse_callgrind(write(directory, text), **kwargs)
+
+
+def fault(tmp_path, text, **kwargs):
+    """The message of the DataFormatError that parsing text raises, with the
+    file's path in front replaced by `cg.out`."""
+    path = write(tmp_path, text)
+    with pytest.raises(DataFormatError) as exc:
+        parse_callgrind(path, **kwargs)
+    return str(exc.value).replace(str(path), "cg.out", 1)
 
 
 class TestParseCallgrind:
@@ -187,20 +209,18 @@ fn=foo
 """
         assert costs_dict(PLAIN) == costs_dict(reordered)
 
-    def test_undefined_name_id(self):
+    def test_undefined_name_id(self, tmp_path):
         text = "events: Ir\nfl=(1) a.c\nfn=(9)\n1 100\n"
-        with pytest.raises(DataFormatError, match="line 3"):
-            parse_callgrind(io.StringIO(text))
+        assert fault(tmp_path, text) == "cg.out:3: undefined name id (9)"
 
-    def test_non_numeric_cost(self):
+    def test_non_numeric_cost(self, tmp_path):
         text = "events: Ir\nfl=a.c\nfn=foo\n1 abc\n"
-        with pytest.raises(DataFormatError, match="non-numeric"):
-            parse_callgrind(io.StringIO(text))
+        assert fault(tmp_path, text) == "cg.out:4: non-numeric cost 'abc'"
 
-    def test_missing_events_header(self):
-        text = "fl=a.c\nfn=foo\n1 100\n"
-        with pytest.raises(DataFormatError, match="events"):
-            parse_callgrind(io.StringIO(text))
+    def test_missing_events_header(self, tmp_path):
+        # A fault found in no single line names the file alone.
+        text = "# no header\nfl=a.c\nfn=foo\n"
+        assert fault(tmp_path, text) == "cg.out: missing 'events:' header"
 
     def test_subposition_count_from_positions_header(self):
         text = "events: Ir\npositions: instr line\nfl=a.c\nfn=foo\n0x1a 12 700\n"
@@ -211,38 +231,39 @@ fn=foo
         assert costs_dict(text) == {"foo": 150}
         assert costs_dict(text, event="Dr") == {"foo": 7}
 
-    def test_unknown_event_rejected(self):
-        with pytest.raises(DataFormatError, match="D2"):
-            parse_callgrind(io.StringIO(PLAIN), event="D2")
+    def test_unknown_event_rejected(self, tmp_path):
+        assert fault(tmp_path, PLAIN, event="D2") == (
+            "cg.out:5: event 'D2' not declared (events: Ir)"
+        )
 
     def test_relative_position_markers(self):
         text = "events: Ir\nfl=a.c\nfn=foo\n10 100\n+2 200\n* 300\n-1 400\n"
         assert costs_dict(text) == {"foo": 1000}
 
-    def test_deterministic_descending_order(self):
-        names = [fc.name for fc in parse_callgrind(io.StringIO(PLAIN))]
-        assert names == ["bar", "foo"]
+    def test_first_appearance_order(self):
+        assert list(costs_dict(PLAIN)) == ["foo", "bar"]
+        assert list(costs_dict(COMPRESSED)) == ["foo", "bar"]
 
     @pytest.mark.parametrize(
         ("text", "message"),
         [
-            ("fn=foo\n1 100\nevents: Ir\n", "line 2: cost line before an 'events:'"),
-            ("events: Ir\nfl=a.c\n1 100\n", "line 3: cost line before any fn="),
-            ("events: Ir\nfn=foo\n1 100\n2 -5\n", "line 4: negative cost -5"),
-            ("events: Ir Dr\nfn=foo\n1 100 x\n", "line 3: non-numeric cost 'x'"),
+            ("fn=foo\n1 100\nevents: Ir\n",
+             "cg.out:2: cost line before an 'events:' header"),
+            ("events: Ir\nfl=a.c\n1 100\n", "cg.out:3: cost line before any fn="),
+            ("events: Ir\nfn=foo\n1 100\n2 -5\n", "cg.out:4: negative cost -5"),
+            ("events: Ir Dr\nfn=foo\n1 100 x\n", "cg.out:3: non-numeric cost 'x'"),
         ],
     )
-    def test_cost_line_errors_name_the_line(self, text, message):
+    def test_cost_line_errors_name_the_line(self, tmp_path, text, message):
         event = "Dr" if "Dr" in text else None
-        with pytest.raises(DataFormatError, match=re.escape(message)):
-            parse_callgrind(io.StringIO(text), event=event)
+        assert fault(tmp_path, text, event=event) == message
 
     @pytest.mark.parametrize("as_source", [str, os.fsencode, Path],
                              ids=["str", "bytes", "PathLike"])
     def test_path_in_front_of_errors(self, tmp_path, as_source):
         path = tmp_path / "callgrind.out"
         path.write_text("events: Ir\nfn=foo\n1 abc\n")
-        message = f"{path}: line 3: non-numeric cost 'abc'"
+        message = f"{path}:3: non-numeric cost 'abc'"
         with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             parse_callgrind(as_source(path))
 
@@ -258,27 +279,28 @@ NAMESPACE_CASES = {
     "cfn_refers_to_fn_id": ("fn=(3) f\n1 5\ncfn=(3)\ncalls=1 0\n1 900\n", {"f": 5}),
     "fn_refers_to_cfn_id": ("cfn=(4) g\ncalls=1 0\n1 900\nfn=(4)\n2 6\n", {"g": 6}),
     "cob_refers_to_ob_id": ("ob=(2) lib.so\nfn=f\ncob=(2)\n1 5\n", {"f": 5}),
-    "fn_id_is_not_fl_id": ("fn=(7) f\nfi=(7)\n1 5\n", "line 3: undefined name id (7)"),
-    "fl_id_is_not_fn_id": ("fl=(7) a.c\nfn=(7)\n1 5\n", "line 3: undefined name id (7)"),
-    "ob_id_is_not_fl_id": ("ob=(2) lib.so\nfn=f\ncfl=(2)\n", "line 4: undefined name id (2)"),
+    "fn_id_is_not_fl_id": ("fn=(7) f\nfi=(7)\n1 5\n", "cg.out:3: undefined name id (7)"),
+    "fl_id_is_not_fn_id": ("fl=(7) a.c\nfn=(7)\n1 5\n", "cg.out:3: undefined name id (7)"),
+    "ob_id_is_not_fl_id": ("ob=(2) lib.so\nfn=f\ncfl=(2)\n",
+                           "cg.out:4: undefined name id (2)"),
     "tab_after_id_defines": ("fn=(1)\tfoo\n1 5\nfn=(1)\n2 6\n", {"foo": 11}),
     "one_space_stripped": ("fn=(1)  foo\n1 5\n", {" foo": 5}),
     "id_then_space_refers": ("fn=(1) foo\n1 5\nfn=(1) \n2 6\n", {"foo": 11}),
     "non_decimal_id_is_a_name": ("fn=(x) foo\n1 5\n", {"(x) foo": 5}),
     "unknown_key_ignored": ("fn=f\njump=3 +1\n1 5\n", {"f": 5}),
-    "key_with_space_unrecognized": ("fn=f\nx y=1\n", "line 3: unrecognized line 'x y=1'"),
+    "key_with_space_unrecognized": ("fn=f\nx y=1\n",
+                                    "cg.out:3: unrecognized line 'x y=1'"),
 }
 
 
 @pytest.mark.parametrize(("body", "expected"), NAMESPACE_CASES.values(),
                          ids=NAMESPACE_CASES.keys())
-def test_name_namespaces(body, expected):
+def test_name_namespaces(tmp_path, body, expected):
     """fl/fi/fe/cfl/cfi share one table of (id) names, fn/cfn another and
     ob/cob a third."""
     text = "events: Ir\n" + body
     if isinstance(expected, str):
-        with pytest.raises(DataFormatError, match=f"^{re.escape(expected)}$"):
-            parse_callgrind(io.StringIO(text))
+        assert fault(tmp_path, text) == expected
     else:
         assert costs_dict(text) == expected
 
@@ -294,13 +316,12 @@ def test_parse_callgrind_matches_generator_truth(tmp_path):
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     truth = gen.callgrind(tmp_path, 3, target_lines=20_000)
-    got = parse_callgrind(tmp_path / truth["file"])
-    assert {fc.name: fc.self_cost for fc in got} == truth["functions"]
+    assert parse_callgrind(tmp_path / truth["file"]) == truth["functions"]
 
 
 def oracle_costs(text, event=None):
-    """Self cost per function, by splitting every line in full: the reference
-    parse_callgrind must match."""
+    """Self cost per function in first-appearance order, by splitting every
+    line in full: the reference parse_callgrind must match."""
     events, n_positions, names, fn, after_calls = None, 1, {}, None, False
     costs = {}
     for line in text.splitlines():
@@ -328,7 +349,7 @@ def oracle_costs(text, event=None):
                 costs.setdefault(fn, 0)
             elif key == "calls":
                 after_calls = True
-    return sorted(costs.items(), key=lambda kv: (-kv[1], kv[0]))
+    return costs
 
 
 FUNCTIONS = ("InterSearch::xTZSearch", "TrQuant::transformNxN", "memcpy", "fastInvCore")
@@ -384,41 +405,34 @@ def callgrind_texts(draw):
 @given(callgrind_texts())
 def test_parse_callgrind_matches_oracle(case):
     text, event = case
-    got = [(fc.name, fc.self_cost) for fc in parse_callgrind(io.StringIO(text), event=event)]
-    assert got == oracle_costs(text, event)
+    got = costs_dict(text, event=event)
+    assert list(got.items()) == list(oracle_costs(text, event).items())
 
 
 class TestAggregateStages:
     MAPPING = StageMapping(rules=(("encIntra", "Intra"), ("encSearch", "ME")))
 
     def test_two_stage_split(self):
-        costs = [FunctionCost("encIntra", 250), FunctionCost("encSearch", 750)]
-        profile = aggregate_stages(costs, self.MAPPING)
+        profile = aggregate_stages({"encIntra": 250, "encSearch": 750}, self.MAPPING)
         assert profile.percentages == {"Intra": 25.0, "ME": 75.0}
         assert profile.total_cost == 1000
 
     def test_sub_threshold_folds_into_other(self):
-        costs = [
-            FunctionCost("encIntra", 9),
-            FunctionCost("encSearch", 991),
-        ]
+        costs = {"encIntra": 9, "encSearch": 991}
         profile = aggregate_stages(costs, self.MAPPING, bucket_threshold=1.0)
         assert "Intra" not in profile.percentages
         assert profile.other_bucket == ("Intra",)
         assert profile.percentages["Other"] == pytest.approx(0.9)
 
     def test_unmatched_goes_to_other_directly(self):
-        costs = [FunctionCost("misc", 100), FunctionCost("encSearch", 900)]
-        profile = aggregate_stages(costs, self.MAPPING)
+        profile = aggregate_stages({"misc": 100, "encSearch": 900}, self.MAPPING)
         assert profile.percentages["Other"] == 10.0
         assert profile.other_bucket == ()
 
     def test_percentages_sum_to_hundred(self, rng):
         mapping = StageMapping(rules=(("a", "A"), ("b", "B"), ("c", "C")))
-        costs = [
-            FunctionCost(name, int(rng.integers(1, 10_000)))
-            for name in ("a1", "a2", "b1", "c1", "zz")
-        ]
+        costs = {name: int(rng.integers(1, 10_000))
+                 for name in ("a1", "a2", "b1", "c1", "zz")}
         profile = aggregate_stages(costs, mapping)
         assert sum(profile.percentages.values()) == pytest.approx(100.0, abs=0.01)
         for stage, pct in profile.percentages.items():
@@ -427,18 +441,16 @@ class TestAggregateStages:
 
     def test_catch_all_rule(self):
         mapping = StageMapping(rules=(("", "Everything"),))
-        profile = aggregate_stages([FunctionCost("x", 5)], mapping)
+        profile = aggregate_stages({"x": 5}, mapping)
         assert profile.percentages == {"Everything": 100.0}
 
     def test_first_match_wins(self):
         mapping = StageMapping(rules=(("ab", "First"), ("a", "Second")))
-        profile = aggregate_stages([FunctionCost("abc", 10)], mapping)
+        profile = aggregate_stages({"abc": 10}, mapping)
         assert profile.percentages == {"First": 100.0}
 
     def test_split_function_merges_before_thresholding(self):
-        profile_a = aggregate_stages(
-            parse_callgrind(io.StringIO(MULTI_FILE)), self.MAPPING
-        )
+        profile_a = aggregate_stages(costs_dict(MULTI_FILE), self.MAPPING)
         single = """\
 events: Ir
 fl=one.c
@@ -447,24 +459,35 @@ fn=shared
 fn=only_two
 7 50
 """
-        profile_b = aggregate_stages(
-            parse_callgrind(io.StringIO(single)), self.MAPPING
-        )
+        profile_b = aggregate_stages(costs_dict(single), self.MAPPING)
         assert profile_a.totals == profile_b.totals
 
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="empty cost list"):
-            aggregate_stages([], self.MAPPING)
+            aggregate_stages({}, self.MAPPING)
+
+    def test_stages_in_report_order(self):
+        # Descending percent, then name: equal stages keep no input order.
+        mapping = StageMapping(rules=(("b", "Beta"), ("a", "Alpha"), ("g", "Gamma")))
+        profile = aggregate_stages({"b": 30, "a": 30, "g": 40, "zz": 0}, mapping)
+        assert list(profile.totals) == ["Gamma", "Alpha", "Beta", "Other"]
+        assert list(profile.percentages) == list(profile.totals)
+
+
+def mapping_file(tmp_path, text):
+    path = tmp_path / "map.txt"
+    path.write_text(text)
+    return path
 
 
 class TestMappingFiles:
-    def test_parse_with_comments(self):
-        mapping = parse_mapping("# header\nxPredIntra -> Intra Pred.\n\nSAO->SAO\n")
-        assert mapping.rules == (("xPredIntra", "Intra Pred."), ("SAO", "SAO"))
+    def test_parse_with_comments(self, tmp_path):
+        path = mapping_file(tmp_path, "# header\nxPredIntra -> Intra Pred.\n\nSAO->SAO\n")
+        assert load_mapping(path).rules == (("xPredIntra", "Intra Pred."), ("SAO", "SAO"))
 
-    def test_bad_syntax(self):
+    def test_bad_syntax(self, tmp_path):
         with pytest.raises(DataFormatError, match=":2"):
-            parse_mapping("a -> A\nnot a rule\n")
+            load_mapping(mapping_file(tmp_path, "a -> A\nnot a rule\n"))
 
     @pytest.mark.parametrize("as_source", [Path, os.fsencode], ids=["path", "bytes"])
     def test_file_fault_names_file_and_line(self, tmp_path, as_source):
@@ -474,9 +497,11 @@ class TestMappingFiles:
             load_mapping(as_source(path))
         assert str(exc.value) == f"{path}:2: expected 'pattern -> stage', got 'not a rule'"
 
-    def test_empty_sides_rejected(self):
-        with pytest.raises(DataFormatError):
-            parse_mapping(" -> Stage\n")
+    def test_empty_sides_rejected(self, tmp_path):
+        path = mapping_file(tmp_path, "# rules\n -> Stage\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_mapping(path)
+        assert str(exc.value) == f"{path}:2: empty pattern or stage in '-> Stage'"
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "map.txt"
