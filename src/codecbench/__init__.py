@@ -19,7 +19,7 @@ _EXPORTS = {
     "errors": ("CodecBenchError", "DataFormatError", "InputError"),
     "video_io": (
         "SequenceInfo", "FrameBuffer", "Y4MReader", "RawReader",
-        "parse_y4m_header", "read_frame", "write_y4m",
+        "parse_y4m_header", "read_frame",
     ),
     "metrics": (
         "mse", "psnr_from_mse", "wpsnr", "ssim_frame", "sequence_quality",

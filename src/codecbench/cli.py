@@ -207,6 +207,31 @@ def main(argv=None) -> int:
         return 2
 
 
+def _same_file(a, b):
+    """Whether paths a and b name one regular file: by device and inode where
+    both exist, else by resolved path. Devices and FIFOs are never the same
+    file, as writing to one does not replace what is read from the other."""
+    try:
+        return os.path.samefile(a, b) and os.path.isfile(a)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_files(args, inputs, outputs):
+    """The one output rule, run before a command opens any file: no output
+    other than '-' is an input or another output. `inputs` and `outputs` are
+    (flag, path) pairs, a path None where the flag is not given; the report
+    (--output) is the first output of every command."""
+    seen = [(flag, path) for flag, path in inputs if path is not None]
+    for flag, path in [("--output", args.output), *outputs]:
+        if path is None or path == "-":
+            continue
+        for other, taken in seen:
+            if _same_file(path, taken):
+                raise InputError(f"{flag} {path} is the same file as {other} {taken}")
+        seen.append((flag, path))
+
+
 def _write_csv(args, path, header, rows):
     """Write every CSV the CLI produces, honouring --full-precision."""
     with report.open_output(path) as fp:
@@ -270,6 +295,9 @@ def _open_video(fp, args):
 def cmd_metrics(args) -> int:
     from . import metrics
 
+    _check_files(args, [("reference", args.reference), ("test", args.test),
+                        ("--external", args.external)],
+                 [("--per-frame", args.per_frame)])
     metric_ids = metrics.parse_metric_selection(args.metrics)
     with open(args.reference, "rb") as ref_fp, open(args.test, "rb") as test_fp:
         ref, test = _open_video(ref_fp, args), _open_video(test_fp, args)
@@ -343,6 +371,7 @@ def cmd_metrics(args) -> int:
 def cmd_bdrate(args) -> int:
     from . import rd
 
+    _check_files(args, [("points", args.points)], [("--plot-data", args.plot_data)])
     curves = rd.load_rd_csv(args.points)
     pairs, means = rd.compare(curves, args.anchor, args.test)
     rows = sorted(
@@ -386,6 +415,7 @@ def cmd_bdrate(args) -> int:
 def cmd_mos(args) -> int:
     from . import subjective
 
+    _check_files(args, [("scores", args.scores), ("--pvs-meta", args.pvs_meta)], [])
     matrix = subjective.load_scores_csv(args.scores)
     if args.exclude:
         matrix = matrix.without_stimuli(args.exclude)
@@ -433,26 +463,20 @@ def cmd_mos(args) -> int:
 
 def _pie_paths(base, inputs):
     """One --pie-data file per input: several inputs get the input stem
-    suffixed, and two inputs with the same stem are refused before any
-    file is written."""
+    suffixed (two inputs of one stem fail the output rule)."""
     if len(inputs) == 1:
         return [base]
     stem, ext = os.path.splitext(base)
-    owners = {}
-    for path in inputs:
-        input_stem = os.path.splitext(os.path.basename(path))[0]
-        pie = f"{stem}-{input_stem}{ext or '.csv'}"
-        if pie in owners:
-            raise InputError(
-                f"--pie-data: inputs {owners[pie]} and {path} would both write {pie}"
-            )
-        owners[pie] = path
-    return list(owners)
+    return [f"{stem}-{os.path.splitext(os.path.basename(path))[0]}{ext or '.csv'}"
+            for path in inputs]
 
 
 def cmd_profile(args) -> int:
+    pies = _pie_paths(args.pie_data, args.callgrind) if args.pie_data else []
+    _check_files(args, [*(("callgrind", path) for path in args.callgrind),
+                        ("--mapping", args.mapping), ("--timing", args.timing)],
+                 [("--pie-data", pie) for pie in pies])
     mapping = profiling.load_mapping(args.mapping)
-    pies = _pie_paths(args.pie_data, args.callgrind) if args.pie_data else None
     profiles = []
     for i, path in enumerate(args.callgrind):
         costs = profiling.parse_callgrind(path, event=args.event)

@@ -114,11 +114,6 @@ class ScoreMatrix:
         except KeyError:
             raise InputError(f"unknown stimulus {stimulus!r}") from None
 
-    def column(self, stimulus: str) -> np.ndarray:
-        """Present (non-missing) scores for one stimulus."""
-        col = self.scores[:, self._index(stimulus)]
-        return col[~np.isnan(col)]
-
     def with_subjects(self, keep: list[str]) -> "ScoreMatrix":
         if unknown := [s for s in keep if s not in self.subjects]:
             raise InputError(f"unknown subject {unknown[0]!r}")
@@ -210,11 +205,13 @@ def pearson(x, y) -> float:
         raise StatsError("correlation needs at least 2 samples")
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
+    # numpy's pairwise sums, not `@`: a BLAS dot product's bits depend on the
+    # kernel OpenBLAS picks for the CPU at run time.
+    sx = math.sqrt(float(np.sum(dx * dx)))
+    sy = math.sqrt(float(np.sum(dy * dy)))
     if sx == 0 or sy == 0:
         raise StatsError("correlation undefined for constant input")
-    return float(dx @ dy) / (sx * sy)
+    return float(np.sum(dx * dy)) / (sx * sy)
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

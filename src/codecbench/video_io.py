@@ -34,10 +34,6 @@ _COLORSPACE_TAGS = {
     "444p10": (CHROMA_444, 10),
 }
 
-# (chroma layout, bit depth) -> the tag written for it: the first listed
-# above, which the reversed walk stores last.
-_WRITE_TAGS = {fmt: tag for tag, fmt in reversed(_COLORSPACE_TAGS.items())}
-
 # Largest single read: stream.read(n) allocates n bytes before it reads, and
 # a header may claim any frame size. A 2160p 10-bit 4:4:4 frame is one read.
 _READ_CHUNK = 64 << 20
@@ -70,16 +66,16 @@ class SequenceInfo:
                 f"C420 requires even dimensions, got {self.width}x{self.height}"
             )
 
-    def check_compatible(self, other: SequenceInfo, roles=("reference", "test")):
-        """Raise InputError, naming both sides by their roles, when other
-        differs from this sequence in geometry, bit depth or chroma layout."""
+    def check_compatible(self, other: SequenceInfo):
+        """Raise InputError when other, the test side, differs from this
+        reference sequence in geometry, bit depth or chroma layout."""
         for what, a, b in (
             ("geometry", f"{self.width}x{self.height}", f"{other.width}x{other.height}"),
             ("bit depth", self.bit_depth, other.bit_depth),
             ("chroma", self.chroma, other.chroma),
         ):
             if a != b:
-                raise InputError(f"{what} mismatch: {roles[0]} {a} vs {roles[1]} {b}")
+                raise InputError(f"{what} mismatch: reference {a} vs test {b}")
 
     @property
     def sample_max(self) -> int:
@@ -332,34 +328,3 @@ class RawReader(_ReaderBase):
     def __init__(self, source, info: SequenceInfo):
         super().__init__(source)
         self.info = info
-
-
-def write_y4m(dest, frames, info: SequenceInfo | None = None) -> int:
-    """Write frames as a Y4M stream; returns the number of frames written."""
-    owns = isinstance(dest, (str, bytes, os.PathLike))
-    fp = open(dest, "wb") if owns else dest
-    written = 0
-    try:
-        for frame in frames:
-            if not written:
-                info = info or frame.info
-                fp.write(_format_header(info))
-            info.check_compatible(frame.info, ("stream", f"frame {written}"))
-            fp.write(FRAME_MAGIC + b"\n")
-            for plane in frame.planes:
-                fp.write(plane.tobytes())
-            written += 1
-        if info is not None and written == 0:
-            fp.write(_format_header(info))
-    finally:
-        if owns:
-            fp.close()
-    return written
-
-
-def _format_header(info: SequenceInfo) -> bytes:
-    tag = _WRITE_TAGS[(info.chroma, info.bit_depth)]
-    return (
-        f"YUV4MPEG2 W{info.width} H{info.height} "
-        f"F{info.fps_num}:{info.fps_den} Ip A1:1 C{tag}\n"
-    ).encode("ascii")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,23 @@ def offset_frame(frame, delta):
         (p.astype(np.int64) + delta).astype(p.dtype) for p in frame.planes
     )
     return FrameBuffer(info=frame.info, planes=planes, frame_index=frame.frame_index)
+
+
+def write_y4m(dest, frames, info=None):
+    """Write frames as a Y4M file (dest a path) or into a binary stream: the
+    one writer of the tests' videos. The header is info's when given, so a
+    stream may hold no frames, else the first frame's."""
+    frames = list(frames)
+    info = info or frames[0].info
+    tag = info.chroma[1:] + ("p10" if info.bit_depth == 10 else "")
+    chunks = [f"YUV4MPEG2 W{info.width} H{info.height} "
+              f"F{info.fps_num}:{info.fps_den} Ip A1:1 C{tag}\n".encode("ascii")]
+    for frame in frames:
+        chunks += [b"FRAME\n", *(plane.tobytes() for plane in frame.planes)]
+    if hasattr(dest, "write"):
+        dest.write(b"".join(chunks))
+    else:
+        Path(dest).write_bytes(b"".join(chunks))
 
 
 @pytest.fixture

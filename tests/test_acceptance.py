@@ -36,9 +36,9 @@ from codecbench.subjective import (
     mos,
     screen_subjects,
 )
-from codecbench.video_io import FrameBuffer, Y4MReader, write_y4m
+from codecbench.video_io import FrameBuffer, Y4MReader
 
-from conftest import make_info, offset_frame, random_frame
+from conftest import make_info, offset_frame, random_frame, write_y4m
 from test_metrics import ssim_brute_force
 from test_rd import random_monotone_curve
 from test_subjective import f_sf_numeric, two_group_matrix

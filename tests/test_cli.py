@@ -16,9 +16,9 @@ import codecbench
 from codecbench import metrics
 from codecbench.cli import main
 from codecbench.report import normalize_floats
-from codecbench.video_io import CHROMA_444, Y4MReader, write_y4m
+from codecbench.video_io import CHROMA_444, Y4MReader
 
-from conftest import make_info, offset_frame, random_frame
+from conftest import make_info, offset_frame, random_frame, write_y4m
 
 RD_HEADER = "codec,sequence,metric,label,bitrate_kbps,quality\n"
 TIMING_HEADER = "codec,sequence,qp,wall_seconds,frame_count,fps_num,fps_den\n"
@@ -951,6 +951,9 @@ HUGE_Y4M = b"YUV4MPEG2 W2000000 H2000000 F25:1 C420\nFRAME\nabc"
 HUGE_RAW_FLAGS = ["--width", "2000000", "--height", "2000000", "--bit-depth", "8",
                   "--fps", "25"]
 METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
+POINTS = (RD_HEADER + "HM,s,PSNR,,1000,30\nHM,s,PSNR,,2000,35\nHM,s,PSNR,,4000,40\n"
+          "VTM,s,PSNR,,800,30\nVTM,s,PSNR,,1600,35\nVTM,s,PSNR,,3200,40\n").encode()
+TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
 
 
 @pytest.mark.parametrize("argv,content,code,message", [
@@ -1014,6 +1017,20 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     (["profile", "{prof}", "--timing", "{bad}"],
      TIMING_HEADER.encode() + b"VTM,s,22,2,1000,50,1\nHM,s,22,1,500,50,1\n", 2,
      "s qp22: HM and VTM content durations differ: 10s vs 20s"),
+    (["metrics", "{ref}", "{test}", "-o", "{ref}"], None, 2,
+     "--output {ref} is the same file as reference {ref}"),
+    (["metrics", "{ref}", "{test}", "--per-frame", "{test}"], None, 2,
+     "--per-frame {test} is the same file as test {test}"),
+    (["metrics", "{ref}", "{test}", "--per-frame", "{out}"], None, 2,
+     "--per-frame {out} is the same file as --output {out}"),
+    (["bdrate", "{bad}", "--anchor", "HM", "--test", "VTM", "--plot-data", "{bad}"],
+     POINTS, 2, "--plot-data {bad} is the same file as points {bad}"),
+    (["profile", "{prof}", "--pie-data", "{prof}"], None, 2,
+     "--pie-data {prof} is the same file as callgrind {prof}"),
+    (["profile", "{prof}", "--timing", "{bad}", "--pie-data", "{bad}"], TIMING, 2,
+     "--pie-data {bad} is the same file as --timing {bad}"),
+    (["profile", "{prof}", "--timing", "{bad}", "-o", "{bad}"], TIMING, 2,
+     "--output {bad} is the same file as --timing {bad}"),
 ], ids=[
     "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
     "external_csv_header", "external_csv_frame_order", "external_json_invalid",
@@ -1025,7 +1042,9 @@ METRICS_EXTERNAL = ["metrics", "{ref}", "{test}", "--external", "{bad}"]
     "callgrind_without_functions_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
     "duplicate_subject_id", "score_grouped_digits", "y4m_header_grouped_digits",
     "timing_fps_num_0", "duplicate_timing_record", "empty_mapping_path",
-    "timing_duration_mismatch",
+    "timing_duration_mismatch", "output_over_reference", "per_frame_over_test",
+    "per_frame_over_output", "plot_data_over_points", "pie_data_over_callgrind",
+    "pie_data_over_timing", "output_over_timing",
 ])
 def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
                                        message):
@@ -1036,14 +1055,17 @@ def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, cod
     bad = tmp_path / "bad.in"
     if content is not None:
         bad.write_bytes(content)
-    paths = {"ref": ref, "test": test, "bad": bad, "prof": prof,
-             "scores": scores, "meta": meta}
     out = tmp_path / "out.json"
+    paths = {"ref": ref, "test": test, "bad": bad, "prof": prof,
+             "scores": scores, "meta": meta, "out": out}
     argv = [arg.format(**paths) for arg in argv]
-    assert main([*argv, "--output", str(out), "--quiet"]) == code
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    # The report flags go first, so an -o of the row's own wins.
+    assert main([argv[0], "--output", str(out), "--quiet", *argv[1:]]) == code
     label = "error" if code == 2 else "format error"
-    assert capsys.readouterr().err == f"codecbench: {label}: {message.format(bad=bad)}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == f"codecbench: {label}: {message.format(**paths)}\n"
+    # Nothing is written, and every input is left byte-identical.
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 def plot_floats(tmp_path, *flags):
     """The quality and log10-rate cells of a --plot-data CSV."""
@@ -1239,14 +1261,32 @@ class TestFlagErrors:
         pie, out = tmp_path / "pie.csv", tmp_path / "p.json"
         tail = ["--pie-data", str(pie), "-q", "-o", str(out)]
         assert main(["profile", *inputs, *tail]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("codecbench: error: --pie-data")
-        assert inputs[0] in err and inputs[1] in err
-        assert len(err.splitlines()) == 1
+        pie_enc = tmp_path / "pie-enc.csv"
+        assert capsys.readouterr().err == (
+            f"codecbench: error: --pie-data {pie_enc} is the same file as "
+            f"--pie-data {pie_enc}\n"
+        )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
         # Distinct stems still get one pie each.
         assert main(["profile", inputs[0], inputs[2], *tail]) == 0
         assert (tmp_path / "pie-enc.csv").exists() and (tmp_path / "pie-dec.csv").exists()
+
+    def test_output_rule_compares_files(self, tmp_path, rng, capsys):
+        # A hard link or another spelling of an input is that input; a
+        # device named twice, such as /dev/null, is no file to overwrite.
+        ref, test = write_pair(tmp_path, rng, frames=1)
+        link = tmp_path / "link.y4m"
+        os.link(test, link)
+        spelled = f"{tmp_path}/./{ref.name}"
+        for argv, message in [
+            (["--per-frame", str(link)], f"--per-frame {link} is the same file as test {test}"),
+            (["-o", spelled], f"--output {spelled} is the same file as reference {ref}"),
+        ]:
+            assert main(["metrics", str(ref), str(test), "-q", *argv]) == 2
+            assert capsys.readouterr().err == f"codecbench: error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.y4m", "ref.y4m", "test.y4m"]
+        argv = ["metrics", str(ref), str(test), "-q", "-o", os.devnull, "--per-frame", os.devnull]
+        assert main(argv) == 0
 
 
 class TestUsageErrors:
@@ -1344,6 +1384,42 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_full_precision_reports_do_not_depend_on_the_blas_kernel(tmp_path, rng):
+    """`mos` and PSNR reports carry the same bits under two OpenBLAS kernels,
+    picked by OPENBLAS_CORETYPE in a child process: no value they report goes
+    through a BLAS call. Where numpy does not use OpenBLAS the variable does
+    nothing, and this test proves nothing."""
+    src = os.path.dirname(os.path.dirname(codecbench.__file__))
+    # 40 subjects by 600 stimuli: at least one Pearson value of the screening
+    # changes under Prescott when it is taken with BLAS dot products.
+    panel = np.random.default_rng(31)
+    stimuli = [f"p{j}" for j in range(600)]
+    quality = panel.uniform(10, 90, len(stimuli))
+    lines = ["subject," + ",".join(stimuli)]
+    for i in range(40):
+        row = np.clip(np.rint(quality + panel.normal(0, 8, len(stimuli))), 0, 100)
+        lines.append(f"s{i}," + ",".join(str(int(v)) for v in row))
+    scores, meta = tmp_path / "scores.csv", tmp_path / "meta.csv"
+    scores.write_text("\n".join(lines) + "\n")
+    meta.write_text("pvs,codec,resolution,bitrate_kbps,content\n" + "".join(
+        f"{pvs},c{j % 3},HD,{1000 * (j % 4 + 1)},src{j % 5}\n"
+        for j, pvs in enumerate(stimuli)
+    ))
+    ref, test = write_pair(tmp_path, rng, delta=2)
+    for argv in (["mos", str(scores), "--pvs-meta", str(meta)],
+                 ["metrics", str(ref), str(test), "--metrics", "psnr"]):
+        results = [
+            json.loads(subprocess.run(
+                [sys.executable, "-m", "codecbench.cli", *argv, "--full-precision"],
+                env={**{k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"},
+                     "PYTHONPATH": src, **core},
+                capture_output=True, text=True, check=True,
+            ).stdout)["results"]
+            for core in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+        ]
+        assert results[0] == results[1], argv[0]
+
+
 def test_bd_functions_leave_out_scipy():
     # The PCHIP fit is numpy only; importing scipy would cost ~0.8 s.
     src = os.path.dirname(os.path.dirname(codecbench.__file__))
@@ -1404,6 +1480,25 @@ def test_no_module_reads_another_modules_private_names():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and is_private(node.attr)]
     assert found == []
+
+
+def test_every_module_level_name_is_used_in_src():
+    # The package keeps only code that a command runs: each module-level
+    # function and class is read somewhere in src/ outside its own
+    # definition. The _EXPORTS table names strings, so it is no use.
+    package = Path(codecbench.__file__).parent
+    statements = [(path.name, stmt) for path in sorted(package.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    names = [{node.id if isinstance(node, ast.Name) else node.attr
+              for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+             for _, stmt in statements]
+    unused = [
+        f"{module}:{stmt.name}" for i, (module, stmt) in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        and not any(stmt.name in used for j, used in enumerate(names) if j != i)
+    ]
+    assert unused == []
 
 
 def test_cli_renders_what_the_library_computes():
@@ -1710,10 +1805,11 @@ def test_readme_library_imports_resolve():
 def test_package_dir_and_unknown_names():
     assert set(codecbench.__all__) <= set(dir(codecbench))
     assert {"metrics", "rd", "subjective", "video_io"} <= set(dir(codecbench))
-    # Removed names (content_features, ContentFeatures, FunctionCost) are not
-    # exports: they fail as an unknown name does. A stale _EXPORTS entry
-    # would raise from inside the submodule, naming it instead.
-    for name in ("no_such_name", "content_features", "ContentFeatures", "FunctionCost"):
+    # Removed names (content_features, ContentFeatures, FunctionCost,
+    # write_y4m) are not exports: they fail as an unknown name does. A stale
+    # _EXPORTS entry would raise from inside the submodule, naming it instead.
+    for name in ("no_such_name", "content_features", "ContentFeatures", "FunctionCost",
+                 "write_y4m"):
         with pytest.raises(AttributeError,
                            match=f"^module 'codecbench' has no attribute '{name}'$"):
             getattr(codecbench, name)

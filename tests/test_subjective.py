@@ -196,7 +196,7 @@ class TestColumn:
     def test_unknown_stimulus(self):
         m = matrix_from([[60, 70], [80, 90]])
         with pytest.raises(InputError, match="unknown stimulus 'p9'"):
-            m.column("p9")
+            mos(m, "p9")
 
     def test_repeated_stimulus_rejected(self):
         # A repeated id would name only its first column.

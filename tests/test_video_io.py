@@ -15,10 +15,9 @@ from codecbench.video_io import (
     Y4MReader,
     parse_y4m_header,
     read_frame,
-    write_y4m,
 )
 
-from conftest import make_info, random_frame
+from conftest import make_info, random_frame, write_y4m
 
 
 def parse(header: bytes) -> SequenceInfo:
@@ -173,6 +172,13 @@ class TestReadFrame:
         assert int(frame.y.max()) == 1023
         assert read_frame(stream, info, 1, container="raw") is None
 
+    def test_ten_bit_samples_read_little_endian(self):
+        stream = io.BytesIO(b"FRAME\n" + b"\x02\x03" * 6)
+        frame = read_frame(stream, make_info(2, 2, bit_depth=10), 0)
+        assert [plane.tolist() for plane in frame.planes] == [
+            [[0x0302, 0x0302], [0x0302, 0x0302]], [[0x0302]], [[0x0302]]
+        ]
+
     def test_ten_bit_range_error(self):
         info = make_info(4, 4, bit_depth=10)
         samples = np.full(4 * 4 * 3 // 2, 1024, dtype="<u2")
@@ -220,10 +226,6 @@ class TestCheckCompatible:
         with pytest.raises(InputError, match=f"^{message}$"):
             make_info(16, 16).check_compatible(other)
 
-    def test_roles_name_the_sides(self):
-        with pytest.raises(InputError, match="^bit depth mismatch: a 10 vs b 8$"):
-            make_info(bit_depth=10).check_compatible(make_info(), roles=("a", "b"))
-
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -234,7 +236,7 @@ class TestRoundTrip:
         info = make_info(32, 16, fps=(30000, 1001), bit_depth=bit_depth, chroma=chroma)
         frames = [random_frame(info, rng, i) for i in range(3)]
         path = tmp_path / "clip.y4m"
-        assert write_y4m(path, frames) == 3
+        write_y4m(path, frames)
         with Y4MReader(path) as reader:
             assert reader.info == info
             got = list(reader)
@@ -246,13 +248,12 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_write_with_info_then_read(self, rng, count):
-        # A given info heads the stream once, before the first frame, as the
-        # first frame's own info does when none is given.
+        # The reader takes a binary stream as it takes a file, with or
+        # without frames after the header.
         info = make_info(32, 16, fps=(25, 1), bit_depth=10)
         frames = [random_frame(info, rng, i) for i in range(count)]
         stream = io.BytesIO()
-        assert write_y4m(stream, frames, info) == count
-        assert stream.getvalue().startswith(b"YUV4MPEG2 W32 H16 F25:1 ")
+        write_y4m(stream, frames, info)
         stream.seek(0)
         with Y4MReader(stream) as reader:
             assert reader.info == info
@@ -260,30 +261,6 @@ class TestRoundTrip:
         assert len(got) == count
         for a, b in zip(frames, got):
             assert all(np.array_equal(pa, pb) for pa, pb in zip(a.planes, b.planes))
-
-    @pytest.mark.parametrize("other,message", [
-        (make_info(32, 16), "geometry mismatch: stream 16x16 vs frame 1 32x16"),
-        (make_info(16, 16, bit_depth=10), "bit depth mismatch: stream 8 vs frame 1 10"),
-        (make_info(16, 16, chroma=CHROMA_444), "chroma mismatch: stream C420 vs frame 1 C444"),
-    ])
-    def test_frame_in_another_format_rejected(self, rng, other, message):
-        frames = [random_frame(make_info(16, 16), rng), random_frame(other, rng, 1)]
-        with pytest.raises(InputError, match=f"^{message}$"):
-            write_y4m(io.BytesIO(), frames)
-
-    def test_frame_named_by_its_position_in_the_stream(self, rng):
-        frame = random_frame(make_info(16, 16), rng, 4)
-        with pytest.raises(InputError, match="^geometry mismatch: stream 32x32 vs frame 0 16x16$"):
-            write_y4m(io.BytesIO(), [frame], info=make_info(32, 32))
-
-    def test_ten_bit_samples_written_little_endian(self):
-        info = make_info(2, 2, bit_depth=10)
-        planes = tuple(np.full(shape, 0x0302, dtype=np.uint16)
-                       for shape in info.plane_shapes)
-        stream = io.BytesIO()
-        write_y4m(stream, [FrameBuffer(info, planes)])
-        payload = stream.getvalue().split(b"FRAME\n", 1)[1]
-        assert payload == b"\x02\x03" * 6 == np.full(6, 0x0302, dtype="<u2").tobytes()
 
     def test_reader_frames_are_readonly(self, tmp_path, rng):
         info = make_info(16, 16)
