@@ -219,11 +219,17 @@ def _same_file(a, b):
 
 def _check_files(args, inputs, outputs):
     """The one output rule, run before a command opens any file: no output
-    other than '-' is an input or another output. `inputs` and `outputs` are
-    (flag, path) pairs, a path None where the flag is not given; the report
-    (--output) is the first output of every command."""
+    other than '-' is an input or another output, and at most one output is
+    '-'. That one has stdout to itself, so the summary is left out (quiet).
+    `inputs` and `outputs` are (flag, path) pairs, a path None where the flag
+    is not given; the report (--output) is the first output of every command."""
     seen = [(flag, path) for flag, path in inputs if path is not None]
+    stdout = None
     for flag, path in [("--output", args.output), *outputs]:
+        if path == "-":
+            if stdout:
+                raise InputError(f"{stdout} - and {flag} - both write to stdout")
+            stdout, args.quiet = flag, True
         if path is None or path == "-":
             continue
         for other, taken in seen:
@@ -252,7 +258,7 @@ def _emit(args, inputs, results, columns, table, summary, warnings=(), notes=())
             [int(row[c]) if isinstance(row[c], bool) else row[c] for c in columns]
             for row in table
         ])
-    if not args.quiet and args.output != "-":
+    if not args.quiet:
         for line in summary:
             print(line)
     return 0
@@ -463,9 +469,10 @@ def cmd_mos(args) -> int:
 
 def _pie_paths(base, inputs):
     """One --pie-data file per input: several inputs get the input stem
-    suffixed (two inputs of one stem fail the output rule)."""
-    if len(inputs) == 1:
-        return [base]
+    suffixed, except on stdout ('-'). Two pies of one path, or two on stdout,
+    fail the output rule."""
+    if len(inputs) == 1 or base == "-":
+        return [base] * len(inputs)
     stem, ext = os.path.splitext(base)
     return [f"{stem}-{os.path.splitext(os.path.basename(path))[0]}{ext or '.csv'}"
             for path in inputs]
