@@ -217,20 +217,31 @@ def _same_file(a, b):
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _is_stdout(path):
+    """Whether an output path writes to stdout: '-', or a path naming the
+    file open as stdout (/dev/stdout, or the file stdout is redirected to)."""
+    try:
+        return path == "-" or os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def _check_files(args, inputs, outputs):
     """The one output rule, run before a command opens any file: no output
-    other than '-' is an input or another output, and at most one output is
-    '-'. That one has stdout to itself, so the summary is left out (quiet).
-    `inputs` and `outputs` are (flag, path) pairs, a path None where the flag
-    is not given; the report (--output) is the first output of every command."""
+    that does not write to stdout is an input or another output, and at most
+    one output writes to stdout. That one has stdout to itself, so the summary
+    is left out (quiet). `inputs` and `outputs` are (flag, path) pairs, a path
+    None where the flag is not given; the report (--output) is the first
+    output of every command."""
     seen = [(flag, path) for flag, path in inputs if path is not None]
     stdout = None
     for flag, path in [("--output", args.output), *outputs]:
-        if path == "-":
+        if path is None:
+            continue
+        if _is_stdout(path):
             if stdout:
-                raise InputError(f"{stdout} - and {flag} - both write to stdout")
-            stdout, args.quiet = flag, True
-        if path is None or path == "-":
+                raise InputError(f"{stdout} and {flag} {path} both write to stdout")
+            stdout, args.quiet = f"{flag} {path}", True
             continue
         for other, taken in seen:
             if _same_file(path, taken):

@@ -37,6 +37,7 @@ _COLORSPACE_TAGS = {
 # Largest single read: stream.read(n) allocates n bytes before it reads, and
 # a header may claim any frame size. A 2160p 10-bit 4:4:4 frame is one read.
 _READ_CHUNK = 64 << 20
+_LINE_LIMIT = 8192  # longest Y4M header or FRAME line, newline included
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,13 @@ class FrameBuffer:
         return self.planes[0]
 
 
-def _read_line(stream, limit: int = 8192) -> tuple[bytes, bool]:
+def _read_line(stream) -> tuple[bytes, bool]:
     """Read bytes up to (excluding) 0x0A. Returns (data, saw_newline)."""
-    line = stream.readline(limit)
+    line = stream.readline(_LINE_LIMIT)
     if line.endswith(b"\n"):
         return line[:-1], True
-    if len(line) >= limit:
-        raise DataFormatError(f"header line exceeds {limit} bytes")
+    if len(line) >= _LINE_LIMIT:
+        raise DataFormatError(f"header line exceeds {_LINE_LIMIT} bytes")
     return line, False
 
 
@@ -230,49 +231,7 @@ def _parse_ratio(value: str, tag: str, allow_zero: bool = False) -> tuple[int, i
     return n, d
 
 
-def read_frame(
-    stream, info: SequenceInfo, frame_index: int = 0, container: str = "y4m"
-) -> FrameBuffer | None:
-    """Read the next frame, or None at a clean end of stream.
-
-    Y4M frames are prefixed by a FRAME line; raw mode reads bare planes.
-    """
-    if container == "y4m":
-        line, terminated = _read_line(stream)
-        if not line and not terminated:
-            return None
-        if not terminated:
-            raise DataFormatError(f"unterminated FRAME line at frame {frame_index}")
-        if line != FRAME_MAGIC and not line.startswith(FRAME_MAGIC + b" "):
-            raise DataFormatError(
-                f"expected FRAME prefix at frame {frame_index}, got {line[:32]!r}"
-            )
-    elif container != "raw":
-        raise ValueError(f"unknown container {container!r}")
-
-    expected = info.frame_bytes
-    payload = _read_exact(stream, expected)
-    if not payload and container == "raw":
-        return None
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"truncated frame {frame_index}: expected {expected} bytes, "
-            f"got {len(payload)}"
-        )
-
-    samples = np.frombuffer(payload, dtype=info.dtype)
-    planes = []
-    offset = 0
-    for shape in info.plane_shapes:
-        count = shape[0] * shape[1]
-        planes.append(samples[offset : offset + count].reshape(shape))
-        offset += count
-    return FrameBuffer(info=info, planes=tuple(planes), frame_index=frame_index)
-
-
 class _ReaderBase:
-    _container: str
-
     def __init__(self, source):
         self._owns = isinstance(source, (str, bytes, os.PathLike))
         self._fp = open(source, "rb") if self._owns else source
@@ -291,10 +250,26 @@ class _ReaderBase:
         self.close()
 
     def read_frame(self) -> FrameBuffer | None:
+        """Read the next frame, or None at a clean end of stream."""
+        info = self.info
         with named_errors(self._source):
-            frame = read_frame(self._fp, self.info, self._index, self._container)
-        if frame is not None:
-            self._index += 1
+            payload = self._next_payload()
+            if payload is None:
+                return None
+            if len(payload) != info.frame_bytes:
+                raise DataFormatError(
+                    f"truncated frame {self._index}: expected {info.frame_bytes} "
+                    f"bytes, got {len(payload)}"
+                )
+            samples = np.frombuffer(payload, dtype=info.dtype)
+            planes = []
+            offset = 0
+            for shape in info.plane_shapes:
+                count = shape[0] * shape[1]
+                planes.append(samples[offset : offset + count].reshape(shape))
+                offset += count
+            frame = FrameBuffer(info, tuple(planes), self._index)
+        self._index += 1
         return frame
 
     def __iter__(self):
@@ -308,8 +283,6 @@ class _ReaderBase:
 class Y4MReader(_ReaderBase):
     """Sequential frame reader over a Y4M file or binary stream."""
 
-    _container = "y4m"
-
     def __init__(self, source):
         super().__init__(source)
         try:
@@ -319,12 +292,27 @@ class Y4MReader(_ReaderBase):
             self.close()
             raise
 
+    def _next_payload(self) -> bytes | None:
+        """The frame after a FRAME line, or None at a clean end of stream."""
+        line, terminated = _read_line(self._fp)
+        if not line and not terminated:
+            return None
+        if not terminated:
+            raise DataFormatError(f"unterminated FRAME line at frame {self._index}")
+        if line != FRAME_MAGIC and not line.startswith(FRAME_MAGIC + b" "):
+            raise DataFormatError(
+                f"expected FRAME prefix at frame {self._index}, got {line[:32]!r}"
+            )
+        return _read_exact(self._fp, self.info.frame_bytes)
+
 
 class RawReader(_ReaderBase):
     """Sequential reader over headerless planar YUV; geometry must be given."""
 
-    _container = "raw"
-
     def __init__(self, source, info: SequenceInfo):
         super().__init__(source)
         self.info = info
+
+    def _next_payload(self) -> bytes | None:
+        """The next frame's bytes, or None when no byte is left."""
+        return _read_exact(self._fp, self.info.frame_bytes) or None

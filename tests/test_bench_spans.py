@@ -9,7 +9,12 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from codecbench.cli import main
+from codecbench.video_io import CHROMA_444, RawReader, Y4MReader
+
+from conftest import make_info, random_frame, write_y4m
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -110,3 +115,41 @@ def test_bd_layers_are_traced(tmp_path, monkeypatch):
     for name, count in [("rd.load_rd_csv", 1), ("rd.bd_rate", 4), ("rd.bd_quality", 4),
                         ("rd.interpolate_log_rate", 8)]:
         assert names.count(name) == count, name
+
+
+@pytest.mark.parametrize("container", ["y4m", "raw"])
+def test_video_layers_are_traced(tmp_path, monkeypatch, rng, container):
+    # Every read, the end-of-stream read of each side included, is one
+    # read_frame span carrying the bytes it returned; each pair is one SSIM.
+    spans = load_spans(monkeypatch)
+    frames = 3
+    if container == "y4m":
+        info = make_info(16, 16)
+        flags = []
+    else:
+        info = make_info(16, 16, bit_depth=10, chroma=CHROMA_444)
+        flags = ["--width", "16", "--height", "16", "--bit-depth", "10",
+                 "--fps", "50", "--chroma", "444"]
+    paths = []
+    for name in ("ref", "test"):
+        clip = [random_frame(info, rng, i) for i in range(frames)]
+        path = tmp_path / f"{name}.{container}"
+        if container == "y4m":
+            write_y4m(path, clip)
+        else:
+            path.write_bytes(b"".join(p.tobytes() for f in clip for p in f.planes))
+        paths.append(str(path))
+    originals = (Y4MReader.read_frame, RawReader.read_frame)
+    tracer = spans.Tracer()
+    with spans.traced_layers(tracer):
+        assert all(wrapped_calls(spans).values())
+        assert main(["metrics", *paths, *flags, "-q", "-o", str(tmp_path / "r.json")]) == 0
+    assert (Y4MReader.read_frame, RawReader.read_frame) == originals
+    assert not any(wrapped_calls(spans).values())
+
+    reads = [s.attrs["bytes"] for s in tracer.spans if s.name == "video_io.read_frame"]
+    # Reference and test are read in turn, one frame each, then each ends.
+    assert reads == [info.frame_bytes] * (2 * frames) + [0, 0]
+    names = [s.name for s in tracer.spans]
+    assert names.count("metrics.ssim_frame") == frames
+    assert names.count("metrics.sequence_quality") == 1

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,6 +194,18 @@ class TestMetricsCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["results"]["frame_count"] == 2
+
+    def test_header_tags_split_by_two_spaces(self, tmp_path):
+        header = b"YUV4MPEG2 W2  H2 F1:1\n"
+        ref, test = tmp_path / "ref.y4m", tmp_path / "test.y4m"
+        ref.write_bytes(header + b"FRAME\n" + bytes(6))
+        test.write_bytes(header + b"FRAME\n" + bytes([1, 1, 1, 1, 0, 0]))
+        out = tmp_path / "r.json"
+        assert main(["metrics", str(ref), str(test), "--metrics", "psnr_y",
+                     "-q", "-o", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["frame_count"] == 1
+        assert results["metrics"][0]["mean"] == pytest.approx(10 * math.log10(255**2))
 
     def test_malformed_header_exit_3(self, tmp_path, rng):
         bad = tmp_path / "bad.y4m"
@@ -660,6 +673,47 @@ class TestMosCommand:
             "p1,HM,HD,1000,c\np2,VTM,HD,1000,c\np3,HM,HD,2000,c\n"
         )
         assert main(["mos", str(scores), "--pvs-meta", str(meta), "--quiet"]) == 2
+
+    def test_mos_constant_within_each_level(self, tmp_path):
+        # Codec levels hold MOS 20 and 60 without spread: F is infinite. The
+        # other factors' levels share the mean 40: F is 0.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject,p1,p2,p3,p4\n" + "".join(
+            f"{s},20,20,60,60\n" for s in "abc"))
+        meta = tmp_path / "meta.csv"
+        meta.write_text(
+            "pvs,codec,resolution,bitrate_kbps,content\n"
+            "p1,HM,HD,1000,A\np2,HM,UHD,2000,B\np3,VTM,HD,1000,A\np4,VTM,UHD,2000,B\n"
+        )
+        out = tmp_path / "mos.json"
+        assert main(["mos", str(scores), "--pvs-meta", str(meta), "-q", "-o", str(out)]) == 0
+        anova = json.loads(out.read_text())["results"]["anova"]
+        assert [(r["factor"], r["f_stat"], r["p_value"]) for r in anova] == [
+            ("codec", "inf", 0.0), ("resolution", 0.0, 1.0),
+            ("bitrate", 0.0, 1.0), ("content", 0.0, 1.0),
+        ]
+
+    def test_screening_against_a_constant_mos(self, tmp_path):
+        # Every stimulus's MOS is 20: a and b cannot be correlated with it,
+        # and c's own scores are constant. At threshold -1 all are kept.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject,p1,p2,p3\na,10,20,30\nb,30,20,10\nc,20,20,20\n")
+        meta = tmp_path / "meta.csv"
+        meta.write_text(
+            "pvs,codec,resolution,bitrate_kbps,content\n"
+            "p1,HM,HD,1000,A\np2,VTM,UHD,2000,B\np3,VTM,HD,1000,A\n"
+        )
+        out = tmp_path / "mos.json"
+        assert main(["mos", str(scores), "--pvs-meta", str(meta), "--threshold", "-1",
+                     "-q", "-o", str(out)]) == 0
+        screening = json.loads(out.read_text())["results"]["screening"]
+        assert [(s["subject"], s["pearson"], s["spearman"], s["retained"], s["note"])
+                for s in screening["subjects"]] == [
+            ("a", -1.0, -1.0, True, "constant MOS reference"),
+            ("b", -1.0, -1.0, True, "constant MOS reference"),
+            ("c", -1.0, -1.0, True, "constant scores"),
+        ]
+        assert screening["discarded"] == []
 
     def test_exclude_stimulus(self, tmp_path):
         scores, meta = write_panel(tmp_path)
@@ -1338,6 +1392,57 @@ class TestOneWriterOnStdout:
         assert capsys.readouterr() == (
             "", "codecbench: error: --pie-data - and --pie-data - both write to stdout\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.out", "b.out"]
+
+
+def run_with_stdout_file(argv, stdout):
+    """Run the CLI in a subprocess whose stdout is the file stdout; returns
+    (exit status, what it wrote to stdout, what it wrote to stderr)."""
+    src = os.path.dirname(os.path.dirname(codecbench.__file__))
+    with open(stdout, "wb") as fp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "codecbench.cli", *argv], stdout=fp,
+            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+    return proc.returncode, stdout.read_text(), proc.stderr
+
+
+class TestStdoutSpelledAsAPath:
+    # An output path that names the file open as stdout writes to stdout,
+    # as '-' does, so the one-writer rule counts it as '-'.
+    SPELLINGS = ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1", "redirected"]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_second_stdout_output_exit_2(self, tmp_path, spelling):
+        prof = tmp_path / "a.out"
+        prof.write_text(CALLGRIND)
+        out = tmp_path / "stdout.txt"
+        path = str(out) if spelling == "redirected" else spelling
+        status, stdout, stderr = run_with_stdout_file(
+            ["profile", str(prof), "--pie-data", "-", "-o", path], out)
+        assert (status, stdout) == (2, "")
+        assert stderr == (
+            f"codecbench: error: --output {path} and --pie-data - both write to stdout\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.out", "stdout.txt"]
+
+    def test_two_paths_naming_stdout_exit_2(self, tmp_path, rng):
+        ref, test = write_pair(tmp_path, rng, frames=1)
+        out = tmp_path / "stdout.txt"
+        status, stdout, stderr = run_with_stdout_file(
+            ["metrics", str(ref), str(test), "-o", "/dev/stdout", "--per-frame", str(out)],
+            out)
+        assert (status, stdout) == (2, "")
+        assert stderr == (f"codecbench: error: --output /dev/stdout and --per-frame {out} "
+                          "both write to stdout\n")
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_report_alone_on_stdout_leaves_out_the_summary(self, tmp_path, spelling):
+        prof = tmp_path / "a.out"
+        prof.write_text(CALLGRIND)
+        out = tmp_path / "stdout.txt"
+        path = str(out) if spelling == "redirected" else spelling
+        status, stdout, stderr = run_with_stdout_file(["profile", str(prof), "-o", path], out)
+        assert (status, stderr) == (0, "")
+        assert json.loads(stdout)["results"]["profiles"]
 
 
 class TestUsageErrors:

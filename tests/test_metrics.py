@@ -81,6 +81,11 @@ class TestMse:
         with pytest.raises(InputError, match="integers"):
             mse([0.5, 1.0], [0.0, 1.0])
 
+    def test_empty_planes_rejected(self):
+        empty = np.zeros((0, 4), np.uint8)
+        with pytest.raises(InputError, match="^empty plane$"):
+            mse(empty, empty)
+
 
 class TestPsnr:
     def test_zero_mse_is_infinite(self):
@@ -445,6 +450,11 @@ class TestFrameQuality:
 
 
 class TestSequenceQuality:
+    def test_empty_metric_selection_rejected(self, rng):
+        frames = [random_frame(make_info(16, 16), rng)]
+        with pytest.raises(InputError, match="^empty metric selection$"):
+            sequence_quality(frames, frames, metric_ids=())
+
     def test_identical_sequences_clamp(self, rng):
         info = make_info(16, 16)
         frames = [random_frame(info, rng, i) for i in range(10)]

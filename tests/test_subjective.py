@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -63,6 +64,15 @@ def annotate(stimuli):
 
 
 class TestImmutableMatrix:
+    @pytest.mark.parametrize("scores,subjects,message", [
+        ([[60.0, 70.0], [80.0, 90.0]], ("a",),
+         "score grid (2, 2) does not match 1 subjects x 2 stimuli"),
+        ([[60.0, 101.0]], None, "scores must lie in [0, 100]"),
+    ], ids=["grid_shape", "score_101"])
+    def test_scores_checked(self, scores, subjects, message):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            matrix_from(scores, subjects=subjects)
+
     def test_attributes_cannot_be_assigned(self):
         m = matrix_from([[60.0, 70.0]])
         for name, value in [("meta", {}), ("scores", np.zeros((1, 2))),
@@ -266,6 +276,15 @@ class TestCorrelations:
     def test_pearson_constant_rejected(self):
         with pytest.raises(StatsError):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("fn,x,y,message", [
+        (pearson, [1, 2, 3], [1, 2], "correlation inputs differ in length: (3,) vs (2,)"),
+        (pearson, [1], [2], "correlation needs at least 2 samples"),
+        (spearman, [1, 2, 3], [1, 2], "correlation inputs differ in length: (3,) vs (2,)"),
+    ], ids=["pearson_lengths", "pearson_one_sample", "spearman_lengths"])
+    def test_inputs_checked(self, fn, x, y, message):
+        with pytest.raises(StatsError, match=f"^{re.escape(message)}$"):
+            fn(x, y)
 
     def test_pearson_affine_invariance(self, rng):
         x = rng.uniform(0, 100, 12)
@@ -562,6 +581,10 @@ F_SURVIVAL_REFERENCE = [
 
 
 class TestFSurvival:
+    def test_degrees_of_freedom_checked(self):
+        with pytest.raises(StatsError, match=r"^invalid degrees of freedom \(0, 5\)$"):
+            f_survival(1.0, 0, 5)
+
     def test_matches_numeric_integration(self, rng):
         for _ in range(20):
             d1 = int(rng.integers(1, 12))

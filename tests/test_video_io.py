@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import re
 
@@ -14,7 +15,6 @@ from codecbench.video_io import (
     SequenceInfo,
     Y4MReader,
     parse_y4m_header,
-    read_frame,
 )
 
 from conftest import make_info, random_frame, write_y4m
@@ -125,77 +125,141 @@ class TestParseHeader:
         assert parse(data) == parse(data)
 
 
+def y4m_reader(info, frames: bytes) -> Y4MReader:
+    """A Y4MReader over a stream of info's header line followed by frames."""
+    stream = io.BytesIO()
+    write_y4m(stream, [], info)
+    stream.write(frames)
+    stream.seek(0)
+    return Y4MReader(stream)
+
+
 class TestReadFrame:
     def test_hd_frame_and_eos(self):
         info = make_info(1920, 1080)
         payload = bytes(info.frame_bytes)
         assert info.frame_bytes == 3110400
-        stream = io.BytesIO(b"FRAME\n" + payload)
-        frame = read_frame(stream, info, 0)
+        reader = y4m_reader(info, b"FRAME\n" + payload)
+        frame = reader.read_frame()
         assert frame.frame_index == 0
         assert frame.y.shape == (1080, 1920)
-        assert read_frame(stream, info, 1) is None
+        assert reader.read_frame() is None
+        assert reader.read_frame() is None
 
     def test_bytes_consumed_exactly(self):
         info = make_info(64, 32)
-        stream = io.BytesIO(b"FRAME\n" + bytes(info.frame_bytes) * 2)
+        stream = io.BytesIO()
+        write_y4m(stream, [], info)
+        stream.write(b"FRAME\n" + bytes(info.frame_bytes) * 2)
+        stream.seek(0)
+        reader = Y4MReader(stream)
         before = stream.tell()
-        read_frame(stream, info, 0)
+        reader.read_frame()
         assert stream.tell() - before == 6 + info.frame_bytes
 
     def test_frame_line_with_parameters(self):
         info = make_info(4, 4)
-        stream = io.BytesIO(b"FRAME Xsome=tag\n" + bytes(info.frame_bytes))
-        assert read_frame(stream, info, 0) is not None
+        reader = y4m_reader(info, b"FRAME Xsome=tag\n" + bytes(info.frame_bytes))
+        assert reader.read_frame() is not None
 
     def test_truncated_frame_reports_sizes(self):
         info = make_info(64, 64)
-        stream = io.BytesIO(b"FRAME\n" + bytes(info.frame_bytes - 100))
-        message = "truncated frame 0: expected 6144 bytes, got 6044"
+        frame = b"FRAME\n" + bytes(info.frame_bytes)
+        reader = y4m_reader(info, frame * 2 + frame[:-100])
+        assert len(list(itertools.islice(reader, 2))) == 2
+        message = "^truncated frame 2: expected 6144 bytes, got 6044$"
         with pytest.raises(DataFormatError, match=message):
-            read_frame(stream, info, 0)
+            reader.read_frame()
+
+    def test_frame_line_without_payload_is_truncated(self):
+        reader = y4m_reader(make_info(4, 4), b"FRAME\n")
+        message = "^truncated frame 0: expected 24 bytes, got 0$"
+        with pytest.raises(DataFormatError, match=message):
+            reader.read_frame()
 
     def test_bad_frame_prefix(self):
         info = make_info(4, 4)
-        message = "expected FRAME prefix at frame 0, got b'FRAMX'"
+        reader = y4m_reader(info, b"FRAME\n" + bytes(info.frame_bytes) + b"FRAMX\n")
+        assert reader.read_frame().frame_index == 0
+        message = "^expected FRAME prefix at frame 1, got b'FRAMX'$"
         with pytest.raises(DataFormatError, match=message):
-            read_frame(io.BytesIO(b"FRAMX\n" + bytes(info.frame_bytes)), info, 0)
+            reader.read_frame()
+
+    def test_unterminated_frame_line(self):
+        info = make_info(4, 4)
+        reader = y4m_reader(info, b"FRAME\n" + bytes(info.frame_bytes) + b"FRAME")
+        assert reader.read_frame() is not None
+        with pytest.raises(DataFormatError, match="^unterminated FRAME line at frame 1$"):
+            reader.read_frame()
+
+    def test_frame_line_limit(self):
+        info = make_info(4, 4)
+        # At most 8191 bytes before the newline, as with the header line.
+        fits = b"FRAME X" + b"a" * (8191 - 7)
+        payload = bytes(info.frame_bytes)
+        reader = y4m_reader(info, fits + b"\n" + payload + fits + b"a\n" + payload)
+        assert reader.read_frame() is not None
+        with pytest.raises(DataFormatError, match="^header line exceeds 8192 bytes$"):
+            reader.read_frame()
 
     def test_raw_ten_bit_frame(self):
         info = make_info(64, 64, bit_depth=10)
         assert info.frame_bytes == 12288
         samples = np.zeros(6144, dtype="<u2")
         samples[:5] = [0, 1, 512, 1022, 1023]
-        stream = io.BytesIO(samples.tobytes())
-        frame = read_frame(stream, info, 0, container="raw")
+        reader = RawReader(io.BytesIO(samples.tobytes()), info)
+        frame = reader.read_frame()
         assert frame.y.dtype == np.uint16
         assert int(frame.y.max()) == 1023
-        assert read_frame(stream, info, 1, container="raw") is None
+        assert reader.read_frame() is None
 
     def test_ten_bit_samples_read_little_endian(self):
-        stream = io.BytesIO(b"FRAME\n" + b"\x02\x03" * 6)
-        frame = read_frame(stream, make_info(2, 2, bit_depth=10), 0)
+        info = make_info(2, 2, bit_depth=10)
+        frame = y4m_reader(info, b"FRAME\n" + b"\x02\x03" * 6).read_frame()
         assert [plane.tolist() for plane in frame.planes] == [
             [[0x0302, 0x0302], [0x0302, 0x0302]], [[0x0302]], [[0x0302]]
         ]
 
     def test_ten_bit_range_error(self):
         info = make_info(4, 4, bit_depth=10)
-        samples = np.full(4 * 4 * 3 // 2, 1024, dtype="<u2")
-        message = "frame 5: Y plane sample 1024 exceeds 10-bit maximum 1023"
+        good = np.zeros(4 * 4 * 3 // 2, dtype="<u2").tobytes()
+        bad = np.full(4 * 4 * 3 // 2, 1024, dtype="<u2").tobytes()
+        reader = RawReader(io.BytesIO(good * 5 + bad), info)
+        assert [f.frame_index for f in itertools.islice(reader, 5)] == [0, 1, 2, 3, 4]
+        message = "^frame 5: Y plane sample 1024 exceeds 10-bit maximum 1023$"
         with pytest.raises(DataFormatError, match=message):
-            read_frame(io.BytesIO(samples.tobytes()), info, 5, container="raw")
+            reader.read_frame()
 
     def test_raw_truncation(self):
         info = make_info(8, 8)
-        stream = io.BytesIO(bytes(info.frame_bytes + 10))
-        assert read_frame(stream, info, 0, container="raw") is not None
-        message = "truncated frame 1: expected 96 bytes, got 10"
+        reader = RawReader(io.BytesIO(bytes(info.frame_bytes * 5 + 10)), info)
+        assert len(list(itertools.islice(reader, 5))) == 5
+        message = "^truncated frame 5: expected 96 bytes, got 10$"
         with pytest.raises(DataFormatError, match=message):
-            read_frame(stream, info, 1, container="raw")
+            reader.read_frame()
+
+
+class TestSequenceInfo:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"bit_depth": 12}, "unsupported bit depth 12"),
+        ({"chroma": "C422"}, "unsupported chroma layout 'C422'"),
+    ], ids=["bit_depth", "chroma"])
+    def test_unsupported_sample_format_rejected(self, kwargs, message):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            make_info(16, 16, **kwargs)
 
 
 class TestFrameBuffer:
+    def test_planes_and_index_checked(self):
+        y, c = np.zeros((8, 8), np.uint8), np.zeros((4, 4), np.uint8)
+        for planes, index, message in [
+            ((y, c), 0, "expected 3 planes, got 2"),
+            ((y.astype(np.uint16), c, c), 0, "Y plane dtype uint16 does not match bit depth 8"),
+            ((y, c, c), -1, "negative frame index -1"),
+        ]:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                FrameBuffer(make_info(8, 8), planes, index)
+
     def test_plane_shape_checked(self):
         info = make_info(8, 8)
         bad = np.zeros((8, 8), np.uint8)
