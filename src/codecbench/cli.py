@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--format", choices=("json", "csv"), default="json",
-        help="report format (default json)",
+        help="report format (default %(default)s)",
     )
     common.add_argument(
         "--quiet", "-q", action="store_true", help="suppress the stdout summary"
@@ -92,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics", default="psnr,ssim", metavar="LIST",
         help="comma list of psnr, psnr_y, psnr_u, psnr_v, wpsnr, ssim "
-        "(default psnr,ssim)",
+        "(default %(default)s)",
     )
     p.add_argument(
         "--clamp-db", type=_number("--clamp-db", float),
         default=_CLAMP_DB,
-        help="replacement for infinite per-frame PSNR (default 100)",
+        help="replacement for infinite per-frame PSNR (default %(default)g)",
     )
     p.add_argument("--width", type=_number("--width", int), help="raw input: frame width")
     p.add_argument("--height", type=_number("--height", int), help="raw input: frame height")
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=_parse_fps, help="raw input: frame rate as N, N:D or N/D")
     p.add_argument(
         "--chroma", choices=("420", "444"), default="420",
-        help="raw input: chroma layout (default 420)",
+        help="raw input: chroma layout (default %(default)s)",
     )
     p.add_argument("--per-frame", metavar="CSV", help="also write per-frame values")
     p.add_argument(
@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=_number("--jobs", int, "be at least 1", lambda v: v >= 1),
         default=1,
-        help="worker threads, capped at the CPUs this process may use (default 1)",
+        help="worker threads, capped at the CPUs this process may use "
+        "(default %(default)s)",
     )
     p.set_defaults(func=cmd_metrics)
 
@@ -150,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=_number("--threshold", float, "be finite and lie in [-1, 1]",
                      lambda v: -1 <= v <= 1),
         default=_SCREENING_THRESHOLD,
-        help="screening correlation threshold (default 0.75)",
+        help="screening correlation threshold (default %(default)s)",
     )
     p.add_argument(
         "--ci-constant",
         type=_number("--ci-constant", float, "be finite and above 0", lambda v: v > 0),
         default=_CI_CONSTANT,
-        help="confidence interval multiplier (default 1.95)",
+        help="confidence interval multiplier (default %(default)s)",
     )
     p.add_argument("--session", default="", help="session label echoed in the report")
     p.add_argument(
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_number("--threshold", float, "be finite and lie in [0, 100]",
                      lambda v: 0 <= v <= 100),
         default=profiling.BUCKET_THRESHOLD,
-        help="fold stages below this percentage into Other (default 1.0)",
+        help="fold stages below this percentage into Other (default %(default)s)",
     )
     p.add_argument("--event", help="cost event name (default: first declared)")
     p.add_argument("--timing", metavar="CSV", help="timing records CSV")
@@ -232,8 +233,10 @@ def _check_files(args, inputs, outputs):
     one output writes to stdout. That one has stdout to itself, so the summary
     is left out (quiet). `inputs` and `outputs` are (flag, path) pairs, a path
     None where the flag is not given; the report (--output) is the first
-    output of every command."""
+    output of every command. The given inputs, in flag order, are recorded
+    as args.inputs: the files the report digests."""
     seen = [(flag, path) for flag, path in inputs if path is not None]
+    args.inputs = [path for _, path in seen]
     stdout = None
     for flag, path in [("--output", args.output), *outputs]:
         if path is None:
@@ -255,12 +258,12 @@ def _write_csv(args, path, header, rows):
         report.render_csv(header, rows, fp, full_precision=args.full_precision)
 
 
-def _emit(args, inputs, results, columns, table, summary, warnings=(), notes=()):
-    """The one report rule of every command: JSON is the whole report, and a
-    CSV report is the rows of `table` (dicts from `results`) projected on
-    `columns`, a flag written 0/1."""
+def _emit(args, results, columns, table, summary, warnings=(), notes=()):
+    """The one report rule of every command: JSON is the whole report, over
+    the inputs _check_files was given, and a CSV report is the rows of `table`
+    (dicts from `results`) projected on `columns`, a flag written 0/1."""
     if args.format == "json":
-        doc = report.make_report(args.argv, inputs, results, warnings, notes)
+        doc = report.make_report(args.argv, args.inputs, results, warnings, notes)
         text = report.render_json(doc, full_precision=args.full_precision)
         with report.open_output(args.output) as fp:
             fp.write(text)
@@ -355,7 +358,6 @@ def cmd_metrics(args) -> int:
             for i in range(frame_count)
         ])
 
-    inputs = [args.reference, args.test] + ([args.external] if args.external else [])
     results = {
         "reference": args.reference,
         "test": args.test,
@@ -381,7 +383,7 @@ def cmd_metrics(args) -> int:
         + (" (clamped)" if r["clamp_applied"] else "")
         for r in rows
     ]
-    return _emit(args, inputs, results, ["metric", "mean", "frames", "clamp_applied"],
+    return _emit(args, results, ["metric", "mean", "frames", "clamp_applied"],
                  rows, summary, warnings, notes)
 
 
@@ -424,8 +426,7 @@ def cmd_bdrate(args) -> int:
         f"{r['sequence']} [{r['metric']}]: BD-rate {r['bd_rate_percent']:+.2f}%"
         for r in rows + averages
     ]
-    return _emit(args, [args.points], results,
-                 ["sequence", "metric", "bd_rate_percent", "bd_quality"],
+    return _emit(args, results, ["sequence", "metric", "bd_rate_percent", "bd_quality"],
                  rows + averages, summary, warnings, notes)
 
 
@@ -474,8 +475,7 @@ def cmd_mos(args) -> int:
             f"ANOVA {res.factor}: F({res.df_between},{res.df_within}) "
             f"= {res.f_stat:.3f}, p = {res.p_value:.4g}"
         )
-    return _emit(args, [args.scores, args.pvs_meta], results, ["pvs", "mos", "ci95", "n"],
-                 mos, summary, warnings, notes)
+    return _emit(args, results, ["pvs", "mos", "ci95", "n"], mos, summary, warnings, notes)
 
 
 def _pie_paths(base, inputs):
@@ -512,10 +512,8 @@ def cmd_profile(args) -> int:
                        [[s["stage"], s["percent"]] for s in stages])
 
     results = {"mapping": args.mapping or "built-in", "profiles": profiles}
-    inputs = list(args.callgrind)
     speedups = []
     if args.timing:
-        inputs.append(args.timing)
         records = profiling.load_timing_csv(args.timing)
         factors = [
             {
@@ -548,8 +546,7 @@ def cmd_profile(args) -> int:
         for s in speedups
     )
     table = [{"file": p["file"], **s} for p in profiles for s in p["stages"]]
-    return _emit(args, inputs, results, ["file", "stage", "percent"], table, summary,
-                 notes=notes)
+    return _emit(args, results, ["file", "stage", "percent"], table, summary, notes=notes)
 
 
 if __name__ == "__main__":

@@ -249,8 +249,8 @@ def aggregate_stages(
     """Fold {function: self cost} into named stages with percentages of the
     total.
 
-    Stages below the threshold are merged into "Other"; unmatched
-    functions land there directly.
+    Unmatched functions land in "Other"; every other stage below the
+    threshold folds into it too, listed in name order as the bucket.
     """
     if not costs:
         raise InputError("empty cost list")
@@ -263,23 +263,12 @@ def aggregate_stages(
         stage = mapping.stage_for(name)
         raw[stage] = raw.get(stage, 0) + cost
 
-    folded: dict[str, int] = {}
-    bucket = []
-    for stage in sorted(raw):
-        if stage == OTHER_STAGE:
-            continue
-        percent = 100.0 * raw[stage] / total
-        if percent < bucket_threshold:
-            bucket.append(stage)
-            folded[OTHER_STAGE] = folded.get(OTHER_STAGE, 0) + raw[stage]
-        else:
-            folded[stage] = raw[stage]
-    if OTHER_STAGE in raw:
-        folded[OTHER_STAGE] = folded.get(OTHER_STAGE, 0) + raw[OTHER_STAGE]
-
-    percent = {s: 100.0 * c / total for s, c in folded.items()}
-    order = sorted(folded, key=lambda s: (-percent[s], s))
-    return StageProfile({s: folded[s] for s in order}, tuple(bucket), total)
+    bucket = [s for s in sorted(raw.keys() - {OTHER_STAGE})
+              if 100.0 * raw[s] / total < bucket_threshold]
+    if bucket:
+        raw[OTHER_STAGE] = sum(raw.pop(s) for s in bucket) + raw.get(OTHER_STAGE, 0)
+    order = sorted(raw, key=lambda s: (-100.0 * raw[s] / total, s))
+    return StageProfile({s: raw[s] for s in order}, tuple(bucket), total)
 
 
 def load_mapping(path=None) -> StageMapping:

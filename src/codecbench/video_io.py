@@ -141,13 +141,13 @@ class FrameBuffer:
         return self.planes[0]
 
 
-def _read_line(stream) -> tuple[bytes, bool]:
-    """Read bytes up to (excluding) 0x0A. Returns (data, saw_newline)."""
+def _read_line(stream, what: str) -> tuple[bytes, bool]:
+    """Bytes up to (excluding) 0x0A as (data, saw_newline); `what` names a long line."""
     line = stream.readline(_LINE_LIMIT)
     if line.endswith(b"\n"):
         return line[:-1], True
     if len(line) >= _LINE_LIMIT:
-        raise DataFormatError(f"header line exceeds {_LINE_LIMIT} bytes")
+        raise DataFormatError(f"{what} exceeds {_LINE_LIMIT} bytes")
     return line, False
 
 
@@ -169,7 +169,7 @@ def parse_y4m_header(stream) -> SequenceInfo:
     W, H, F and C tags are interpreted; I and A are parsed and otherwise
     ignored (interlaced content is rejected); X extensions are skipped.
     """
-    line, terminated = _read_line(stream)
+    line, terminated = _read_line(stream, "header line")
     if not line.startswith(Y4M_MAGIC):
         raise DataFormatError("missing YUV4MPEG2 magic")
     if not terminated:
@@ -294,7 +294,7 @@ class Y4MReader(_ReaderBase):
 
     def _next_payload(self) -> bytes | None:
         """The frame after a FRAME line, or None at a clean end of stream."""
-        line, terminated = _read_line(self._fp)
+        line, terminated = _read_line(self._fp, f"FRAME line at frame {self._index}")
         if not line and not terminated:
             return None
         if not terminated:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,7 +17,7 @@ import pytest
 
 import codecbench
 from codecbench import metrics
-from codecbench.cli import main
+from codecbench.cli import build_parser, main
 from codecbench.report import normalize_floats
 from codecbench.video_io import CHROMA_444, Y4MReader
 
@@ -1443,6 +1445,61 @@ class TestStdoutSpelledAsAPath:
         status, stdout, stderr = run_with_stdout_file(["profile", str(prof), "-o", path], out)
         assert (status, stderr) == (0, "")
         assert json.loads(stdout)["results"]["profiles"]
+
+
+def every_input(tmp_path, rng, command):
+    """The argv of `command` with every input flag given, and the paths of
+    its inputs in the order given."""
+    if command == "metrics":
+        ref, test = write_pair(tmp_path, rng, frames=3)
+        vmaf = tmp_path / "vmaf.json"
+        vmaf.write_text(json.dumps({"frames": [{"metrics": {"vmaf": 90.0}}] * 3}))
+        inputs = [ref, test, vmaf]
+        argv = ["metrics", str(ref), str(test), "--external", str(vmaf)]
+    elif command == "bdrate":
+        points = tmp_path / "points.csv"
+        points.write_bytes(POINTS)
+        inputs = [points]
+        argv = ["bdrate", str(points), "--anchor", "HM", "--test", "VTM"]
+    elif command == "mos":
+        scores, meta = write_panel(tmp_path)
+        inputs = [scores, meta]
+        argv = ["mos", str(scores), "--pvs-meta", str(meta)]
+    else:
+        prof_a, prof_b = tmp_path / "a.out", tmp_path / "b.out"
+        prof_a.write_text(CALLGRIND)
+        prof_b.write_text(CALLGRIND)
+        mapping, timing = tmp_path / "map.txt", tmp_path / "timing.csv"
+        mapping.write_text("TZSearch -> Search\n")
+        timing.write_bytes(TIMING)
+        inputs = [prof_a, prof_b, mapping, timing]
+        argv = ["profile", str(prof_a), str(prof_b), "--mapping", str(mapping),
+                "--timing", str(timing)]
+    return argv, [str(path) for path in inputs]
+
+
+@pytest.mark.parametrize("command", ["metrics", "bdrate", "mos", "profile"])
+def test_report_names_every_input(tmp_path, rng, command):
+    # The report's inputs are the files the output rule was given, so
+    # profile's --mapping is digested with the rest.
+    argv, inputs = every_input(tmp_path, rng, command)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--output", str(out), "--quiet"]) == 0
+    doc = json.loads(out.read_text())
+    assert [entry["name"] for entry in doc["inputs"]] == inputs
+    assert all(entry["bytes"] == os.path.getsize(entry["name"]) for entry in doc["inputs"])
+
+
+def test_each_help_reads_its_own_default():
+    # A help text names its flag's default as %(default)s, never as a
+    # literal that a changed default would leave stale.
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    stale = [f"{command} {action.dest}: {action.help}"
+             for command, parser in sub.choices.items() for action in parser._actions
+             if action.default not in (None, argparse.SUPPRESS)
+             and re.search(r"\(default:? (?!%\(default\))", action.help or "")]
+    assert stale == []
 
 
 class TestUsageErrors:

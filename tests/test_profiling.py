@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from codecbench.errors import DataFormatError, InputError
@@ -472,6 +472,59 @@ fn=only_two
         profile = aggregate_stages({"b": 30, "a": 30, "g": 40, "zz": 0}, mapping)
         assert list(profile.totals) == ["Gamma", "Alpha", "Beta", "Other"]
         assert list(profile.percentages) == list(profile.totals)
+
+
+def oracle_aggregate(costs, mapping, bucket_threshold):
+    """aggregate_stages as a two-branch loop: Other is skipped in the sorted
+    pass and its unmapped cost added after it."""
+    total = sum(costs.values())
+    raw = {}
+    for name, cost in costs.items():
+        stage = mapping.stage_for(name)
+        raw[stage] = raw.get(stage, 0) + cost
+    folded, bucket = {}, []
+    for stage in sorted(raw):
+        if stage == "Other":
+            continue
+        percent = 100.0 * raw[stage] / total
+        if percent < bucket_threshold:
+            bucket.append(stage)
+            folded["Other"] = folded.get("Other", 0) + raw[stage]
+        else:
+            folded[stage] = raw[stage]
+    if "Other" in raw:
+        folded["Other"] = folded.get("Other", 0) + raw["Other"]
+    percent = {s: 100.0 * c / total for s, c in folded.items()}
+    order = sorted(folded, key=lambda s: (-percent[s], s))
+    return [(s, folded[s]) for s in order], tuple(bucket), total
+
+
+_STAGE_COSTS = st.one_of(
+    st.integers(0, 3), st.integers(0, 10**15),
+    st.floats(0, 1e15, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    stages=st.dictionaries(
+        st.sampled_from(["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K", "Other"]),
+        st.lists(_STAGE_COSTS, min_size=1, max_size=3), max_size=12,
+    ),
+    unmapped=st.lists(_STAGE_COSTS, max_size=3),
+    threshold=st.one_of(st.sampled_from([0.0, 1.0, 100.0]), st.floats(0, 100)),
+)
+def test_aggregate_stages_matches_two_branch_fold(stages, unmapped, threshold):
+    # A function "|S|k" maps to stage S alone, "xk" to no stage: Other.
+    mapping = StageMapping(rules=tuple((f"|{s}|", s) for s in stages))
+    costs = {f"|{s}|{k}": c for s, cs in stages.items() for k, c in enumerate(cs)}
+    costs.update((f"x{k}", c) for k, c in enumerate(unmapped))
+    assume(costs and sum(costs.values()) > 0)
+    profile = aggregate_stages(costs, mapping, bucket_threshold=threshold)
+    totals, bucket, total = oracle_aggregate(costs, mapping, threshold)
+    assert list(profile.totals.items()) == totals
+    assert profile.other_bucket == bucket
+    assert profile.total_cost == total
 
 
 def mapping_file(tmp_path, text):

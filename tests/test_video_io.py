@@ -199,7 +199,7 @@ class TestReadFrame:
         payload = bytes(info.frame_bytes)
         reader = y4m_reader(info, fits + b"\n" + payload + fits + b"a\n" + payload)
         assert reader.read_frame() is not None
-        with pytest.raises(DataFormatError, match="^header line exceeds 8192 bytes$"):
+        with pytest.raises(DataFormatError, match="^FRAME line at frame 1 exceeds 8192 bytes$"):
             reader.read_frame()
 
     def test_raw_ten_bit_frame(self):
