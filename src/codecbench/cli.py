@@ -394,8 +394,8 @@ def cmd_bdrate(args) -> int:
     curves = rd.load_rd_csv(args.points)
     pairs, means = rd.compare(curves, args.anchor, args.test)
     rows = sorted(
-        ({"sequence": seq, "metric": met, "bd_rate_percent": r.bd_rate_percent,
-          "bd_quality": q.bd_quality, "overlap": list(r.overlap)}
+        ({"sequence": seq, "metric": met, "bd_rate_percent": r.delta,
+          "bd_quality": q.delta, "overlap": list(r.overlap)}
          for seq, met, r, q in pairs),
         key=lambda row: (row["metric"], row["sequence"]),
     )

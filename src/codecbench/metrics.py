@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataFormatError, InputError
-from .report import named_errors, open_input, parse_csv, read_number
+from .report import mean, named_errors, open_input, parse_csv, read_number
 from .video_io import FrameBuffer
 
 PSNR_Y = "PSNR_Y"
@@ -75,7 +75,7 @@ class SequenceQuality:
     @property
     def value(self) -> float:
         """The sequence value: the mean of the per-frame values."""
-        return _mean(self.frame_values)
+        return mean(self.frame_values)
 
 
 def mse(ref_plane, test_plane) -> float:
@@ -125,16 +125,6 @@ def wpsnr(psnr_y: float, psnr_u: float, psnr_v: float) -> float:
         # Finite planes near the float64 limit overflow the weighted sum.
         value = 0.75 * psnr_y + psnr_u / 8.0 + psnr_v / 8.0
     return value
-
-
-def _mean(values) -> float:
-    """Mean of finite values: sum / count or, where that sum overflows, the
-    sum of each value / count, kept within the values' range."""
-    total = sum(values)
-    if math.isinf(total):
-        total = sum(v / len(values) for v in values)
-        return min(max(total, min(values)), max(values))
-    return total / len(values)
 
 
 _SSIM_AXIS = np.arange(_SSIM_WINDOW, dtype=np.float64) - (_SSIM_WINDOW - 1) / 2.0

@@ -10,6 +10,7 @@ event column is selected.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -46,6 +47,12 @@ class TimingRecord:
             raise InputError(
                 f"degenerate duration: fps {self.fps_num}:{self.fps_den}"
             )
+        try:
+            factor = time_factor(self)
+        except (OverflowError, ZeroDivisionError):  # a duration beyond float range
+            factor = math.inf
+        if not 0 < factor < math.inf:
+            raise InputError("duration or time factor is not a positive finite float")
 
     @property
     def duration(self) -> float:
@@ -69,7 +76,13 @@ def speedup(a: TimingRecord, b: TimingRecord) -> float:
             f"{a.sequence_id} qp{a.qp}: {a.codec_id} and {b.codec_id} content "
             f"durations differ: {a.duration:g}s vs {b.duration:g}s"
         )
-    return time_factor(a) / time_factor(b)
+    ratio = time_factor(a) / time_factor(b)
+    if not 0 < ratio < math.inf:
+        raise InputError(
+            f"{a.sequence_id} qp{a.qp}: {a.codec_id} / {b.codec_id} speedup "
+            "is not a positive finite float"
+        )
+    return ratio
 
 
 def codec_pairs(records) -> list[tuple[TimingRecord, TimingRecord]]:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import InputError
-from .report import read_csv, read_number
+from .report import mean, read_csv, read_number
 
 # Narrower overlap than this (in integration-axis units) makes the
 # average meaningless.
@@ -111,10 +111,10 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BDResult:
-    """Delta between two curves; exactly one of the two deltas is set."""
+    """Delta between two curves: percent of rate from bd_rate, metric
+    units of quality from bd_quality."""
 
-    bd_rate_percent: float | None
-    bd_quality: float | None
+    delta: float
     overlap: tuple[float, float]
     warnings: tuple[str, ...] = ()
 
@@ -193,8 +193,7 @@ def _float64_fit():
 def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, fit: str):
     """Mean of test minus anchor over the overlap of their x ranges, each
     curve's y(x) its cached PCHIP fit named ``fit``, integrated in closed
-    form. Returns the mean, the overlap and a warning per point outside the
-    overlap."""
+    form, as a BDResult with a warning per point outside the overlap."""
     if anchor.metric_id != test.metric_id:
         raise InputError(
             f"metric mismatch: anchor uses {anchor.metric_id!r}, "
@@ -220,7 +219,7 @@ def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, fit: str):
         for point, value in zip(curve.points, getattr(curve, fit).x)
         if value < lo or value > hi
     )
-    return float(mean_diff), (lo, hi), warnings
+    return BDResult(float(mean_diff), (lo, hi), warnings)
 
 
 def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
@@ -228,27 +227,18 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> BDResult:
 
     Negative values mean the test codec needs less rate than the anchor.
     """
-    d, overlap, warnings = _bd_delta(anchor, test, "quality", "rate_fit")
+    result = _bd_delta(anchor, test, "quality", "rate_fit")
     try:
-        percent = (10.0 ** d - 1.0) * 100.0
+        return replace(result, delta=(10.0 ** result.delta - 1.0) * 100.0)
     except OverflowError:
         raise InputError(
-            f"BD-rate overflows: mean log10 rate difference {d:.6g}"
+            f"BD-rate overflows: mean log10 rate difference {result.delta:.6g}"
         ) from None
-    return BDResult(
-        bd_rate_percent=percent,
-        bd_quality=None,
-        overlap=overlap,
-        warnings=warnings,
-    )
 
 
 def bd_quality(anchor: RDCurve, test: RDCurve) -> BDResult:
     """Average quality difference at equal rate, in metric units."""
-    d, overlap, warnings = _bd_delta(anchor, test, "log-rate", "quality_fit")
-    return BDResult(
-        bd_rate_percent=None, bd_quality=d, overlap=overlap, warnings=warnings
-    )
+    return _bd_delta(anchor, test, "log-rate", "quality_fit")
 
 
 def interpolate_log_rate(curve: RDCurve, qualities) -> np.ndarray:
@@ -261,8 +251,8 @@ def compare(curves, anchor: str, test: str):
     """Pair each anchor curve with the test curve of its (sequence, metric)
     and take both deltas. Returns the pairs as (sequence, metric, bd_rate
     result, bd_quality result) in anchor-curve order, and each metric's
-    mean (BD-rate percent, BD-quality) in sorted metric order, each mean
-    summed in pair order and divided once."""
+    mean (BD-rate percent, BD-quality) in sorted metric order, each by
+    report.mean over the pairs in order."""
     if anchor == test:
         raise InputError(f"--anchor and --test name the same codec {anchor!r}")
     index: dict[str, dict[tuple[str, str], RDCurve]] = {}
@@ -283,8 +273,8 @@ def compare(curves, anchor: str, test: str):
              for (seq, met), a in anchors.items()]
     by_metric: dict[str, list[tuple[float, float]]] = {}
     for _, met, r, q in pairs:
-        by_metric.setdefault(met, []).append((r.bd_rate_percent, q.bd_quality))
-    averages = {met: tuple(sum(column) / len(column) for column in zip(*by_metric[met]))
+        by_metric.setdefault(met, []).append((r.delta, q.delta))
+    averages = {met: tuple(map(mean, zip(*by_metric[met])))
                 for met in sorted(by_metric)}
     return pairs, averages
 

@@ -47,6 +47,16 @@ def make_report(command, inputs, results, warnings=(), notes=()) -> dict:
     }
 
 
+def mean(values) -> float:
+    """Mean of finite values: sum / count or, where that sum overflows, the
+    sum of each value / count, kept within the values' range."""
+    total = sum(values)
+    if math.isinf(total):
+        total = sum(v / len(values) for v in values)
+        return min(max(total, min(values)), max(values))
+    return total / len(values)
+
+
 def normalize_floats(obj, full_precision: bool = False):
     """Recursively round finite floats to DEFAULT_SIG_DIGITS significant
     digits (unless full_precision) and turn non-finite floats into strings.

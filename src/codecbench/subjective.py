@@ -104,10 +104,6 @@ class ScoreMatrix:
                 stats[2, j] = math.sqrt(float(np.mean((col - mean) ** 2)))
         return _frozen(stats)
 
-    def _stats_of(self, stimulus: str) -> tuple[int, float, float]:
-        count, mean, stddev = self._stats[:, self._index(stimulus)].tolist()
-        return int(count), mean, stddev
-
     def _index(self, stimulus: str) -> int:
         try:
             return self._column_of[stimulus]
@@ -168,31 +164,31 @@ class AnovaResult:
     p_value: float
 
 
-def mos(matrix: ScoreMatrix, stimulus: str) -> float:
-    """Mean opinion score over present scores for one stimulus."""
-    count, mean, _ = matrix._stats_of(stimulus)
+def mos_point(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> MosPoint:
+    """Mean opinion score over present scores for one stimulus, and the
+    half-width of the confidence interval around it."""
+    count, mean, stddev = matrix._stats[:, matrix._index(stimulus)].tolist()
+    count = int(count)
     if count == 0:
         raise StatsError(f"stimulus {stimulus!r} has no scores")
-    return mean
-
-
-def ci95(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> float:
-    """Half-width of the confidence interval around the MOS."""
-    count, _, stddev = matrix._stats_of(stimulus)
     if count < 2:
         raise StatsError(
             f"stimulus {stimulus!r} needs at least 2 scores for a CI, got {count}"
         )
-    return constant * stddev / math.sqrt(count)
+    half_width = constant * stddev / math.sqrt(count)
+    if math.isinf(half_width):
+        raise InputError(f"stimulus {stimulus!r}: CI half-width overflows at "
+                         f"constant {constant:g}")
+    return MosPoint(stimulus=stimulus, mos=mean, ci95=half_width, n=count)
 
 
-def mos_point(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT) -> MosPoint:
-    return MosPoint(
-        stimulus=stimulus,
-        mos=mos(matrix, stimulus),
-        ci95=ci95(matrix, stimulus, constant),
-        n=matrix._stats_of(stimulus)[0],
-    )
+def _mos_row(matrix: ScoreMatrix) -> np.ndarray:
+    """Every stimulus's MOS; the first stimulus without scores is an error."""
+    count, mos_row, _ = matrix._stats
+    if not count.all():
+        stimulus = matrix.stimuli[int(np.argmin(count))]
+        raise StatsError(f"stimulus {stimulus!r} has no scores")
+    return mos_row
 
 
 def pearson(x, y) -> float:
@@ -246,10 +242,7 @@ def screen_subjects(
     if len(matrix.stimuli) < 3:
         raise StatsError(f"screening needs >= 3 stimuli, got {len(matrix.stimuli)}")
 
-    count, mos_vector, _ = matrix._stats
-    if not count.all():  # a stimulus without scores: mos raises its error
-        mos(matrix, matrix.stimuli[int(np.argmin(count))])
-
+    mos_vector = _mos_row(matrix)
     screens = []
     for i, subject in enumerate(matrix.subjects):
         row = matrix.scores[i, :]
@@ -301,10 +294,10 @@ def anova_oneway(matrix: ScoreMatrix, factor: str) -> AnovaResult:
     if matrix.meta is None:
         raise InputError("score matrix carries no stimulus metadata")
 
+    levels = [matrix.meta[stimulus].level(factor) for stimulus in matrix.stimuli]
     groups: dict[object, list[float]] = {}
-    for stimulus in matrix.stimuli:
-        level = matrix.meta[stimulus].level(factor)
-        groups.setdefault(level, []).append(mos(matrix, stimulus))
+    for level, value in zip(levels, _mos_row(matrix).tolist()):
+        groups.setdefault(level, []).append(value)
 
     k = len(groups)
     if k < 2:

@@ -32,8 +32,7 @@ from codecbench.rd import RDCurve, RDPoint, bd_rate, interpolate_log_rate
 from codecbench.subjective import (
     ScoreMatrix,
     anova_oneway,
-    ci95,
-    mos,
+    mos_point,
     screen_subjects,
 )
 from codecbench.video_io import FrameBuffer, Y4MReader
@@ -96,14 +95,14 @@ def test_criterion_4_bd_rate(rng):
     start = time.perf_counter()
     for _ in range(50):
         curve = random_monotone_curve(rng)
-        assert abs(bd_rate(curve, curve).bd_rate_percent) < 1e-9
+        assert abs(bd_rate(curve, curve).delta) < 1e-9
         fitted = interpolate_log_rate(curve, curve.qualities)
         assert np.max(np.abs(fitted - curve.log_rates)) < 1e-9
 
     base = [(1000.0, 30.0), (2000.0, 35.0), (4000.0, 40.0), (8000.0, 45.0)]
     anchor = RDCurve("", "", "PSNR", [RDPoint(r, q) for r, q in base])
     scaled = RDCurve("", "", "PSNR", [RDPoint(r * 0.8, q) for r, q in base])
-    assert bd_rate(anchor, scaled).bd_rate_percent == pytest.approx(-20.0, abs=0.01)
+    assert bd_rate(anchor, scaled).delta == pytest.approx(-20.0, abs=0.01)
 
     for _ in range(10):
         curve = random_monotone_curve(rng)
@@ -112,8 +111,8 @@ def test_criterion_4_bd_rate(rng):
             "", "", curve.metric_id,
             [RDPoint(p.bitrate * k, p.quality) for p in curve.points],
         )
-        forward = bd_rate(curve, other).bd_rate_percent
-        backward = bd_rate(other, curve).bd_rate_percent
+        forward = bd_rate(curve, other).delta
+        backward = bd_rate(other, curve).delta
         assert (1 + forward / 100) * (1 + backward / 100) == pytest.approx(
             1.0, abs=1e-6
         )
@@ -128,15 +127,16 @@ def test_criterion_5_mos_ci():
         stimuli=("p0",),
         scores=np.array([[60.0], [70.0], [80.0], [90.0]]),
     )
-    assert mos(matrix, "p0") == 75.0
-    assert ci95(matrix, "p0") == pytest.approx(10.9009, abs=1e-4)
+    point = mos_point(matrix, "p0")
+    assert point.mos == 75.0
+    assert point.ci95 == pytest.approx(10.9009, abs=1e-4)
 
     constant = ScoreMatrix(
         subjects=("s0", "s1", "s2"),
         stimuli=("p0",),
         scores=np.array([[70.0], [70.0], [70.0]]),
     )
-    assert ci95(constant, "p0") == 0.0
+    assert mos_point(constant, "p0").ci95 == 0.0
     print("criterion 5 (MOS and confidence interval): PASS")
 
 

@@ -440,6 +440,23 @@ class TestBdrateCommand:
             -20.0, abs=1e-9
         )
 
+    def test_average_of_huge_deltas_stays_finite(self, tmp_path):
+        # Each sequence's BD-rate is about +1e308%: their sum overflows, their mean does not.
+        points = tmp_path / "points.csv"
+        write_rd_csv(points, [
+            f"{codec},{seq},PSNR,,{rate},{quality + shift}\n"
+            for seq in ("s1", "s2")
+            for codec, shift in (("A", 0.0), ("B", -10.2))
+            for rate, quality in (("1e-300", 10), ("1", 20), ("1e300", 30))
+        ])
+        out = tmp_path / "bd.json"
+        rc = main(["bdrate", str(points), "--anchor", "A", "--test", "B",
+                   "--output", str(out), "--quiet"])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert [d["bd_rate_percent"] for d in doc["results"]["deltas"]] == [1e308] * 2
+        assert doc["results"]["averages"][0]["bd_rate_percent"] == 1e308
+
     @pytest.mark.parametrize(
         "content",
         [(RD_HEADER + "HM,s1,PSNR,,1000,30\nHM,s1,PSNR,,2000,nan\n").encode(),
@@ -1087,6 +1104,17 @@ TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
      "--pie-data {bad} is the same file as --timing {bad}"),
     (["profile", "{prof}", "--timing", "{bad}", "-o", "{bad}"], TIMING, 2,
      "--output {bad} is the same file as --timing {bad}"),
+    (["mos", "{scores}", "--pvs-meta", "{meta}", "--ci-constant", "1e308"], None, 2,
+     "stimulus 'p1': CI half-width overflows at constant 1e+308"),
+    (["profile", "{prof}", "--timing", "{bad}"],
+     TIMING_HEADER.encode() + b"HM,s,22,1e300,50,50,1\nVTM,s,22,1e-300,50,50,1\n", 2,
+     "s qp22: HM / VTM speedup is not a positive finite float"),
+    (["profile", "{prof}", "--timing", "{bad}"],
+     TIMING_HEADER.encode() + b"HM,s,22,10,10,1" + b"0" * 400 + b",1\n", 3,
+     "{bad}:2: duration or time factor is not a positive finite float"),
+    (["profile", "{prof}", "--timing", "{bad}"],
+     TIMING_HEADER.encode() + b"HM,s,22,10,1" + b"0" * 400 + b",1,1\n", 3,
+     "{bad}:2: duration or time factor is not a positive finite float"),
 ], ids=[
     "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
     "external_csv_header", "external_csv_frame_order", "external_json_invalid",
@@ -1100,7 +1128,8 @@ TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
     "timing_fps_num_0", "duplicate_timing_record", "empty_mapping_path",
     "timing_duration_mismatch", "output_over_reference", "per_frame_over_test",
     "per_frame_over_output", "plot_data_over_points", "pie_data_over_callgrind",
-    "pie_data_over_timing", "output_over_timing",
+    "pie_data_over_timing", "output_over_timing", "ci_half_width_overflow",
+    "speedup_overflow", "timing_fps_num_beyond_float", "timing_frame_count_beyond_float",
 ])
 def test_bad_input_exits_with_one_line(tmp_path, rng, capsys, argv, content, code,
                                        message):

@@ -173,6 +173,17 @@ CALLGRIND = st.one_of(
     ),
     callgrind_profiles(),
 )
+TIMING_HEADER = b"codec,sequence,qp,wall_seconds,frame_count,fps_num,fps_den\n"
+# Timing rows whose integer cells reach beyond float range, where a duration,
+# time factor or speedup would overflow.
+TIMING_INT = st.one_of(st.integers(1, 100), st.integers(10**300, 10**400),
+                       st.integers(300, 400).map(lambda k: 10**k)).map(str)
+TIMING = csv_lines(
+    st.tuples(
+        st.sampled_from(["HM", "VTM"]), st.just("s"), st.sampled_from(["22", "37"]),
+        st.floats(1e-300, 1e300).map(repr), TIMING_INT, TIMING_INT, TIMING_INT,
+    )
+).map(lambda rows: TIMING_HEADER + rows)
 COMMON = st.tuples(
     st.sampled_from([[], ["--format", "csv"]]),
     st.sampled_from([[], ["--full-precision"]]),
@@ -257,11 +268,20 @@ def test_mos(scores, meta, extra, common):
 
 @FUZZ
 @given(
-    CALLGRIND,
+    st.one_of(
+        st.tuples(CALLGRIND, st.none()),
+        # A profile with cost, so that the run goes on to read the timing file.
+        st.tuples(st.just(CALLGRIND_HEADER + b"16 100\n"), TIMING),
+    ),
     st.sampled_from([[], ["--event", "Ir"], ["--threshold", "0"],
                      ["--pie-data", "pie.csv"]]),
     COMMON,
 )
-def test_profile(callgrind, extra, common):
+def test_profile(inputs, extra, common):
+    callgrind, timing = inputs
+    files = {"callgrind.out": callgrind}
+    if timing is not None:
+        files["timing.csv"] = timing
+        extra = [*extra, "--timing", "timing.csv"]
     argv = ["profile", "callgrind.out", *extra, *common]
-    check({"callgrind.out": callgrind}, argv, ["report", "pie.csv"])
+    check(files, argv, ["report", "pie.csv"])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
-from codecbench import metrics
+from codecbench import metrics, report
 from codecbench.errors import DataFormatError, InputError
 from codecbench.metrics import (
     COMPUTABLE_METRICS,
@@ -470,7 +470,7 @@ class TestSequenceQuality:
         big = sys.float_info.max
         for values in [(90.0, 92.5, 94.25), (big, big), (0.1,) * 7]:
             sq = metrics.SequenceQuality(metric_id="X", frame_values=values)
-            assert sq.value == metrics._mean(values)
+            assert sq.value == report.mean(values)
         with pytest.raises(AttributeError):
             sq.value = 1.0
 

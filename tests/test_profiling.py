@@ -55,6 +55,15 @@ class TestTimeFactor:
         with pytest.raises(InputError):
             record(frames=0)
 
+    @pytest.mark.parametrize("wall,frames,fps", [
+        (10.0, 10, (10**400, 1)), (10.0, 10, (1, 10**400)), (10.0, 10**400, (1, 1)),
+        (1e300, 1, (10**10, 1)), (5e-324, 10**10, (1, 1)),
+    ], ids=["fps_num", "fps_den", "frame_count", "factor_overflow", "factor_underflow"])
+    def test_duration_and_factor_within_float_range(self, wall, frames, fps):
+        with pytest.raises(InputError, match="^duration or time factor is not a positive "
+                                             "finite float$"):
+            record(wall=wall, frames=frames, fps=fps)
+
 
 class TestCodecPairs:
     def test_pairs_within_each_group_in_sorted_order(self):
@@ -97,6 +106,14 @@ class TestSpeedup:
         a = record(codec="HM", sequence="s", qp=22, frames=500)
         b = record(codec="VTM", sequence="s", qp=22, frames=1000)
         message = "s qp22: HM and VTM content durations differ: 10s vs 20s"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            speedup(a, b)
+
+    @pytest.mark.parametrize("walls", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_ratio_beyond_float_range_names_the_pair(self, walls):
+        a = record(codec="HM", sequence="s", qp=22, wall=walls[0])
+        b = record(codec="VTM", sequence="s", qp=22, wall=walls[1])
+        message = "s qp22: HM / VTM speedup is not a positive finite float"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             speedup(a, b)
 

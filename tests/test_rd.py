@@ -91,20 +91,20 @@ class TestBdRate:
     def test_self_delta_zero(self, rng):
         for _ in range(10):
             c = random_monotone_curve(rng)
-            assert abs(bd_rate(c, c).bd_rate_percent) < 1e-9
+            assert abs(bd_rate(c, c).delta) < 1e-9
 
     def test_rate_scale_is_exact_percent(self):
         anchor = curve(BASE)
         test = curve([(r * 0.8, q) for r, q in BASE], codec="B")
-        assert bd_rate(anchor, test).bd_rate_percent == pytest.approx(-20.0, abs=1e-9)
+        assert bd_rate(anchor, test).delta == pytest.approx(-20.0, abs=1e-9)
 
     def test_reciprocity_on_scaled_curves(self, rng):
         for _ in range(10):
             anchor = random_monotone_curve(rng)
             k = rng.uniform(0.5, 1.5)
             scaled = curve([(p.bitrate * k, p.quality) for p in anchor.points])
-            forward = bd_rate(anchor, scaled).bd_rate_percent
-            backward = bd_rate(scaled, anchor).bd_rate_percent
+            forward = bd_rate(anchor, scaled).delta
+            backward = bd_rate(scaled, anchor).delta
             assert (1 + forward / 100) * (1 + backward / 100) == pytest.approx(
                 1.0, abs=1e-6
             )
@@ -114,8 +114,8 @@ class TestBdRate:
         test = random_monotone_curve(rng)
         in_bps_a = curve([(p.bitrate * 1000, p.quality) for p in anchor.points])
         in_bps_t = curve([(p.bitrate * 1000, p.quality) for p in test.points])
-        assert bd_rate(anchor, test).bd_rate_percent == pytest.approx(
-            bd_rate(in_bps_a, in_bps_t).bd_rate_percent, abs=1e-9
+        assert bd_rate(anchor, test).delta == pytest.approx(
+            bd_rate(in_bps_a, in_bps_t).delta, abs=1e-9
         )
 
 
@@ -249,17 +249,17 @@ def test_every_permutation_builds_an_equal_curve(pair):
 class TestBdQuality:
     def test_self_delta_zero(self, rng):
         c = random_monotone_curve(rng)
-        assert abs(bd_quality(c, c).bd_quality) < 1e-9
+        assert abs(bd_quality(c, c).delta) < 1e-9
 
     def test_uniform_offset(self):
         anchor = curve(BASE)
         test = curve([(r, q + 1.0) for r, q in BASE])
-        assert bd_quality(anchor, test).bd_quality == pytest.approx(1.0, abs=1e-6)
+        assert bd_quality(anchor, test).delta == pytest.approx(1.0, abs=1e-6)
 
     def test_synthetic_two_db(self):
         anchor = curve([(1000, 30), (2000, 35), (4000, 40), (8000, 45)])
         test = curve([(1000, 32), (2000, 37), (4000, 42), (8000, 47)])
-        assert bd_quality(anchor, test).bd_quality == pytest.approx(2.0, abs=1e-6)
+        assert bd_quality(anchor, test).delta == pytest.approx(2.0, abs=1e-6)
 
 
 class TestInterpolant:
@@ -403,11 +403,11 @@ class TestCompare:
         pairs, averages = compare(planted_panel(), "HM", "VTM")
         assert [(seq, met) for seq, met, _, _ in pairs] == list(PANEL_FACTORS)
         for seq, met, r, q in pairs:
-            assert r.bd_rate_percent == pytest.approx(
+            assert r.delta == pytest.approx(
                 (PANEL_FACTORS[seq, met] - 1) * 100, abs=1e-9)
         assert list(averages) == ["PSNR", "SSIM"]
         for metric, (rate, quality) in averages.items():
-            mine = [(r.bd_rate_percent, q.bd_quality)
+            mine = [(r.delta, q.delta)
                     for _, met, r, q in pairs if met == metric]
             assert rate == sum(r for r, _ in mine) / len(mine)
             assert quality == sum(q for _, q in mine) / len(mine)
@@ -418,7 +418,7 @@ class TestCompare:
         pairs, _ = compare(planted_panel(), "VTM", "HM")
         assert [(seq, met) for seq, met, _, _ in pairs] == list(PANEL_FACTORS)[::-1]
         for seq, met, r, _ in pairs:
-            assert r.bd_rate_percent == pytest.approx(
+            assert r.delta == pytest.approx(
                 (1 / PANEL_FACTORS[seq, met] - 1) * 100, abs=1e-9)
 
     @pytest.mark.parametrize(("anchor", "test", "message"), [

@@ -19,11 +19,9 @@ from codecbench.subjective import (
     ScoreMatrix,
     StimulusInfo,
     anova_oneway,
-    ci95,
     f_survival,
     load_pvs_csv,
     load_scores_csv,
-    mos,
     mos_point,
     pearson,
     screen_subjects,
@@ -89,12 +87,12 @@ class TestImmutableMatrix:
     def test_callers_array_neither_aliased_nor_frozen(self):
         scores = np.array([[60.0, 70.0], [80.0, 90.0]])
         m = matrix_from(scores)
-        assert mos(m, "p0") == 70.0
+        assert mos_point(m, "p0").mos == 70.0
         assert scores.flags.writeable
         assert not np.shares_memory(m.scores, scores)
         scores[0, 0] = 0.0
         assert m.scores[0, 0] == 60.0
-        assert mos(m, "p0") == 70.0
+        assert mos_point(m, "p0").mos == 70.0
 
     def test_read_only_array_kept(self):
         scores = np.array([[60.0, 70.0]])
@@ -182,31 +180,33 @@ class TestImmutableMatrix:
 class TestMos:
     def test_mean(self):
         m = matrix_from([[60], [70], [80]])
-        assert mos(m, "p0") == 70.0
+        assert mos_point(m, "p0").mos == 70.0
 
     def test_single_score(self):
         m = matrix_from([[42.5]])
-        assert mos(m, "p0") == 42.5
+        message = "^stimulus 'p0' needs at least 2 scores for a CI, got 1$"
+        with pytest.raises(StatsError, match=message):
+            mos_point(m, "p0")
 
     def test_four_scores(self):
         m = matrix_from([[60], [70], [80], [90]])
-        assert mos(m, "p0") == 75.0
+        assert mos_point(m, "p0").mos == 75.0
 
     def test_ignores_missing(self):
         m = matrix_from([[60], [math.nan], [80]])
-        assert mos(m, "p0") == 70.0
+        assert mos_point(m, "p0").mos == 70.0
 
     def test_empty_column(self):
         m = matrix_from([[math.nan], [math.nan]])
-        with pytest.raises(StatsError):
-            mos(m, "p0")
+        with pytest.raises(StatsError, match="^stimulus 'p0' has no scores$"):
+            mos_point(m, "p0")
 
 
 class TestColumn:
     def test_unknown_stimulus(self):
         m = matrix_from([[60, 70], [80, 90]])
         with pytest.raises(InputError, match="unknown stimulus 'p9'"):
-            mos(m, "p9")
+            mos_point(m, "p9")
 
     def test_repeated_stimulus_rejected(self):
         # A repeated id would name only its first column.
@@ -217,25 +217,25 @@ class TestColumn:
 class TestCi95:
     def test_constant_scores(self):
         m = matrix_from([[70], [70], [70]])
-        assert ci95(m, "p0") == 0.0
+        assert mos_point(m, "p0").ci95 == 0.0
 
     def test_hand_value(self):
         m = matrix_from([[60], [70], [80], [90]])
         # population stddev sqrt(125), times 1.95 / sqrt(4)
-        assert ci95(m, "p0") == pytest.approx(10.9009, abs=1e-4)
+        assert mos_point(m, "p0").ci95 == pytest.approx(10.9009, abs=1e-4)
 
     def test_two_level_scores(self):
         m = matrix_from([[50], [50], [100], [100]])
-        assert ci95(m, "p0") == pytest.approx(24.375, abs=1e-12)
+        assert mos_point(m, "p0").ci95 == pytest.approx(24.375, abs=1e-12)
 
     def test_needs_two_scores(self):
         m = matrix_from([[50], [math.nan]])
-        with pytest.raises(StatsError):
-            ci95(m, "p0")
+        with pytest.raises(StatsError, match="needs at least 2 scores for a CI, got 1$"):
+            mos_point(m, "p0")
 
     def test_constant_override(self):
         m = matrix_from([[60], [70], [80], [90]])
-        assert ci95(m, "p0", constant=1.96) == pytest.approx(
+        assert mos_point(m, "p0", constant=1.96).ci95 == pytest.approx(
             1.96 * math.sqrt(125) / 2, abs=1e-12
         )
 
@@ -244,20 +244,28 @@ class TestCi95:
         scaled = scores.mean() + 0.5 * (scores - scores.mean())
         m1 = matrix_from(scores.reshape(-1, 1))
         m2 = matrix_from(scaled.reshape(-1, 1))
-        assert ci95(m2, "p0") == pytest.approx(0.5 * ci95(m1, "p0"), abs=1e-12)
+        assert mos_point(m2, "p0").ci95 == pytest.approx(
+            0.5 * mos_point(m1, "p0").ci95, abs=1e-12
+        )
 
     def test_subject_permutation_invariant(self, rng):
         scores = rng.uniform(0, 100, 6)
         m1 = matrix_from(scores.reshape(-1, 1))
         m2 = matrix_from(scores[::-1].reshape(-1, 1))
-        assert mos(m1, "p0") == pytest.approx(mos(m2, "p0"), abs=1e-12)
-        assert ci95(m1, "p0") == pytest.approx(ci95(m2, "p0"), abs=1e-12)
+        p1, p2 = mos_point(m1, "p0"), mos_point(m2, "p0")
+        assert p1.mos == pytest.approx(p2.mos, abs=1e-12)
+        assert p1.ci95 == pytest.approx(p2.ci95, abs=1e-12)
 
     def test_mos_point_bundles_n(self):
         m = matrix_from([[60], [70], [80], [90]])
         point = mos_point(m, "p0")
         assert (point.mos, point.n) == (75.0, 4)
         assert point.ci95 == pytest.approx(10.9009, abs=1e-4)
+
+    def test_overflowing_half_width_names_the_stimulus(self):
+        m = matrix_from([[60], [70], [80], [90]])
+        with pytest.raises(InputError, match="^stimulus 'p0': CI half-width overflows"):
+            mos_point(m, "p0", constant=1e308)
 
 
 class TestCorrelations:
@@ -483,8 +491,8 @@ class TestAnova:
         assert str(exc.value) == f"unknown factor 'bogus'; expected one of {FACTORS}"
 
     def test_mos_taken_once_per_stimulus(self, rng, monkeypatch):
-        # Screening, MOS points, CIs and all four ANOVA factors share one
-        # average of each stimulus's scores per matrix.
+        # Screening, MOS points at two CI constants and all four ANOVA
+        # factors share one average of each stimulus's scores per matrix.
         scores = rng.uniform(0, 100, (6, 24))
         scores[rng.uniform(size=scores.shape) < 0.2] = math.nan
         stimuli = tuple(f"p{j}" for j in range(24))
@@ -507,16 +515,16 @@ class TestAnova:
         monkeypatch.setattr(np, "mean", counting)
         screen_subjects(m, threshold=-1.0)
         points = [mos_point(m, pvs) for pvs in stimuli]
-        intervals = [ci95(m, pvs) for pvs in stimuli]
+        again = [mos_point(m, pvs, constant=1.96) for pvs in stimuli]
         results = [anova_oneway(m, factor) for factor in FACTORS]
         monkeypatch.undo()
         for pvs, col in columns.items():
             assert sum(np.array_equal(a, col) for a in averaged) == 1, pvs
 
-        for point, interval in zip(points, intervals):
+        for point, other in zip(points, again):
             col = columns[point.stimulus]
             assert point.mos == float(np.mean(col))
-            assert point.ci95 == interval
+            assert (other.mos, other.n) == (point.mos, point.n)
         for factor, result in zip(FACTORS, results):
             fresh = matrix_from(scores, meta=meta, stimuli=stimuli)
             assert anova_oneway(fresh, factor) == result
@@ -541,24 +549,17 @@ def test_statistics_match_per_column_formulas(columns, constant):
         col = col[~np.isnan(col)]
         if col.size == 0:
             with pytest.raises(StatsError, match=f"^stimulus '{stimulus}' has no scores$"):
-                mos(m, stimulus)
-            with pytest.raises(StatsError, match=f"^stimulus '{stimulus}' has no scores$"):
                 mos_point(m, stimulus, constant)
-        else:
-            assert mos(m, stimulus) == float(np.mean(col))
-        if col.size < 2:
+            continue
+        if col.size == 1:
             message = (f"^stimulus '{stimulus}' needs at least 2 scores for a CI, "
                        f"got {col.size}$")
             with pytest.raises(StatsError, match=message):
-                ci95(m, stimulus, constant)
-            if col.size == 1:
-                with pytest.raises(StatsError, match=message):
-                    mos_point(m, stimulus, constant)
+                mos_point(m, stimulus, constant)
             continue
         mean = float(np.mean(col))
         stddev = math.sqrt(float(np.mean((col - mean) ** 2)))
         half_width = constant * stddev / math.sqrt(col.size)
-        assert ci95(m, stimulus, constant) == half_width
         point = MosPoint(stimulus, mean, half_width, col.size)
         assert mos_point(m, stimulus, constant) == point
 
