@@ -319,6 +319,9 @@ def cmd_metrics(args) -> int:
                         ("--external", args.external)],
                  [("--per-frame", args.per_frame)])
     metric_ids = metrics.parse_metric_selection(args.metrics)
+    # Read first, so a bad score file fails before any frame is computed.
+    external = (metrics.ingest_external_scores(args.external, name=args.external_name)
+                if args.external else None)
     with open(args.reference, "rb") as ref_fp, open(args.test, "rb") as test_fp:
         ref, test = _open_video(ref_fp, args), _open_video(test_fp, args)
         ri = ref.info
@@ -327,8 +330,7 @@ def cmd_metrics(args) -> int:
         )
 
     frame_count = len(next(iter(series.values())).frame_values)
-    if args.external:
-        external = metrics.ingest_external_scores(args.external, name=args.external_name)
+    if external:
         series[external.metric_id] = external
 
     # One rule for every series: a count other than the frame count is warned

@@ -267,21 +267,17 @@ def _paired(ref_source, test_source):
 
 
 def _ordered_map(fn, items, jobs):
-    if jobs <= 1:
-        for item in items:
-            yield fn(item)
-        return
+    """fn over items on `jobs` threads, yielded in item order; at most `jobs`
+    items are submitted and not yet yielded, so one worker runs them in turn."""
     from concurrent.futures import ThreadPoolExecutor
 
-    window = max(2, jobs * 2)
     pending = collections.deque()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         for item in items:
             pending.append(pool.submit(fn, item))
-            if len(pending) >= window:
+            if len(pending) >= jobs:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        yield from (future.result() for future in pending)
 
 
 def sequence_quality(
@@ -293,10 +289,10 @@ def sequence_quality(
 ) -> dict[str, SequenceQuality]:
     """Stream frame pairs once and compute the selected metrics.
 
-    `jobs` threads work at most, capped at the CPUs this process may use:
-    its affinity mask where the platform has one, else the host's count.
-    The reduction consumes per-frame results in ascending frame order, so
-    results are identical regardless of the worker count.
+    At most `jobs` frame pairs are in flight, on as many threads, capped at
+    the CPUs this process may use: its affinity mask where the platform has
+    one, else the host's count. Per-frame results are reduced in ascending
+    frame order, so results do not depend on the worker count.
     """
     metric_ids = tuple(metric_ids)
     if not metric_ids:
@@ -304,6 +300,8 @@ def sequence_quality(
     for mid in metric_ids:
         if mid not in COMPUTABLE_METRICS:
             raise InputError(f"unknown metric {mid!r}")
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
 
     def work(pair):
         return _frame_pair_metrics(pair, metric_ids, clamp_db)
@@ -351,9 +349,8 @@ def ingest_external_scores(path, name: str | None = None) -> SequenceQuality:
                 if index != len(scores):
                     raise DataFormatError(f"expected frame {len(scores)}, got {index}")
                 scores.append(read_number("score", score))
-
-    if not scores:
-        raise InputError(f"{os.fsdecode(path)}: no scores present")
+        if not scores:
+            raise InputError("no scores present")
     return SequenceQuality(metric_id=f"EXTERNAL:{metric_name}", frame_values=tuple(scores))
 
 

@@ -151,8 +151,8 @@ class TestMetricsCommand:
     def test_jobs_capped_at_cpu_count(
         self, tmp_path, rng, monkeypatch, requested, expected
     ):
-        # End to end: --jobs reaches sequence_quality, which runs on at most
-        # the three usable CPUs; one worker means no pool. The spy records
+        # End to end: --jobs reaches sequence_quality, which runs one pool of
+        # at most the three usable CPUs, one worker included. The spy records
         # the pool size asked for but starts at most 4 threads itself.
         import concurrent.futures
 
@@ -173,7 +173,7 @@ class TestMetricsCommand:
             "metrics", str(ref), str(test), "--jobs", str(requested),
             "--output", str(tmp_path / "report.json"), "--quiet",
         ])
-        assert (rc, sizes) == (0, [expected] if expected > 1 else [])
+        assert (rc, sizes) == (0, [expected])
 
     def test_raw_without_geometry_flags_exit_2(self, tmp_path, rng, capsys):
         raw = tmp_path / "clip.yuv"
@@ -256,6 +256,24 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err.startswith("codecbench: format error:")
         assert len(err.splitlines()) == 1
+
+    def test_empty_external_fails_before_any_frame(self, tmp_path, rng, monkeypatch,
+                                                   capsys):
+        # The score file is read before the videos: an empty one is a format
+        # error named by its file, and no frame is computed, even when the
+        # test video is missing too.
+        ref, _ = write_pair(tmp_path, rng)
+        scores = tmp_path / "empty.csv"
+        scores.write_text("frame,score\n")
+        computed = []
+        monkeypatch.setattr(metrics, "_frame_pair_metrics",
+                            lambda *args: computed.append(args))
+        for test in (ref, tmp_path / "missing.y4m"):
+            rc = main(["metrics", str(ref), str(test), "--metrics", "psnr_y",
+                       "--external", str(scores), "-o", str(tmp_path / "r.json")])
+            assert (rc, computed) == (3, [])
+            assert capsys.readouterr().err == (
+                f"codecbench: format error: {scores}: no scores present\n")
 
     def test_external_scores_attached(self, tmp_path, rng):
         ref, test = write_pair(tmp_path, rng)
@@ -1891,6 +1909,20 @@ def test_only_named_errors_names_a_file():
     # report.named_errors is the one rule that puts the file (and line) in
     # front of an input fault; elsewhere a DataFormatError message is bare.
     found = [site for site, message in data_format_messages() if names_a_file(message)]
+    assert [f for f in found if not f.startswith("report.named_errors:")] == []
+
+
+def test_only_named_errors_decodes_a_path():
+    # A path turns into message text in one place, whatever error class the
+    # message goes into: os.fsdecode is called by report.named_errors alone.
+    package = Path(codecbench.__file__).parent
+    found = [f"{path.stem}.{fn.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in own_nodes(fn)
+             if isinstance(node, ast.Call) and "fsdecode" in (
+                 getattr(node.func, "attr", None), getattr(node.func, "id", None))]
     assert [f for f in found if not f.startswith("report.named_errors:")] == []
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -546,7 +547,7 @@ class TestSequenceQuality:
     @staticmethod
     def pool_sizes(rng, monkeypatch, jobs):
         """max_workers of each pool a 3-frame sequence_quality(jobs=jobs)
-        makes; a serial run makes none."""
+        makes."""
         import concurrent.futures
 
         sizes = []
@@ -564,7 +565,7 @@ class TestSequenceQuality:
         return sizes
 
     @pytest.mark.parametrize("cpus,jobs,pools", [
-        ({0, 1, 2}, 1, []), ({0, 1, 2}, 3, [3]), ({0, 1, 2}, 4, [3]), ({2, 7}, 3, [2]),
+        ({0, 1, 2}, 1, [1]), ({0, 1, 2}, 3, [3]), ({0, 1, 2}, 4, [3]), ({2, 7}, 3, [2]),
     ], ids=["1-serial", "3-3", "4-3", "3-on-two-cpus-2"])
     def test_jobs_capped_at_cpu_count(self, rng, monkeypatch, cpus, jobs, pools):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -574,14 +575,44 @@ class TestSequenceQuality:
     @pytest.mark.parametrize("has_affinity", [True, False])
     def test_jobs_capped_at_usable_cpus(self, rng, monkeypatch, has_affinity):
         # The affinity mask, not the host's CPU count, bounds the threads;
-        # without one the CPU count does. One usable CPU means no pool.
+        # without one the CPU count does. One usable CPU means one worker.
         if has_affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 64)
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert self.pool_sizes(rng, monkeypatch, 4) == []
+        assert self.pool_sizes(rng, monkeypatch, 4) == [1]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_pool_keeps_jobs_items_in_flight(self, jobs):
+        # Result i arrives when exactly i + jobs items (or all of them) have
+        # been pulled, so at most `jobs` frame pairs wait in the pool, and
+        # results come in item order though early items finish last.
+        count = 10
+        pulled = []
+
+        def items():
+            for i in range(count):
+                pulled.append(i)
+                yield i
+
+        def work(i):
+            time.sleep(0.002 * (count - i))
+            return i * i
+
+        seen = []
+        for i, result in enumerate(metrics._ordered_map(work, items(), jobs)):
+            assert len(pulled) == min(i + jobs, count)
+            seen.append(result)
+        assert seen == [i * i for i in range(count)]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, rng, jobs):
+        info = make_info(16, 16)
+        frames = [random_frame(info, rng)]
+        with pytest.raises(InputError, match=f"jobs must be at least 1, got {jobs}"):
+            sequence_quality(frames, frames, (PSNR_Y,), jobs=jobs)
 
 
 class TestExternalScores:
@@ -618,16 +649,15 @@ class TestExternalScores:
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("frame,score\n")
-        with pytest.raises(InputError, match="scores.csv: no scores present"):
+        with pytest.raises(DataFormatError, match="scores.csv: no scores present"):
             ingest_external_scores(path)
 
     def test_empty_over_a_bytes_path_names_it_as_text(self, tmp_path):
-        # Found after the last row: an InputError (exit 2) naming no line.
+        # Found after the last row: a DataFormatError (exit 3) naming no line.
         path = tmp_path / "scores.csv"
         path.write_text("frame,score\n")
-        with pytest.raises(InputError) as exc:
+        with pytest.raises(DataFormatError) as exc:
             ingest_external_scores(os.fsencode(path))
-        assert type(exc.value) is InputError
         assert str(exc.value) == f"{path}: no scores present"
 
     def test_non_numeric_rejected(self, tmp_path):
