@@ -21,9 +21,9 @@ import numpy as np
 from .errors import InputError
 from .report import mean, read_csv, read_number
 
-# Narrower overlap than this (in integration-axis units) makes the
-# average meaningless.
-MIN_OVERLAP = 0.1
+# An overlap no wider than this share of the narrower curve's span on the
+# integration axis makes the average meaningless, in any metric's units.
+MIN_OVERLAP_SHARE = 0.1
 
 RD_CSV_HEADER = ("codec", "sequence", "metric", "label", "bitrate_kbps", "quality")
 
@@ -58,12 +58,13 @@ class RDCurve:
 
     def __post_init__(self):
         pts = tuple(sorted(self.points, key=lambda p: p.bitrate))
+        object.__setattr__(self, "points", pts)
         name = f"curve {self.codec_id}/{self.sequence_id}/{self.metric_id}"
         if len(pts) < 3:
             raise InputError(f"{name}: need at least 3 points, got {len(pts)}")
         for i in range(len(pts) - 1):
-            # Distinct rates can still share a log10 value, the interpolation axis.
-            if math.log10(pts[i].bitrate) == math.log10(pts[i + 1].bitrate):
+            # Distinct rates can still share a log10 value on the axis the fits read.
+            if self.log_rates[i] == self.log_rates[i + 1]:
                 raise InputError(
                     f"{name}: duplicate log10 bitrate between points {i} and "
                     f"{i + 1} ({pts[i].bitrate} and {pts[i + 1].bitrate})"
@@ -74,7 +75,6 @@ class RDCurve:
                     f"between points {i} and {i + 1} ({pts[i].quality} -> "
                     f"{pts[i + 1].quality}); inspect the data"
                 )
-        object.__setattr__(self, "points", pts)
 
     # Each axis and fit is built once per curve and shared by every caller.
     @cached_property
@@ -120,32 +120,25 @@ class BDResult:
 
 
 def _end_slope(h0, h1, m0, m1):
-    """Three-point one-sided slope at an end knot, clamped to keep the shape."""
+    """Three-point one-sided slope at an end knot, clamped at 0 to stay monotone."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
-        return 3 * m0
-    return d
+    return d if d > 0 else 0.0
 
 
 class _Pchip:
     """Monotone piecewise cubic through (x, y), as scipy's PchipInterpolator
     builds it: row j of ``c`` holds each interval's coefficient of
-    (x - x_k)**(3 - j). x must strictly increase over at least 3 knots, as
-    both axes of an RDCurve do."""
+    (x - x_k)**(3 - j). x and y must strictly increase over at least 3
+    knots, as both axes of an RDCurve do: scipy's branches for flat or
+    falling data are left out."""
 
     def __init__(self, x, y):
         h = np.diff(x)
         m = np.diff(y) / h
-        # Interior knots: weighted harmonic mean of the neighbouring secants,
-        # or 0 where they change sign or either is 0.
-        d = np.zeros_like(y)
+        # Interior knots: weighted harmonic mean of the neighbouring secants.
+        d = np.empty_like(y)
         w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0)
-        d[1:-1][same] = 1.0 / (
-            (w1[same] / m[:-1][same] + w2[same] / m[1:][same]) / (w1 + w2)[same]
-        )
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
         d[0] = _end_slope(h[0], h[1], m[0], m[1])
         d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2 * m) / h
@@ -203,13 +196,13 @@ def _bd_delta(anchor: RDCurve, test: RDCurve, axis_name: str, fit: str):
     lo = max(float(fit_anchor.x[0]), float(fit_test.x[0]))
     hi = min(float(fit_anchor.x[-1]), float(fit_test.x[-1]))
     width = hi - lo
-    if width <= 0:
-        raise InputError(f"curves do not overlap (gap of {-width:.6g})")
-    if width <= MIN_OVERLAP:
-        raise InputError(
-            f"overlap width {width:.6g} is below the minimum {MIN_OVERLAP}"
-        )
     with _float64_fit():
+        floor = MIN_OVERLAP_SHARE * min(np.ptp(fit_anchor.x), np.ptp(fit_test.x))
+        if width <= floor:
+            found = (f"do not overlap (gap of {-width:.6g})" if width <= 0
+                     else f"overlap by only {width:.6g}")
+            raise InputError(f"curves {found} on the {axis_name} axis; BD needs more "
+                             f"than {floor:.6g}, {MIN_OVERLAP_SHARE:.0%} of the narrower span")
         mean_diff = (fit_test.integral(lo, hi) - fit_anchor.integral(lo, hi)) / width
     warnings = tuple(
         f"{role} point (bitrate={point.bitrate:g}, "
@@ -252,12 +245,17 @@ def compare(curves, anchor: str, test: str):
     and take both deltas. Returns the pairs as (sequence, metric, bd_rate
     result, bd_quality result) in anchor-curve order, and each metric's
     mean (BD-rate percent, BD-quality) in sorted metric order, each by
-    report.mean over the pairs in order."""
+    report.mean over the pairs in order. A delta's InputError is raised
+    again with the pair and the delta named first."""
     if anchor == test:
         raise InputError(f"--anchor and --test name the same codec {anchor!r}")
     index: dict[str, dict[tuple[str, str], RDCurve]] = {}
     for curve in curves:
-        index.setdefault(curve.codec_id, {})[curve.sequence_id, curve.metric_id] = curve
+        by_key = index.setdefault(curve.codec_id, {})
+        key = curve.sequence_id, curve.metric_id
+        if key in by_key:
+            raise InputError(f"repeated curve {curve.codec_id}/{key[0]}/{key[1]}")
+        by_key[key] = curve
     for role, codec in (("anchor", anchor), ("test", test)):
         if codec not in index:
             raise InputError(
@@ -269,8 +267,15 @@ def compare(curves, anchor: str, test: str):
     if orphans:
         names = ", ".join(f"{seq}/{met}" for seq, met in orphans)
         raise InputError(f"curves without a counterpart: {names}")
-    pairs = [(seq, met, bd_rate(a, tests[seq, met]), bd_quality(a, tests[seq, met]))
-             for (seq, met), a in anchors.items()]
+    pairs = []
+    for (seq, met), a in anchors.items():
+        deltas = []
+        for name, bd in (("BD-rate", bd_rate), ("BD-quality", bd_quality)):
+            try:
+                deltas.append(bd(a, tests[seq, met]))
+            except InputError as exc:
+                raise InputError(f"{seq}/{met}: {name}: {exc}") from None
+        pairs.append((seq, met, *deltas))
     by_metric: dict[str, list[tuple[float, float]]] = {}
     for _, met, r, q in pairs:
         by_metric.setdefault(met, []).append((r.delta, q.delta))

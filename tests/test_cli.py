@@ -475,6 +475,44 @@ class TestBdrateCommand:
         assert [d["bd_rate_percent"] for d in doc["results"]["deltas"]] == [1e308] * 2
         assert doc["results"]["averages"][0]["bd_rate_percent"] == 1e308
 
+    def test_ssim_scale_curves(self, tmp_path):
+        # SSIM spans 0.06 here: the overlap floor is a share of that span,
+        # not a width in dB.
+        points = tmp_path / "points.csv"
+        write_rd_csv(points, [
+            f"{codec},s1,SSIM,,{rate * scale},{quality}\n"
+            for codec, scale in (("HM", 1.0), ("VTM", 0.7))
+            for rate, quality in [(1000, 0.92), (2000, 0.95), (4000, 0.97), (8000, 0.98)]
+        ])
+        out = tmp_path / "bd.json"
+        rc = main(["bdrate", str(points), "--anchor", "HM", "--test", "VTM",
+                   "--output", str(out), "--quiet", "--full-precision"])
+        assert rc == 0
+        [delta] = json.loads(out.read_text())["results"]["deltas"]
+        assert delta["bd_rate_percent"] == pytest.approx(-30.0, abs=1e-9)
+
+    @pytest.mark.parametrize(("test_curve", "message"), [
+        (lambda rate, quality: (rate, quality + 100),
+         "s2/PSNR: BD-rate: curves do not overlap (gap of 90) on the quality axis; "
+         "BD needs more than 1, 10% of the narrower span"),
+        (lambda rate, quality: (rate * 9, quality),
+         "s2/PSNR: BD-quality: curves do not overlap (gap of 0.352183) on the "
+         "log-rate axis; BD needs more than 0.060206, 10% of the narrower span"),
+    ], ids=["bd_rate", "bd_quality"])
+    def test_failing_pair_is_named(self, tmp_path, capsys, test_curve, message):
+        points = tmp_path / "points.csv"
+        write_rd_csv(points, [
+            f"{codec},{seq},PSNR,,{rate},{quality}\n"
+            for seq in ("s1", "s2", "s3")
+            for codec in ("HM", "VTM")
+            for rate, quality in [
+                test_curve(r, q) if (codec, seq) == ("VTM", "s2") else (r, q)
+                for r, q in [(1000, 30), (2000, 35), (4000, 40)]]
+        ])
+        rc = main(["bdrate", str(points), "--anchor", "HM", "--test", "VTM", "-q"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"codecbench: error: {message}\n"
+
     @pytest.mark.parametrize(
         "content",
         [(RD_HEADER + "HM,s1,PSNR,,1000,30\nHM,s1,PSNR,,2000,nan\n").encode(),

@@ -77,7 +77,7 @@ def overlapping_rd_curves(draw):
     """Anchor (A) and test (B) curves for each drawn sequence and metric, with
     rates and qualities increasing; the test curve is the anchor shifted by at
     most 0.45 of its span on both axes, so the two overlap by more than
-    MIN_OVERLAP. Blank and empty-celled lines are scattered between rows."""
+    MIN_OVERLAP_SHARE of either span. Blank and empty-celled lines are scattered between rows."""
     rows = []
     for sequence in draw(st.lists(st.sampled_from(["s1", "s2"]), min_size=1, unique=True)):
         for metric in draw(st.lists(st.sampled_from(["PSNR", "SSIM"]), min_size=1,

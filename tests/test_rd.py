@@ -1,3 +1,4 @@
+import math
 import os
 import re
 from pathlib import Path
@@ -73,6 +74,22 @@ class TestValidateCurve:
         with pytest.raises(InputError, match=message):
             curve([(1e-300, 30), (1.0000000000000002e-300, 35), (1.0, 40)])
 
+    def test_rates_equal_under_numpy_log10(self):
+        # The check reads the log10 axis the fits read. Adjacent floats near
+        # 7000 often share a numpy log10 value; a pair that math.log10 tells
+        # apart is taken where numpy's log10 has one.
+        rate, pairs = 7000.0, []
+        for _ in range(5000):
+            above = float(np.nextafter(rate, np.inf))
+            logs = np.log10([rate, above, 1e4])
+            if logs[0] == logs[1]:
+                pairs.append((math.log10(rate) == math.log10(above), rate, above))
+            rate = above
+        _, low, high = min(pairs)
+        message = f"duplicate log10 bitrate between points 0 and 1 \\({low} and {high}\\)"
+        with pytest.raises(InputError, match=message):
+            curve([(high, 35), (low, 30), (1e4, 40)])
+
     @pytest.mark.parametrize(
         "bad", [(4000, float("nan")), (4000, float("inf")), (float("inf"), 50)]
     )
@@ -146,14 +163,25 @@ class TestBdErrors:
 
     @BD_AXES
     def test_no_overlap(self, bd, axis):
-        with pytest.raises(InputError, match="curves do not overlap"):
+        message = (rf"^curves do not overlap \(gap of [\d.]+\) on the {axis} axis; "
+                   rf"BD needs more than [\d.]+, 10% of the narrower span$")
+        with pytest.raises(InputError, match=message):
             bd(curve(BASE), shifted(100, bd))
 
     @BD_AXES
     def test_overlap_too_narrow(self, bd, axis):
-        message = "overlap width .* is below the minimum 0.1"
+        message = (rf"^curves overlap by only [\d.]+ on the {axis} axis; "
+                   rf"BD needs more than [\d.]+, 10% of the narrower span$")
         with pytest.raises(InputError, match=message):
             bd(curve(BASE), shifted(14.95, bd))
+
+    # The floor is 10% of the narrower span, 1.5 dB of BASE's 15 dB and
+    # 0.09 of its 0.9 decades: an overlap of 1 dB is refused, 1.6 dB is not.
+    @BD_AXES
+    def test_overlap_floor_is_a_share_of_the_span(self, bd, axis):
+        with pytest.raises(InputError, match=f"^curves overlap by only .* {axis} axis"):
+            bd(curve(BASE), shifted(14.0, bd))
+        assert bd(curve(BASE), shifted(13.4, bd)).overlap
 
     @BD_AXES
     def test_points_outside_overlap_warn(self, bd, axis):
@@ -180,6 +208,14 @@ class TestBdFloatRange:
     def test_interpolate_infinite_slope(self):
         with pytest.raises(InputError, match="cannot be interpolated in float64"):
             interpolate_log_rate(curve(INFINITE_SLOPE), [0.5])
+
+    def test_secant_underflowing_to_zero(self):
+        # 5e-324 over 3 decades rounds to a zero secant: a flat step the fit
+        # does not take, refused as a float64 fault like an infinite one.
+        anchor = curve([(1, 0.0), (1000, 5e-324), (1e6, 1.0)])
+        test = curve([(2, 0.0), (1000, 5e-324), (1e6, 1.0)])
+        with pytest.raises(InputError, match="cannot be interpolated in float64"):
+            bd_quality(anchor, test)
 
     def test_bd_rate_overflow(self):
         anchor = curve([(1e-290, 0), (1e-280, 1), (1e-270, 2)])
@@ -246,6 +282,38 @@ def test_every_permutation_builds_an_equal_curve(pair):
     assert curve(shuffled).points == tuple(RDPoint(r, q) for r, q in points)
 
 
+@st.composite
+def overlapping_pairs(draw):
+    """Anchor and test points, the test curve the anchor scaled in rate and
+    shifted in quality by at most 0.45 of its span."""
+    steps = draw(st.integers(2, 5))
+    ratios = draw(st.lists(st.floats(1.3, 3.0), min_size=steps, max_size=steps))
+    rises = draw(st.lists(st.floats(0.01, 5.0), min_size=steps, max_size=steps))
+    rates = np.cumprod([draw(st.floats(10, 1e4)), *ratios])
+    qualities = np.cumsum([draw(st.floats(-50, 50)), *rises])
+    scale = (rates[-1] / rates[0]) ** draw(st.floats(-0.45, 0.45))
+    shift = draw(st.floats(-0.45, 0.45)) * (qualities[-1] - qualities[0])
+    return (list(zip(rates.tolist(), qualities.tolist())),
+            list(zip((rates * scale).tolist(), (qualities + shift).tolist())))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(overlapping_pairs())
+def test_deltas_scale_with_quality_units(pair):
+    # Scaling quality by a power of two is exact through the fit and the
+    # integral: BD-rate stays bit-identical and BD-quality scales with it,
+    # SSIM-sized curves on [0, 1] included.
+    def scaled(points, k):
+        return curve([(r, q * 2.0 ** k) for r, q in points])
+
+    base_rate = bd_rate(scaled(pair[0], 0), scaled(pair[1], 0)).delta
+    base_quality = bd_quality(scaled(pair[0], 0), scaled(pair[1], 0)).delta
+    for k in range(-10, 11):
+        anchor, test = scaled(pair[0], k), scaled(pair[1], k)
+        assert bd_rate(anchor, test).delta == base_rate
+        assert bd_quality(anchor, test).delta == base_quality * 2.0 ** k
+
+
 class TestBdQuality:
     def test_self_delta_zero(self, rng):
         c = random_monotone_curve(rng)
@@ -290,13 +358,12 @@ class TestInterpolant:
 @st.composite
 def pchip_curves(draw):
     """3 to 8 knots: x strictly increasing, with gaps up to 1e4 apart in
-    size, and y steps of either sign or zero, so every branch of the slope
-    rule runs."""
+    size, and y strictly increasing, as on both axes of an RDCurve. The
+    smallest secant, 1e-6 / 1e5, is far from underflowing to 0."""
     steps = draw(st.integers(2, 7))
     unit = draw(st.floats(1e-3, 10))
     gaps = draw(st.lists(st.floats(1, 1e4), min_size=steps, max_size=steps))
-    rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(-10, 10)),
-                          min_size=steps, max_size=steps))
+    rises = draw(st.lists(st.floats(1e-6, 10), min_size=steps, max_size=steps))
     x = np.cumsum([draw(st.floats(-100, 100)), *(unit * g for g in gaps)])
     y = np.cumsum([draw(st.floats(-100, 100)), *rises])
     return x, y
@@ -429,6 +496,15 @@ class TestCompare:
     def test_codec_messages(self, anchor, test, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             compare(planted_panel(), anchor, test)
+
+    def test_repeated_curve(self):
+        # Two curves of one (codec, sequence, metric) would make the result
+        # depend on their order.
+        a, b = curve(BASE), curve(BASE, codec="B")
+        again = curve([(r * 0.5, q) for r, q in BASE])
+        for curves in ([a, again, b], [again, a, b]):
+            with pytest.raises(InputError, match="^repeated curve A/seq/PSNR$"):
+                compare(curves, "A", "B")
 
     def test_no_curves_at_all(self):
         message = "no curves for anchor codec 'HM' (codecs in file: none)"
