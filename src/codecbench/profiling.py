@@ -14,18 +14,17 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, groupby
-from operator import attrgetter, itemgetter
+from itertools import combinations, groupby, starmap
+from operator import attrgetter
 
 from .errors import DataFormatError, InputError
-from .report import named_errors, open_input, read_csv, read_number
+from .report import named_errors, open_input, read_csv
 
 OTHER_STAGE = "Other"
 BUCKET_THRESHOLD = 1.0  # percent
 
-TIMING_CSV_HEADER = (
-    "codec", "sequence", "qp", "wall_seconds", "frame_count", "fps_num", "fps_den",
-)
+TIMING_CSV_COLUMNS = {"codec": str, "sequence": str, "qp": int, "wall_seconds": float,
+                      "frame_count": int, "fps_num": int, "fps_den": int}
 
 
 @dataclass(frozen=True)
@@ -312,19 +311,10 @@ def load_mapping(path=None) -> StageMapping:
 def load_timing_csv(path) -> list[TimingRecord]:
     """Read timing records, at most one per (codec, sequence, qp)."""
     records: dict[tuple[str, str, int], TimingRecord] = {}
-    with read_csv(path, TIMING_CSV_HEADER) as (header, rows):
-        pick = itemgetter(*map(header.index, TIMING_CSV_HEADER))
-        for cells in rows:
-            codec, sequence, qp, wall, frames, fps_num, fps_den = pick(cells)
-            record = TimingRecord(
-                codec, sequence, read_number("qp", qp, int),
-                read_number("wall_seconds", wall), read_number("frame_count", frames, int),
-                read_number("fps_num", fps_num, int), read_number("fps_den", fps_den, int),
-            )
-            key = (codec, sequence, record.qp)
+    with read_csv(path, TIMING_CSV_COLUMNS) as (_, rows):
+        for record in starmap(TimingRecord, rows):
+            key = (record.codec_id, record.sequence_id, record.qp)
             if key in records:
-                raise DataFormatError(
-                    f"duplicate timing record {codec}/{sequence}/qp{record.qp}"
-                )
+                raise DataFormatError("duplicate timing record {}/{}/qp{}".format(*key))
             records[key] = record
     return list(records.values())

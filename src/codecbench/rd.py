@@ -14,18 +14,18 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import InputError
-from .report import mean, read_csv, read_number
+from .report import mean, read_csv
 
 # An overlap no wider than this share of the narrower curve's span on the
 # integration axis makes the average meaningless, in any metric's units.
 MIN_OVERLAP_SHARE = 0.1
 
-RD_CSV_HEADER = ("codec", "sequence", "metric", "label", "bitrate_kbps", "quality")
+RD_CSV_COLUMNS = {"codec": str, "sequence": str, "metric": str, "label": str,
+                  "bitrate_kbps": float, "quality": float}
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class RDPoint:
 
     bitrate: float
     quality: float
-    label: str = ""
 
     def __post_init__(self):
         if not (self.bitrate > 0 and math.isfinite(self.bitrate)):
@@ -307,11 +306,7 @@ def load_rd_csv(path) -> list[RDCurve]:
     first appearance in the file.
     """
     groups: dict[tuple[str, str, str], list[RDPoint]] = {}
-    with read_csv(path, RD_CSV_HEADER) as (header, rows):
-        pick = itemgetter(*map(header.index, RD_CSV_HEADER))
-        for cells in rows:
-            codec, sequence, metric, label, bitrate, quality = pick(cells)
-            point = RDPoint(read_number("bitrate_kbps", bitrate),
-                            read_number("quality", quality), label)
-            groups.setdefault((codec, sequence, metric), []).append(point)
+    with read_csv(path, RD_CSV_COLUMNS) as (_, rows):
+        for codec, sequence, metric, label, bitrate, quality in rows:
+            groups.setdefault((codec, sequence, metric), []).append(RDPoint(bitrate, quality))
     return [RDCurve(*key, points) for key, points in groups.items()]

@@ -133,34 +133,45 @@ def named_errors(source):
 
 
 @contextlib.contextmanager
-def read_csv(path, required=()):
+def read_csv(path, columns=None):
     """Open a UTF-8 CSV file and parse it with parse_csv, under
     named_errors(path): the context is (header, rows), and the rows stream
     from the file while it is open."""
     with named_errors(path) as where, open_input(path, newline="") as fp:
-        yield parse_csv(fp, where, required)
+        yield parse_csv(fp, where, columns)
 
 
-def parse_csv(lines, where, required=()):
-    """Parse a CSV table: its header and an iterator over its data rows,
-    each a list of stripped cells.
+def parse_csv(lines, where, columns=None):
+    """Parse a CSV table: its header and an iterator over its data rows.
 
-    The header is the first non-blank row and must name every `required`
-    column. Blank rows are skipped; each data row must have as many cells
-    as the header. Rows are read and checked one at a time as the
-    iterator reaches them, so a caller that checks each row as it arrives
-    reports the first fault in file order. While the caller holds a row,
-    `where.line` (the cursor of the enclosing named_errors block) is its
-    physical line number, and None otherwise.
+    The header is the first non-blank row. Given a `{name: kind}` schema
+    (kind str, int or float), it must name each schema column, and a row
+    is those cells in schema order, numbers read by read_number; else a
+    row is its stripped cells. A column read (each header cell without a
+    schema) must be named once. Blank rows are skipped; each data row must
+    have as many cells as the header. Rows are read, checked and converted
+    one at a time as the iterator reaches them, so a caller that checks
+    each row as it arrives reports the first fault in file order. While
+    the caller holds a row, `where.line` (the cursor of the enclosing
+    named_errors block) is its physical line number, and None otherwise.
     """
     rows = _table_rows(lines, where)
     header = next(rows, None)
     if header is None:
         raise DataFormatError("no header row")
-    missing = [c for c in required if c not in header]
+    seen = set()
+    for name in header:
+        if name in seen and (columns is None or name in columns):
+            raise DataFormatError(f"repeated column {name!r}")
+        seen.add(name)
+    if columns is None:
+        return header, rows
+    missing = [name for name in columns if name not in seen]
     if missing:
         raise DataFormatError(f"missing CSV columns: {', '.join(missing)}")
-    return header, rows
+    picks = [(name, header.index(name), kind) for name, kind in columns.items()]
+    return header, ([cells[i] if kind is str else read_number(name, cells[i], kind)
+                     for name, i, kind in picks] for cells in rows)
 
 
 def _table_rows(lines, where):

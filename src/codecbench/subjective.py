@@ -15,7 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -25,7 +24,8 @@ from .report import read_csv, read_number
 CI_CONSTANT = 1.95
 SCREENING_THRESHOLD = 0.75
 FACTORS = ("codec", "resolution", "bitrate", "content")
-PVS_CSV_HEADER = ("pvs", "codec", "resolution", "bitrate_kbps", "content")
+PVS_CSV_COLUMNS = {"pvs": str, "codec": str, "resolution": str, "bitrate_kbps": float,
+                   "content": str}
 
 
 @dataclass(frozen=True)
@@ -436,8 +436,6 @@ def load_scores_csv(path) -> ScoreMatrix:
         if header[0].lower() != "subject":
             raise DataFormatError("first column must be 'subject'")
         stimuli = header[1:]
-        if len(set(stimuli)) != len(stimuli):
-            raise DataFormatError("duplicate stimulus columns")
         subjects, grid = {}, []  # subjects: an ordered set, as dict keys
         for cells in rows:
             if cells[0] in subjects:
@@ -472,12 +470,9 @@ def _score_row(stimuli, cells) -> np.ndarray:
 def load_pvs_csv(path) -> dict[str, StimulusInfo]:
     """Read PVS metadata: pvs,codec,resolution,bitrate_kbps,content."""
     meta: dict[str, StimulusInfo] = {}
-    with read_csv(path, PVS_CSV_HEADER) as (header, rows):
-        pick = itemgetter(*map(header.index, PVS_CSV_HEADER))
-        for cells in rows:
-            pvs, codec, resolution, bitrate, content = pick(cells)
+    with read_csv(path, PVS_CSV_COLUMNS) as (_, rows):
+        for pvs, *levels in rows:
             if pvs in meta:
                 raise DataFormatError(f"duplicate PVS id {pvs!r}")
-            bitrate_kbps = read_number("bitrate_kbps", bitrate)
-            meta[pvs] = StimulusInfo(codec, resolution, bitrate_kbps, content)
+            meta[pvs] = StimulusInfo(*levels)
     return meta

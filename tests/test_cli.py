@@ -528,6 +528,21 @@ class TestBdrateCommand:
         assert err.startswith("codecbench: format error:")
         assert len(err.splitlines()) == 1
 
+    def test_repeated_quality_column_exit_3(self, tmp_path, capsys):
+        """A second `quality` column is refused, not read past: both curves
+        would give a BD-rate from either column."""
+        points = tmp_path / "points.csv"
+        points.write_text(RD_HEADER.replace("quality", "quality,quality") + "".join(
+            f"{codec},s1,PSNR,,{rate * scale},{quality},{quality + 1}\n"
+            for codec, scale in (("HM", 1), ("VTM", 0.8))
+            for rate, quality in [(1000, 30), (2000, 35), (4000, 40)]
+        ))
+        rc = main(["bdrate", str(points), "--anchor", "HM", "--test", "VTM", "-q"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"codecbench: format error: {points}: repeated column 'quality'\n"
+        )
+
     def test_orphan_curves_exit_2(self, tmp_path, capsys):
         points = tmp_path / "points.csv"
         write_rd_csv(points, [
@@ -1127,7 +1142,7 @@ TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
      b"p1,HM,HD,1000,CrowdRun\np1,VTM,HD,1000,CrowdRun\n", 3,
      "{bad}:3: duplicate PVS id 'p1'"),
     (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2,p1\ns0,10,20,30\n", 3,
-     "{bad}: duplicate stimulus columns"),
+     "{bad}: repeated column 'p1'"),
     (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2\ns0,10,20\ns0,30,40\n", 3,
      "{bad}:3: duplicate subject id 's0'"),
     (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2\ns0,10,20\ns1,4_0,20\n", 3,

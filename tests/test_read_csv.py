@@ -1,5 +1,7 @@
 """The one reader of input CSV tables and the five loaders built on it."""
 
+import csv
+import io
 import math
 import re
 import tempfile
@@ -39,10 +41,10 @@ def write_table(tmp_path, name, lines):
     return path
 
 
-def read_table(path, required=()):
+def read_table(path, columns=None):
     """read_csv's header and every row it streams, drained while the file
     is open."""
-    with read_csv(path, required) as (header, rows):
+    with read_csv(path, columns) as (header, rows):
         return header, list(rows)
 
 
@@ -96,6 +98,19 @@ class TestLoaders:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: .*'fast'"):
             load(path)
 
+    @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+    def test_repeated_column_rejected(self, tmp_path, name, position):
+        """A header that names a column the loader reads twice is refused,
+        whichever copy its rows would fill."""
+        load, header, row = LOADERS[name]
+        column = header.split(",")[position]
+        cell = row.format(i=0, x=40).split(",")[position]
+        path = write_table(tmp_path, name,
+                           [f"{header},{column}", f"{row.format(i=0, x=40)},{cell}"])
+        with pytest.raises(DataFormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: repeated column {column!r}"
+
     def test_extra_cell_rejected(self, tmp_path, name):
         load, header, row = LOADERS[name]
         width = header.count(",") + 1
@@ -106,10 +121,24 @@ class TestLoaders:
             load(path)
 
 
+@pytest.mark.parametrize("name,rows", [
+    ("rd", ["A,s,PSNR,,1000,30", "A,s,PSNR,,2000,35", "A,s,PSNR,,4000,40"]),
+    ("pvs", ["p1,HM,HD,1000,c", "p2,VTM,HD,500,c"]),
+    ("timing", ["HM,s,32,40,500,50,1", "VTM,s,32,400,500,50,1"]),
+])
+def test_columns_a_loader_does_not_read_are_ignored(tmp_path, name, rows):
+    """A fixed-schema table may carry extra columns, repeated or not."""
+    load, header, _ = LOADERS[name]
+    plain = write_table(tmp_path, "plain", [header, *rows])
+    extra = write_table(tmp_path, "extra", [f"note,{header},note",
+                                            *(f"a,{row},b" for row in rows)])
+    assert load(extra) == load(plain)
+
+
 class TestReadCsv:
     def test_cells_stripped_and_blank_rows_skipped(self, tmp_path):
         path = write_table(tmp_path, "t", ["", " a , b", "", "1 ,2", " , ", "3, 4"])
-        assert read_table(path, required=("a",)) == (["a", "b"], [["1", "2"], ["3", "4"]])
+        assert read_table(path) == (["a", "b"], [["1", "2"], ["3", "4"]])
         assert [fault_line(path, i) for i in range(2)] == [4, 6]
 
     def test_quoted_newline_counts_physical_lines(self, tmp_path):
@@ -126,7 +155,7 @@ class TestReadCsv:
     def test_missing_columns_named(self, tmp_path):
         path = write_table(tmp_path, "t", ["a,b", "1,2"])
         with pytest.raises(DataFormatError, match="missing CSV columns: c, d"):
-            read_table(path, required=("a", "c", "d"))
+            read_table(path, columns={"a": str, "c": int, "d": float})
 
     def test_oversized_cell_is_a_format_error(self, tmp_path):
         path = write_table(tmp_path, "t", ["a,b", "1," + "x" * 200_000])
@@ -172,6 +201,90 @@ class TestReadCsv:
                 assert header == ["a", "b"]
                 assert next(rows) == ["1", "2"]
                 next(rows)
+
+    @pytest.mark.parametrize("columns,repeated", [
+        (None, "a"), ({"a": str}, "a"), ({"b": int, "a": float}, "a"), ({"b": int}, None),
+    ], ids=["no_schema", "schema", "schema_reorders", "unread_column"])
+    def test_a_column_read_is_named_once(self, tmp_path, columns, repeated):
+        path = write_table(tmp_path, "t", ["a,b,a", "x,1,y"])
+        if repeated is None:
+            assert read_table(path, columns) == (["a", "b", "a"], [[1]])
+        else:
+            with pytest.raises(DataFormatError) as exc:
+                read_table(path, columns)
+            assert str(exc.value) == f"{path}: repeated column {repeated!r}"
+
+
+# Cell text of a string column: spaces, commas, quotes and newlines, so
+# csv.writer quotes some cells over several physical lines.
+CELL_TEXT = st.text(alphabet='ab ,"\n', max_size=4)
+KINDS = {str: CELL_TEXT,
+         int: st.integers(-10**12, 10**12).map(str),
+         float: st.floats(allow_nan=False, allow_infinity=False).map(repr)}
+
+
+@st.composite
+def schema_tables(draw):
+    """A schema, a header naming its columns once each in random order
+    among extra columns (which may repeat), and rows of cell text, each
+    after 0-2 blank lines."""
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    schema = {name: draw(st.sampled_from(list(KINDS))) for name in names}
+    header = draw(st.permutations(names + draw(st.lists(st.sampled_from("xyz"), max_size=3))))
+    pad = st.sampled_from(["", " ", "  "])
+    cell = {name: KINDS[schema.get(name, str)] for name in header}
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(["", " ", ",", " , "]), max_size=2),
+        st.tuples(*[st.builds("{}{}{}".format, pad, cell[name], pad) for name in header]),
+    ), max_size=6))
+    return schema, header, rows
+
+
+def write_schema_table(directory, header, rows):
+    """Write the table; return its path and each written row's last
+    physical line."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    ends = []
+    for blanks, cells in rows:
+        text.write("".join(f"{blank}\n" for blank in blanks))
+        writer.writerow(cells)
+        ends.append(text.getvalue().count("\n"))
+    path = Path(directory) / "t.csv"
+    path.write_text(text.getvalue(), encoding="utf-8")
+    return path, ends
+
+
+class TestSchemaReader:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(schema_tables(), st.data())
+    def test_rows_match_a_reader_by_header_name(self, table, data):
+        """Typed rows equal each schema cell read by its header name, in
+        schema order; blank rows are skipped and unread columns ignored. A
+        bad number cell names its column and physical line."""
+        schema, header, rows = table
+        expected = [[kind(cells[header.index(name)].strip()) for name, kind in schema.items()]
+                    for _, cells in rows if any(c.strip() for c in cells)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ends = write_schema_table(tmp, header, rows)
+            assert read_table(path, schema) == (header, expected)
+            numeric = [name for name, kind in schema.items() if kind is not str]
+            if not (numeric and rows):
+                return
+            row = data.draw(st.integers(0, len(rows) - 1))
+            name = data.draw(st.sampled_from(numeric))
+            integer = schema[name] is int
+            bad = data.draw(st.sampled_from(["x", "4_0", "nan", "inf"] + ["1.5"] * integer))
+            blanks, cells = rows[row]
+            cells = list(cells)
+            cells[header.index(name)] = bad
+            path, ends = write_schema_table(tmp, header, rows[:row] + [(blanks, cells)]
+                                            + rows[row + 1:])
+            what = "an integer" if integer else "a finite number"
+            with pytest.raises(DataFormatError) as exc:
+                read_table(path, schema)
+            assert str(exc.value) == f"{path}:{ends[row]}: {name} must be {what}, got {bad!r}"
 
 
 def test_score_grid_is_read_row_by_row(tmp_path):
