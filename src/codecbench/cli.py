@@ -433,7 +433,7 @@ def cmd_bdrate(args) -> int:
 
 
 def cmd_mos(args) -> int:
-    from . import subjective
+    from . import rd, subjective
 
     _check_files(args, [("scores", args.scores), ("--pvs-meta", args.pvs_meta)], [])
     matrix = subjective.load_scores_csv(args.scores)
@@ -442,10 +442,7 @@ def cmd_mos(args) -> int:
     matrix = replace(matrix, meta=subjective.load_pvs_csv(args.pvs_meta))
 
     screening, filtered = subjective.screen_subjects(matrix, threshold=args.threshold)
-    points = [
-        subjective.mos_point(filtered, s, constant=args.ci_constant)
-        for s in filtered.stimuli
-    ]
+    mos = subjective.mos_rows(filtered, constant=args.ci_constant)
 
     anovas = []
     warnings = []
@@ -455,7 +452,6 @@ def cmd_mos(args) -> int:
         except StatsError as exc:
             warnings.append(f"ANOVA skipped for factor {factor!r}: {exc}")
 
-    mos = [{"pvs": p.stimulus, "mos": p.mos, "ci95": p.ci95, "n": p.n} for p in points]
     results = {
         "session": args.session,
         "screening": asdict(screening),
@@ -468,16 +464,19 @@ def cmd_mos(args) -> int:
         "screening: single pass against the all-subjects MOS, retained "
         f"when min(Pearson, Spearman) >= {args.threshold:g}",
         "one session per scores file; screen HD and UHD sessions separately",
+        "each mos row is also an RD point (sequence content@resolution, metric MOS, "
+        "label the PVS id, quality the MOS), so the CSV report is a bdrate points file",
     ]
     summary = [
         f"discarded subjects: {', '.join(screening.discarded) or 'none'}",
-    ] + [f"{p.stimulus}: MOS {p.mos:.2f} +/- {p.ci95:.2f} (n={p.n})" for p in points]
+    ] + [f"{r['pvs']}: MOS {r['mos']:.2f} +/- {r['ci95']:.2f} (n={r['n']})" for r in mos]
     for res in anovas:
         summary.append(
             f"ANOVA {res.factor}: F({res.df_between},{res.df_within}) "
             f"= {res.f_stat:.3f}, p = {res.p_value:.4g}"
         )
-    return _emit(args, results, ["pvs", "mos", "ci95", "n"], mos, summary, warnings, notes)
+    return _emit(args, results, [*rd.RD_CSV_COLUMNS, "ci95", "n"], mos, summary,
+                 warnings, notes)
 
 
 def _pie_paths(base, inputs):

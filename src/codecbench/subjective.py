@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataFormatError, InputError, StatsError
+from .rd import RD_CSV_COLUMNS
 from .report import read_csv, read_number
 
 CI_CONSTANT = 1.95
@@ -36,6 +37,10 @@ class StimulusInfo:
     resolution: str
     bitrate_kbps: float
     content: str
+
+    def __post_init__(self):
+        if not self.bitrate_kbps > 0:
+            raise InputError(f"bitrate_kbps must be positive, got {self.bitrate_kbps:g}")
 
     def level(self, factor: str):
         if factor == "bitrate":
@@ -182,6 +187,27 @@ def mos_point(matrix: ScoreMatrix, stimulus: str, constant: float = CI_CONSTANT)
     return MosPoint(stimulus=stimulus, mos=mean, ci95=half_width, n=count)
 
 
+def mos_rows(matrix: ScoreMatrix, constant: float = CI_CONSTANT) -> list[dict]:
+    """One row per stimulus: its MOS point (pvs, mos, ci95, n), then the
+    keys of rd.RD_CSV_COLUMNS from its metadata, so the rows are also RD
+    points: sequence is content@resolution, metric MOS, label the PVS id
+    and quality the MOS."""
+    meta, rows = _meta(matrix), []
+    for stimulus in matrix.stimuli:
+        p, info = mos_point(matrix, stimulus, constant), meta[stimulus]
+        point = (info.codec, f"{info.content}@{info.resolution}", "MOS", stimulus,
+                 info.bitrate_kbps, p.mos)
+        rows.append({"pvs": stimulus, "mos": p.mos, "ci95": p.ci95, "n": p.n,
+                     **dict(zip(RD_CSV_COLUMNS, point))})
+    return rows
+
+
+def _meta(matrix: ScoreMatrix) -> dict[str, StimulusInfo]:
+    if matrix.meta is None:
+        raise InputError("score matrix carries no stimulus metadata")
+    return matrix.meta
+
+
 def _mos_row(matrix: ScoreMatrix) -> np.ndarray:
     """Every stimulus's MOS; the first stimulus without scores is an error."""
     count, mos_row, _ = matrix._stats
@@ -291,10 +317,7 @@ def anova_oneway(matrix: ScoreMatrix, factor: str) -> AnovaResult:
     Observations are the MOS values of the matrix's stimuli; the factor
     level of each stimulus comes from the attached metadata.
     """
-    if matrix.meta is None:
-        raise InputError("score matrix carries no stimulus metadata")
-
-    levels = [matrix.meta[stimulus].level(factor) for stimulus in matrix.stimuli]
+    levels = [_meta(matrix)[stimulus].level(factor) for stimulus in matrix.stimuli]
     groups: dict[object, list[float]] = {}
     for level, value in zip(levels, _mos_row(matrix).tolist()):
         groups.setdefault(level, []).append(value)

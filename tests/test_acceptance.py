@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line (run with -s or -rP to see them)."""
 
+import json
 import math
 import time
 
@@ -295,3 +296,65 @@ def test_criterion_11_performance_and_determinism(rng):
         f"criterion 11 (ten 1080p frames in {elapsed:.2f}s; "
         "parallel run bit-identical): PASS"
     )
+
+
+# VTM's rates are HM's times this factor at equal MOS: every BD-rate is -35%.
+RATE_FACTOR = 0.65
+# Subject offsets around each PVS's planted MOS: symmetric, so the MOS is
+# exact, and the same for every PVS, so no subject is screened out.
+OFFSETS = (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
+
+
+def write_planted_panel(directory, sessions):
+    """Scores and PVS metadata of (content, resolution, HM rates, MOS)
+    sessions; VTM shows each MOS at the HM rate times RATE_FACTOR."""
+    pvs, mos = [], []
+    meta = ["pvs,codec,resolution,bitrate_kbps,content"]
+    for content, resolution, rates, levels in sessions:
+        for codec, factor in (("HM", 1.0), ("VTM", RATE_FACTOR)):
+            for rate, level in zip(rates, levels):
+                pvs.append(f"{content}-{resolution}-{codec}-{rate}")
+                meta.append(f"{pvs[-1]},{codec},{resolution},{rate * factor!r},{content}")
+                mos.append(level)
+    scores, pvs_meta = directory / "scores.csv", directory / "pvs.csv"
+    scores.write_text("subject," + ",".join(pvs) + "\n" + "".join(
+        f"s{i}," + ",".join(str(m + o) for m in mos) + "\n" for i, o in enumerate(OFFSETS)))
+    pvs_meta.write_text("\n".join(meta) + "\n")
+    return scores, pvs_meta
+
+
+def subjective_bd_rates(directory, sessions, precision):
+    """`mos --format csv` on the planted panel, then `bdrate` on that report:
+    the mos CSV header and each BD-rate row's (sequence, percent)."""
+    scores, meta = write_planted_panel(directory, sessions)
+    mos_csv, bd_json = directory / "mos.csv", directory / "bd.json"
+    assert main(["mos", str(scores), "--pvs-meta", str(meta), "--format", "csv",
+                 *precision, "-o", str(mos_csv), "-q"]) == 0
+    assert main(["bdrate", str(mos_csv), "--anchor", "HM", "--test", "VTM",
+                 "--full-precision", "-o", str(bd_json), "-q"]) == 0
+    results = json.loads(bd_json.read_text())["results"]
+    return mos_csv.read_text().splitlines()[0], [
+        (row["sequence"], row["bd_rate_percent"])
+        for row in results["deltas"] + results["averages"]]
+
+
+@pytest.mark.parametrize("precision", [[], ["--full-precision"]], ids=["6-digits", "full"])
+def test_criterion_12_subjective_bd_rate(tmp_path, precision):
+    sessions = [("A", "HD", (1000, 2000, 4000, 8000), (30, 45, 60, 75)),
+                ("B", "HD", (1500, 3000, 6000, 12000), (25, 40, 58, 72))]
+    header, rates = subjective_bd_rates(tmp_path, sessions, precision)
+    assert header == "codec,sequence,metric,label,bitrate_kbps,quality,ci95,n"
+    assert [seq for seq, _ in rates] == ["A@HD", "B@HD", "Average"]
+    for _, percent in rates:
+        assert percent == pytest.approx(-35.0, abs=1e-9)
+
+    # One content at two resolutions gives two curves, not one merged curve.
+    (tmp_path / "two").mkdir()
+    sessions = [("A", "HD", (1000, 2000, 4000), (30, 50, 70)),
+                ("A", "UHD", (3000, 6000, 12000), (35, 55, 80))]
+    _, rates = subjective_bd_rates(tmp_path / "two", sessions, precision)
+    assert [seq for seq, _ in rates] == ["A@HD", "A@UHD", "Average"]
+    for _, percent in rates:
+        assert percent == pytest.approx(-35.0, abs=1e-9)
+    print(f"criterion 12 (subjective BD-rate through mos then bdrate, "
+          f"{' '.join(precision) or '6 digits'}): PASS")

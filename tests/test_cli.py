@@ -18,6 +18,7 @@ import pytest
 import codecbench
 from codecbench import metrics
 from codecbench.cli import build_parser, main
+from codecbench.rd import RD_CSV_COLUMNS
 from codecbench.report import normalize_floats
 from codecbench.video_io import CHROMA_444, Y4MReader
 
@@ -716,6 +717,8 @@ class TestMosCommand:
         for subject in screening["subjects"]:
             assert list(subject) == ["subject", "pearson", "spearman", "retained", "note"]
         assert [row["factor"] for row in results["anova"]] == ["codec", "bitrate", "content"]
+        for row in results["mos"]:
+            assert list(row) == ["pvs", "mos", "ci95", "n", *RD_CSV_COLUMNS]
         for row in results["anova"]:
             assert list(row) == ["factor", "df_between", "df_within", "f_stat", "p_value"]
 
@@ -1141,6 +1144,10 @@ TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
      b"pvs,codec,resolution,bitrate_kbps,content\n"
      b"p1,HM,HD,1000,CrowdRun\np1,VTM,HD,1000,CrowdRun\n", 3,
      "{bad}:3: duplicate PVS id 'p1'"),
+    (["mos", "{scores}", "--pvs-meta", "{bad}"],
+     b"pvs,codec,resolution,bitrate_kbps,content\n"
+     b"p1,HM,HD,1000,CrowdRun\np2,VTM,HD,0,CrowdRun\n", 3,
+     "{bad}:3: bitrate_kbps must be positive, got 0"),
     (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2,p1\ns0,10,20,30\n", 3,
      "{bad}: repeated column 'p1'"),
     (["mos", "{bad}", "--pvs-meta", "{meta}"], b"subject,p1,p2\ns0,10,20\ns0,30,40\n", 3,
@@ -1194,7 +1201,8 @@ TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
     "reference_format_error_names_reference", "test_format_error_names_test",
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
     "second_callgrind_names_its_file", "zero_cost_callgrind_names_its_file",
-    "callgrind_without_functions_names_its_file", "duplicate_pvs_id", "duplicate_stimulus_column",
+    "callgrind_without_functions_names_its_file", "duplicate_pvs_id", "pvs_bitrate_zero",
+    "duplicate_stimulus_column",
     "duplicate_subject_id", "score_grouped_digits", "y4m_header_grouped_digits",
     "timing_fps_num_0", "duplicate_timing_record", "empty_mapping_path",
     "timing_duration_mismatch", "output_over_reference", "per_frame_over_test",
@@ -2069,7 +2077,7 @@ CSV_TABLES = {
                 lambda results: results["metrics"]),
     "bdrate": (["sequence", "metric", "bd_rate_percent", "bd_quality"],
                lambda results: results["deltas"] + results["averages"]),
-    "mos": (["pvs", "mos", "ci95", "n"], lambda results: results["mos"]),
+    "mos": ([*RD_CSV_COLUMNS, "ci95", "n"], lambda results: results["mos"]),
     "profile": (["file", "stage", "percent"],
                 lambda results: [{"file": p["file"], **s}
                                  for p in results["profiles"] for s in p["stages"]]),

@@ -23,6 +23,7 @@ from codecbench.subjective import (
     load_pvs_csv,
     load_scores_csv,
     mos_point,
+    mos_rows,
     pearson,
     screen_subjects,
     spearman,
@@ -56,7 +57,7 @@ def f_sf_numeric(f_stat, d1, d2):
 def annotate(stimuli):
     return {
         pvs: StimulusInfo(codec=f"c{j % 2}", resolution="HD",
-                          bitrate_kbps=float(j), content=f"t{j}")
+                          bitrate_kbps=float(j + 1), content=f"t{j}")
         for j, pvs in enumerate(stimuli)
     }
 
@@ -266,6 +267,32 @@ class TestCi95:
         m = matrix_from([[60], [70], [80], [90]])
         with pytest.raises(InputError, match="^stimulus 'p0': CI half-width overflows"):
             mos_point(m, "p0", constant=1e308)
+
+
+class TestMosRows:
+    META = {"p0": StimulusInfo("HM", "HD", 1000.0, "A"),
+            "p1": StimulusInfo("VTM", "UHD", 650.0, "A")}
+
+    def test_point_then_rd_keys(self):
+        m = matrix_from([[60, 10], [70, 20], [80, 30], [90, 40]], meta=self.META)
+        rows = mos_rows(m, constant=1.96)
+        for row, stimulus in zip(rows, m.stimuli):
+            point = mos_point(m, stimulus, constant=1.96)
+            assert [row[k] for k in ("pvs", "mos", "ci95", "n")] == [
+                stimulus, point.mos, point.ci95, point.n]
+            assert (row["metric"], row["label"], row["quality"]) == ("MOS", stimulus, point.mos)
+        assert [(r["codec"], r["sequence"], r["bitrate_kbps"]) for r in rows] == [
+            ("HM", "A@HD", 1000.0), ("VTM", "A@UHD", 650.0)]
+
+    def test_matrix_without_metadata(self):
+        with pytest.raises(InputError, match="^score matrix carries no stimulus metadata$"):
+            mos_rows(matrix_from([[50.0, 60.0], [55.0, 65.0]]))
+
+
+@pytest.mark.parametrize("bitrate", [0.0, -1.0, math.nan])
+def test_stimulus_bitrate_must_be_positive(bitrate):
+    with pytest.raises(InputError, match="^bitrate_kbps must be positive, got "):
+        StimulusInfo("HM", "HD", bitrate, "A")
 
 
 class TestCorrelations:
@@ -499,7 +526,7 @@ class TestAnova:
         meta = {
             pvs: StimulusInfo(
                 codec=f"c{j % 2}", resolution=f"r{j % 3}",
-                bitrate_kbps=float(j % 4), content=f"t{j % 6}",
+                bitrate_kbps=float(j % 4 + 1), content=f"t{j % 6}",
             )
             for j, pvs in enumerate(stimuli)
         }
