@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--external-name", metavar="NAME",
-        help="metric key inside the external file (default: vmaf for JSON)",
+        help="JSON metric key (default: vmaf); a CSV's series name (default: score)",
     )
     p.add_argument(
         "--jobs", type=_number("--jobs", int, "be at least 1", lambda v: v >= 1),

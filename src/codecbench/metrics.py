@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataFormatError, InputError
-from .report import mean, named_errors, open_input, parse_csv, read_number
+from .report import mean, named_errors, open_input, parse_csv
 from .video_io import FrameBuffer
 
 PSNR_Y = "PSNR_Y"
@@ -35,6 +35,8 @@ _METRIC_TOKENS = {"psnr": (PSNR_Y, PSNR_U, PSNR_V, WPSNR),
                   **{m.lower(): (m,) for m in COMPUTABLE_METRICS}}
 
 DEFAULT_CLAMP_DB = 100.0
+
+EXTERNAL_CSV_COLUMNS = {"frame": int, "score": float}
 
 _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
@@ -326,7 +328,7 @@ def sequence_quality(
 def ingest_external_scores(path, name: str | None = None) -> SequenceQuality:
     """Load per-frame scores produced by an external metric tool.
 
-    Supports a two-column CSV (frame,score) and the JSON layout of the
+    Supports a CSV of EXTERNAL_CSV_COLUMNS and the JSON layout of the
     common VMAF tool: {"frames": [{"metrics": {"<name>": value}}, ...]}.
     The count is not checked: a caller with a video compares it.
     """
@@ -338,17 +340,12 @@ def ingest_external_scores(path, name: str | None = None) -> SequenceQuality:
             scores = _scores_from_json(body, metric_name)
         else:
             metric_name = name or "score"
-            header, rows = parse_csv(io.StringIO(text), where)
-            if [cell.lower() for cell in header] != ["frame", "score"]:
-                raise DataFormatError(
-                    f"expected header 'frame,score', got {','.join(header)!r}"
-                )
+            _, rows = parse_csv(io.StringIO(text), where, EXTERNAL_CSV_COLUMNS)
             scores = []
-            for frame, score in rows:
-                index = read_number("frame", frame, int)
+            for index, score in rows:
                 if index != len(scores):
                     raise DataFormatError(f"expected frame {len(scores)}, got {index}")
-                scores.append(read_number("score", score))
+                scores.append(score)
         if not scores:
             raise InputError("no scores present")
     return SequenceQuality(metric_id=f"EXTERNAL:{metric_name}", frame_values=tuple(scores))

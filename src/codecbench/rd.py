@@ -30,10 +30,11 @@ RD_CSV_COLUMNS = {"codec": str, "sequence": str, "metric": str, "label": str,
 
 @dataclass(frozen=True)
 class RDPoint:
-    """One operating point: bitrate in kbit/s and the measured quality."""
+    """One operating point: bitrate in kbit/s, measured quality and a name for faults."""
 
     bitrate: float
     quality: float
+    label: str = ""
 
     def __post_init__(self):
         if not (self.bitrate > 0 and math.isfinite(self.bitrate)):
@@ -65,28 +66,24 @@ class RDCurve:
             # Distinct rates can still share a log10 value on the axis the fits read.
             if self.log_rates[i] == self.log_rates[i + 1]:
                 raise InputError(
-                    f"{name}: duplicate log10 bitrate between points {i} and "
-                    f"{i + 1} ({pts[i].bitrate} and {pts[i + 1].bitrate})"
+                    f"{name}: duplicate log10 bitrate between points {pts[i].label!r} "
+                    f"and {pts[i + 1].label!r} ({pts[i].bitrate} and {pts[i + 1].bitrate})"
                 )
             if pts[i].quality >= pts[i + 1].quality:
                 raise InputError(
-                    f"{name}: quality not strictly increasing with bitrate "
-                    f"between points {i} and {i + 1} ({pts[i].quality} -> "
-                    f"{pts[i + 1].quality}); inspect the data"
+                    f"{name}: quality not strictly increasing with bitrate between "
+                    f"points {pts[i].label!r} and {pts[i + 1].label!r} "
+                    f"({pts[i].quality} -> {pts[i + 1].quality}); inspect the data"
                 )
 
     # Each axis and fit is built once per curve and shared by every caller.
-    @cached_property
-    def bitrates(self) -> np.ndarray:
-        return _read_only([p.bitrate for p in self.points])
-
     @cached_property
     def qualities(self) -> np.ndarray:
         return _read_only([p.quality for p in self.points])
 
     @cached_property
     def log_rates(self) -> np.ndarray:
-        return _read_only(np.log10(self.bitrates))
+        return _read_only(np.log10(np.array([p.bitrate for p in self.points], np.float64)))
 
     @cached_property
     def rate_fit(self) -> _Pchip:
@@ -308,5 +305,6 @@ def load_rd_csv(path) -> list[RDCurve]:
     groups: dict[tuple[str, str, str], list[RDPoint]] = {}
     with read_csv(path, RD_CSV_COLUMNS) as (_, rows):
         for codec, sequence, metric, label, bitrate, quality in rows:
-            groups.setdefault((codec, sequence, metric), []).append(RDPoint(bitrate, quality))
+            curve = groups.setdefault((codec, sequence, metric), [])
+            curve.append(RDPoint(bitrate, quality, label))
     return [RDCurve(*key, points) for key, points in groups.items()]

@@ -358,3 +358,20 @@ def test_criterion_12_subjective_bd_rate(tmp_path, precision):
         assert percent == pytest.approx(-35.0, abs=1e-9)
     print(f"criterion 12 (subjective BD-rate through mos then bdrate, "
           f"{' '.join(precision) or '6 digits'}): PASS")
+
+
+def test_criterion_12_bad_curve_names_its_pvs(tmp_path, capsys):
+    # Two HM PVSs of one content shown at one bitrate: the curve `bdrate`
+    # refuses names both by the PVS ids the mos report carries as labels.
+    scores, meta = write_planted_panel(tmp_path, [("A", "HD", (1000, 2000, 4000),
+                                                   (30, 45, 60))])
+    meta.write_text(meta.read_text().replace(",HM,HD,2000.0,", ",HM,HD,1000.0,"))
+    mos_csv = tmp_path / "mos.csv"
+    assert main(["mos", str(scores), "--pvs-meta", str(meta), "--format", "csv",
+                 "-o", str(mos_csv), "-q"]) == 0
+    capsys.readouterr()
+    assert main(["bdrate", str(mos_csv), "--anchor", "HM", "--test", "VTM", "-q"]) == 2
+    assert capsys.readouterr().err == (
+        "codecbench: error: curve HM/A@HD/MOS: duplicate log10 bitrate between points "
+        "'A-HD-HM-1000' and 'A-HD-HM-2000' (1000.0 and 1000.0)\n")
+    print("criterion 12 (a bad subjective curve names its PVSs): PASS")

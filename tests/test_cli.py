@@ -1109,8 +1109,9 @@ TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
     (["metrics", "{ref}", "{test}", "--metrics", ","], None, 2, "empty metric selection"),
     (["mos", "{scores}", "--pvs-meta", "{meta}", "--exclude", "p9"], None, 2,
      "unknown stimulus 'p9'"),
-    (METRICS_EXTERNAL, b"idx,score\n0,90\n", 3,
-     "{bad}: expected header 'frame,score', got 'idx,score'"),
+    (METRICS_EXTERNAL, b"idx,score\n0,90\n", 3, "{bad}: missing CSV columns: frame"),
+    (METRICS_EXTERNAL, b"Frame,Score\n0,90\n", 3,
+     "{bad}: missing CSV columns: frame, score"),
     (METRICS_EXTERNAL, b"frame,score\n3,90\n1,10\n1,50\n", 3,
      "{bad}:2: expected frame 0, got 3"),
     (METRICS_EXTERNAL, b'{"frames": [', 3,
@@ -1195,9 +1196,9 @@ TIMING = (TIMING_HEADER + "HM,s,22,1,50,50,1\nVTM,s,22,2,50,50,1\n").encode()
      "{bad}:2: duration or time factor is not a positive finite float"),
 ], ids=[
     "unknown_metric", "empty_metric_selection", "exclude_unknown_stimulus",
-    "external_csv_header", "external_csv_frame_order", "external_json_invalid",
-    "external_json_too_deep", "external_json_no_frames", "external_json_frames_not_array",
-    "external_json_metric_missing", "y4m_header_non_ascii",
+    "external_csv_header", "external_csv_header_case", "external_csv_frame_order",
+    "external_json_invalid", "external_json_too_deep", "external_json_no_frames",
+    "external_json_frames_not_array", "external_json_metric_missing", "y4m_header_non_ascii",
     "reference_format_error_names_reference", "test_format_error_names_test",
     "oversized_y4m_frame", "oversized_raw_frame", "callgrind_empty_events",
     "second_callgrind_names_its_file", "zero_cost_callgrind_names_its_file",
@@ -1934,6 +1935,22 @@ def test_no_function_parses_numbers_its_own_way():
                 if called & {"int", "float", "kind"}:
                     found.append(f"{path.stem}.{fn.name}:{node.lineno}")
     assert [f for f in found if f.split(":")[0] not in NUMBER_PARSERS] == []
+
+
+def test_fixed_column_tables_read_numbers_through_a_schema():
+    # A table of fixed columns declares a {column: kind} schema and leaves its
+    # cells to report.parse_csv; the scores grid, whose columns are its
+    # stimuli, reads each cell in subjective._score_row. No other function
+    # refers to report.read_number.
+    package = Path(codecbench.__file__).parent
+    found = sorted({f"{path.stem}.{fn.name}"
+                    for path in sorted(package.glob("*.py"))
+                    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in own_nodes(fn)
+                    if "read_number" in (getattr(node, "id", None),
+                                         getattr(node, "attr", None))})
+    assert found == ["report.parse_csv", "subjective._score_row"]
 
 
 def names_a_file(message):

@@ -624,6 +624,14 @@ class TestExternalScores:
         assert sq.value == 92.0
         assert sq.frame_values == (90.0, 92.0, 94.0)
 
+    def test_csv_columns_in_any_order(self, tmp_path):
+        # For a CSV the name only names the series; the columns stay frame and score.
+        path = tmp_path / "scores.csv"
+        path.write_text("score,frame\n90,0\n92,1\n")
+        sq = ingest_external_scores(path, name="vmaf")
+        assert sq.metric_id == "EXTERNAL:vmaf"
+        assert sq.frame_values == (90.0, 92.0)
+
     def test_vmaf_json(self, tmp_path):
         path = tmp_path / "vmaf.json"
         path.write_text(

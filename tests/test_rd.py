@@ -25,7 +25,8 @@ from codecbench.rd import (
 
 
 def curve(points, codec="A", sequence="seq", metric="PSNR"):
-    return RDCurve(codec, sequence, metric, [RDPoint(r, q) for r, q in points])
+    """A curve of (bitrate, quality) or (bitrate, quality, label) points."""
+    return RDCurve(codec, sequence, metric, [RDPoint(*point) for point in points])
 
 
 def random_monotone_curve(rng, n_points=5):
@@ -41,7 +42,7 @@ BASE = [(1000, 30), (2000, 35), (4000, 40), (8000, 45)]
 class TestValidateCurve:
     def test_axes_built_once_and_read_only(self):
         c = curve(BASE)
-        for axis in ("bitrates", "qualities", "log_rates"):
+        for axis in ("qualities", "log_rates"):
             values = getattr(c, axis)
             assert getattr(c, axis) is values
             with pytest.raises(ValueError, match="read-only"):
@@ -54,9 +55,9 @@ class TestValidateCurve:
         assert isinstance(c.points, tuple)
 
     def test_non_monotone_quality_names_pair(self):
-        points = [RDPoint(1000, 30), RDPoint(2000, 35), RDPoint(4000, 34),
-                  RDPoint(8000, 40)]
-        message = "not strictly increasing .* points 1 and 2"
+        points = [RDPoint(1000, 30, "a"), RDPoint(2000, 35, "b"), RDPoint(4000, 34, "c"),
+                  RDPoint(8000, 40, "d")]
+        message = "not strictly increasing .* points 'b' and 'c' \\(35 -> 34\\)"
         with pytest.raises(InputError, match=message):
             RDCurve("A", "seq", "PSNR", points)
 
@@ -65,14 +66,15 @@ class TestValidateCurve:
             curve([(1000, 30), (2000, 35)])
 
     def test_duplicate_bitrate(self):
-        message = "duplicate log10 bitrate between points 0 and 1"
+        # Points of one bitrate keep their order in the input.
+        message = "duplicate log10 bitrate between points 'P2' and 'P1'"
         with pytest.raises(InputError, match=message):
-            curve([(1000, 30), (1000, 35), (2000, 40)])
+            curve([(1000, 30, "P2"), (2000, 40, "P3"), (1000, 35, "P1")])
 
     def test_rates_equal_on_log_scale(self):
-        message = "duplicate log10 bitrate between points 0"
+        message = "duplicate log10 bitrate between points 'lo' and 'hi'"
         with pytest.raises(InputError, match=message):
-            curve([(1e-300, 30), (1.0000000000000002e-300, 35), (1.0, 40)])
+            curve([(1e-300, 30, "lo"), (1.0000000000000002e-300, 35, "hi"), (1.0, 40)])
 
     def test_rates_equal_under_numpy_log10(self):
         # The check reads the log10 axis the fits read. Adjacent floats near
@@ -86,9 +88,10 @@ class TestValidateCurve:
                 pairs.append((math.log10(rate) == math.log10(above), rate, above))
             rate = above
         _, low, high = min(pairs)
-        message = f"duplicate log10 bitrate between points 0 and 1 \\({low} and {high}\\)"
+        message = (f"duplicate log10 bitrate between points 'low' and 'high' "
+                   f"\\({low} and {high}\\)")
         with pytest.raises(InputError, match=message):
-            curve([(high, 35), (low, 30), (1e4, 40)])
+            curve([(high, 35, "high"), (low, 30, "low"), (1e4, 40)])
 
     @pytest.mark.parametrize(
         "bad", [(4000, float("nan")), (4000, float("inf")), (float("inf"), 50)]
@@ -444,6 +447,17 @@ class TestLoadCsv:
         )
         message = "curve A/s/m: need at least 3 points, got 2"
         with pytest.raises(InputError, match=message):
+            load_rd_csv(path)
+
+    def test_curve_fault_names_points_by_label(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text(
+            "codec,sequence,metric,label,bitrate_kbps,quality\n"
+            "A,s,m,qp37,1000,30\nA,s,m,qp27,4000,34\nA,s,m,qp32,2000,35\n"
+        )
+        message = ("curve A/s/m: quality not strictly increasing with bitrate between "
+                   "points 'qp32' and 'qp27' (35.0 -> 34.0); inspect the data")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_rd_csv(path)
 
 

@@ -125,6 +125,7 @@ class TestLoaders:
     ("rd", ["A,s,PSNR,,1000,30", "A,s,PSNR,,2000,35", "A,s,PSNR,,4000,40"]),
     ("pvs", ["p1,HM,HD,1000,c", "p2,VTM,HD,500,c"]),
     ("timing", ["HM,s,32,40,500,50,1", "VTM,s,32,400,500,50,1"]),
+    ("external", ["0,90", "1,92.5", "2,94"]),
 ])
 def test_columns_a_loader_does_not_read_are_ignored(tmp_path, name, rows):
     """A fixed-schema table may carry extra columns, repeated or not."""

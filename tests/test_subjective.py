@@ -652,6 +652,12 @@ class TestFSurvival:
         assert f_survival(math.inf, 3, 10) == 0.0
         assert f_survival(1e-300, 3, 10) == 1.0
 
+    def test_fraction_that_never_converges_raises(self):
+        # A NaN statistic slips past the range checks; the continued fraction
+        # then runs out of terms instead of returning NaN.
+        with pytest.raises(StatsError, match="^incomplete beta did not converge for "):
+            f_survival(math.nan, 1, 9)
+
     def test_monotone_decreasing(self):
         values = [f_survival(f, 2, 8) for f in (0.1, 1.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
