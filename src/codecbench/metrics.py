@@ -257,31 +257,6 @@ def _frame_pair_metrics(pair, metric_ids, clamp_db):
     return results
 
 
-def _paired(ref_source, test_source):
-    for index, (ref, test) in enumerate(itertools.zip_longest(ref_source, test_source)):
-        if ref is None or test is None:
-            side = "reference" if ref is None else "test"
-            raise InputError(
-                f"frame-count mismatch: {side} sequence ended at frame {index}"
-            )
-        ref.info.check_compatible(test.info)
-        yield ref, test
-
-
-def _ordered_map(fn, items, jobs):
-    """fn over items on `jobs` threads, yielded in item order; at most `jobs`
-    items are submitted and not yet yielded, so one worker runs them in turn."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    pending = collections.deque()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= jobs:
-                yield pending.popleft().result()
-        yield from (future.result() for future in pending)
-
-
 def sequence_quality(
     ref_source,
     test_source,
@@ -291,10 +266,11 @@ def sequence_quality(
 ) -> dict[str, SequenceQuality]:
     """Stream frame pairs once and compute the selected metrics.
 
-    At most `jobs` frame pairs are in flight, on as many threads, capped at
-    the CPUs this process may use: its affinity mask where the platform has
-    one, else the host's count. Per-frame results are reduced in ascending
-    frame order, so results do not depend on the worker count.
+    At most `jobs` frame pairs are in memory, the one being read included,
+    and as many threads compute them, capped at the CPUs this process may
+    use: its affinity mask where the platform has one, else the host's
+    count. Per-frame results are reduced in ascending frame order, so
+    results do not depend on the worker count.
     """
     metric_ids = tuple(metric_ids)
     if not metric_ids:
@@ -305,14 +281,35 @@ def sequence_quality(
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
 
-    def work(pair):
-        return _frame_pair_metrics(pair, metric_ids, clamp_db)
-
     if hasattr(os, "sched_getaffinity"):
         jobs = min(jobs, len(os.sched_getaffinity(0)))
     else:
         jobs = min(jobs, os.cpu_count() or 1)
-    frames = list(_ordered_map(work, _paired(ref_source, test_source), jobs))
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The loop holds a pair only from its read to its submit, and takes the
+    # oldest result once `jobs` pairs are pending, so the next read starts
+    # with at most jobs - 1 pairs alive.
+    refs, tests = iter(ref_source), iter(test_source)
+    pending = collections.deque()
+    frames = []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for index in itertools.count():
+            ref, test = next(refs, None), next(tests, None)
+            if ref is None and test is None:
+                break
+            if ref is None or test is None:
+                side = "reference" if ref is None else "test"
+                raise InputError(
+                    f"frame-count mismatch: {side} sequence ended at frame {index}"
+                )
+            ref.info.check_compatible(test.info)
+            pending.append(
+                pool.submit(_frame_pair_metrics, (ref, test), metric_ids, clamp_db))
+            del ref, test
+            if len(pending) == jobs:
+                frames.append(pending.popleft().result())
+        frames.extend(future.result() for future in pending)
     if not frames:
         raise InputError("no frames in input sequences")
 

@@ -273,11 +273,8 @@ class _ReaderBase:
         return frame
 
     def __iter__(self):
-        while True:
-            frame = self.read_frame()
-            if frame is None:
-                return
-            yield frame
+        # Not a generator: one would hold the last frame while the next is read.
+        return iter(self.read_frame, None)
 
 
 class Y4MReader(_ReaderBase):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -585,27 +587,93 @@ class TestSequenceQuality:
         assert self.pool_sizes(rng, monkeypatch, 4) == [1]
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_pool_keeps_jobs_items_in_flight(self, jobs):
-        # Result i arrives when exactly i + jobs items (or all of them) have
-        # been pulled, so at most `jobs` frame pairs wait in the pool, and
-        # results come in item order though early items finish last.
+    def test_pool_keeps_jobs_items_in_flight(self, rng, monkeypatch, jobs):
+        # Result k is taken when exactly k + jobs pairs (or all of them) have
+        # been pulled from the sources, so at most `jobs` frame pairs wait in
+        # the pool, and results come in frame order though early frames
+        # finish last.
+        import concurrent.futures
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         count = 10
+        info = make_info(16, 16)
+        ref = [random_frame(info, rng, i) for i in range(count)]
         pulled = []
+        taken = []
 
-        def items():
-            for i in range(count):
-                pulled.append(i)
-                yield i
+        def pull(frame):
+            pulled.append(frame.frame_index)
+            return frame
 
-        def work(i):
-            time.sleep(0.002 * (count - i))
-            return i * i
+        def work(pair, metric_ids, clamp_db):
+            k = pair[0].frame_index
+            time.sleep(0.002 * (count - k))
+            return [(float(k * k), False)]
 
-        seen = []
-        for i, result in enumerate(metrics._ordered_map(work, items(), jobs)):
-            assert len(pulled) == min(i + jobs, count)
-            seen.append(result)
-        assert seen == [i * i for i in range(count)]
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                result = future.result
+
+                def take(timeout=None):
+                    value = result(timeout)
+                    taken.append((len(pulled), value))
+                    return value
+
+                future.result = take
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(metrics, "_frame_pair_metrics", work)
+        out = sequence_quality(map(pull, ref), list(ref), (PSNR_Y,), jobs=jobs)
+        assert [n for n, _ in taken] == [min(k + jobs, count) for k in range(count)]
+        assert [value for _, value in taken] == [[(float(k * k), False)]
+                                                 for k in range(count)]
+        assert out[PSNR_Y].frame_values == tuple(float(k * k) for k in range(count))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_at_most_jobs_pairs_alive(self, rng, monkeypatch, jobs):
+        # Each source builds its frames on demand and keeps none of them, so
+        # a frame lives only while sequence_quality or a worker holds it.
+        # Before pair k is built, at most jobs - 1 earlier pairs may be
+        # alive: `jobs` pairs with pair k, the one being read.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        count = 8
+        info = make_info(24, 24)
+        alive = []  # (frame index, weakref) of every frame built
+
+        def earlier_pairs(k):
+            return sorted({i for i, frame in alive if i < k and frame() is not None})
+
+        def source():
+            built = itertools.count()
+
+            def build():
+                k = next(built)
+                if k == count:
+                    return None
+                # A worker drops its pair just after it hands back the result.
+                deadline = time.monotonic() + 1.0
+                while True:
+                    gc.collect()
+                    live = earlier_pairs(k)
+                    if len(live) < jobs or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.005)
+                assert len(live) <= jobs - 1, f"pair {k} read with pairs {live} alive"
+                frame = random_frame(info, rng, k)
+                alive.append((k, weakref.ref(frame)))
+                return frame
+
+            return iter(build, None)
+
+        out = sequence_quality(source(), source(), (PSNR_Y, SSIM), jobs=jobs)
+        assert len(out[SSIM].frame_values) == count
+        assert len(alive) == 2 * count
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, rng, jobs):

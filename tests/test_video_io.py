@@ -2,6 +2,7 @@ import io
 import itertools
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -343,6 +344,32 @@ class TestRawReader:
         with RawReader(path, info) as reader:
             frames = list(reader)
         assert len(frames) == 1
+
+
+class TestReaderIteration:
+    @pytest.mark.parametrize("container", ["y4m", "raw"])
+    @pytest.mark.parametrize("on_path", [True, False], ids=["path", "stream"])
+    def test_iterating_keeps_no_frame(self, tmp_path, rng, container, on_path):
+        # A frame handed out by iteration dies with the caller's last
+        # reference, so a consumer can hold one frame while reading the next.
+        info = make_info(16, 16)
+        frames = [random_frame(info, rng, i) for i in range(2)]
+        path = tmp_path / "clip"
+        if container == "y4m":
+            write_y4m(path, frames)
+        else:
+            path.write_bytes(b"".join(plane.tobytes() for f in frames for plane in f.planes))
+        with open(path, "rb") as fp:
+            source = path if on_path else fp
+            reader = Y4MReader(source) if container == "y4m" else RawReader(source, info)
+            with reader:
+                it = iter(reader)
+                frame = next(it)
+                alive = weakref.ref(frame)
+                del frame
+                assert alive() is None
+                assert next(it).frame_index == 1
+                assert next(it, None) is None
 
 
 class TestReaderErrors:
