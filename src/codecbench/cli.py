@@ -186,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", metavar="CSV", help="timing records CSV")
     p.add_argument(
         "--pie-data", metavar="CSV",
-        help="write stage,percent rows per input (multiple inputs get the "
-        "input stem suffixed)",
+        help="write the stage,percent rows of the one Callgrind input",
     )
     p.set_defaults(func=cmd_profile)
 
@@ -479,38 +478,23 @@ def cmd_mos(args) -> int:
                  warnings, notes)
 
 
-def _pie_paths(base, inputs):
-    """One --pie-data file per input: several inputs get the input stem
-    suffixed, except on stdout ('-'). Two pies of one path, or two on stdout,
-    fail the output rule."""
-    if len(inputs) == 1 or base == "-":
-        return [base] * len(inputs)
-    stem, ext = os.path.splitext(base)
-    return [f"{stem}-{os.path.splitext(os.path.basename(path))[0]}{ext or '.csv'}"
-            for path in inputs]
-
-
 def cmd_profile(args) -> int:
-    pies = _pie_paths(args.pie_data, args.callgrind) if args.pie_data else []
+    if args.pie_data and len(args.callgrind) > 1:
+        raise InputError("--pie-data takes one input; use --format csv for several")
     _check_files(args, [*(("callgrind", path) for path in args.callgrind),
                         ("--mapping", args.mapping), ("--timing", args.timing)],
-                 [("--pie-data", pie) for pie in pies])
+                 [("--pie-data", args.pie_data)])
     mapping = profiling.load_mapping(args.mapping)
+    inputs = [(path, profiling.parse_callgrind(path, event=args.event))
+              for path in args.callgrind]
     profiles = []
-    for i, path in enumerate(args.callgrind):
-        costs = profiling.parse_callgrind(path, event=args.event)
-        with report.named_errors(path):  # an empty or zero-cost profile
-            profile = profiling.aggregate_stages(
-                costs, mapping, bucket_threshold=args.threshold
-            )
+    for path, profile in zip(args.callgrind, profiling.aggregate_stages(
+            inputs, mapping, bucket_threshold=args.threshold)):
         percentages = profile.percentages
         stages = [{"stage": stage, "cost": cost, "percent": percentages[stage]}
                   for stage, cost in profile.totals.items()]
         profiles.append({"file": str(path), "total_cost": profile.total_cost,
                          "stages": stages, "other_bucket": list(profile.other_bucket)})
-        if pies:
-            _write_csv(args, pies[i], ["stage", "percent"],
-                       [[s["stage"], s["percent"]] for s in stages])
 
     results = {"mapping": args.mapping or "built-in", "profiles": profiles}
     speedups = []
@@ -533,7 +517,7 @@ def cmd_profile(args) -> int:
     notes = [
         "self cost only (no inclusive-cost propagation); cost basis is "
         + (f"event {args.event!r}" if args.event else "the first declared event"),
-        f"stages below {args.threshold:g}% are folded into Other",
+        f"stages below {args.threshold:g}% in every input are folded into Other",
     ]
     summary = []
     for p in profiles:
@@ -546,8 +530,12 @@ def cmd_profile(args) -> int:
         f"= {s['speedup_a_over_b']:.2f}x"
         for s in speedups
     )
+    if args.pie_data:
+        _write_csv(args, args.pie_data, ["stage", "percent"],
+                   [[s["stage"], s["percent"]] for s in profiles[0]["stages"]])
     table = [{"file": p["file"], **s} for p in profiles for s in p["stages"]]
-    return _emit(args, results, ["file", "stage", "percent"], table, summary, notes=notes)
+    return _emit(args, results, ["file", "stage", "cost", "percent"], table, summary,
+                 notes=notes)
 
 
 if __name__ == "__main__":

@@ -256,31 +256,41 @@ class StageProfile:
 
 
 def aggregate_stages(
-    costs, mapping: StageMapping, bucket_threshold: float = BUCKET_THRESHOLD
-) -> StageProfile:
-    """Fold {function: self cost} into named stages with percentages of the
-    total.
-
-    Unmatched functions land in "Other"; every other stage below the
-    threshold folds into it too, listed in name order as the bucket.
+    inputs, mapping: StageMapping, bucket_threshold: float = BUCKET_THRESHOLD
+) -> list[StageProfile]:
+    """One StageProfile per (path, costs) input, in input order: its
+    {function: self cost} folded into named stages with percentages of its
+    total. Unmatched functions land in "Other"; every other stage below the
+    threshold in every input folds into it too, listed in name order as the
+    bucket. A stage an input lacks reads cost 0, so every profile lists the
+    same stages. An empty or zero-cost input fails under named_errors(path).
     """
-    if not costs:
-        raise InputError("empty cost list")
-    total = sum(costs.values())
-    if total <= 0:
-        raise InputError("total cost is zero")
+    tallies = []
+    for path, costs in inputs:
+        with named_errors(path):
+            if not costs:
+                raise InputError("empty cost list")
+            total = sum(costs.values())
+            if total <= 0:
+                raise InputError("total cost is zero")
+        raw: dict[str, int] = {}
+        for name, cost in costs.items():
+            stage = mapping.stage_for(name)
+            raw[stage] = raw.get(stage, 0) + cost
+        tallies.append((raw, total))
 
-    raw: dict[str, int] = {}
-    for name, cost in costs.items():
-        stage = mapping.stage_for(name)
-        raw[stage] = raw.get(stage, 0) + cost
-
-    bucket = [s for s in sorted(raw.keys() - {OTHER_STAGE})
-              if 100.0 * raw[s] / total < bucket_threshold]
-    if bucket:
-        raw[OTHER_STAGE] = sum(raw.pop(s) for s in bucket) + raw.get(OTHER_STAGE, 0)
-    order = sorted(raw, key=lambda s: (-100.0 * raw[s] / total, s))
-    return StageProfile({s: raw[s] for s in order}, tuple(bucket), total)
+    names = set().union(*(raw for raw, _ in tallies))
+    bucket = tuple(s for s in sorted(names - {OTHER_STAGE})
+                   if all(100.0 * raw.get(s, 0) / total < bucket_threshold
+                          for raw, total in tallies))
+    profiles = []
+    for raw, total in tallies:
+        folded = {s: raw.get(s, 0) for s in names.difference(bucket)}
+        if bucket:
+            folded[OTHER_STAGE] = sum(raw.get(s, 0) for s in bucket) + raw.get(OTHER_STAGE, 0)
+        order = sorted(folded, key=lambda s: (-100.0 * folded[s] / total, s))
+        profiles.append(StageProfile({s: folded[s] for s in order}, bucket, total))
+    return profiles
 
 
 def load_mapping(path=None) -> StageMapping:

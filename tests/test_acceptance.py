@@ -214,12 +214,12 @@ def test_criterion_8_callgrind(tmp_path):
     assert tally(with_calls) == {"caller": 150, "callee": 800}
 
     mapping = StageMapping(rules=(("foo", "Alpha"), ("bar", "Beta")))
-    profile = aggregate_stages(tally(plain), mapping)
+    [profile] = aggregate_stages([(None, tally(plain))], mapping)
     assert sum(profile.percentages.values()) == pytest.approx(100.0, abs=0.01)
 
     # A 0.9% stage folds under the default 1% threshold.
-    skewed = aggregate_stages(tally("events: Ir\nfl=f\nfn=foo\n1 9\nfn=bar\n2 991\n"),
-                              mapping)
+    [skewed] = aggregate_stages(
+        [(None, tally("events: Ir\nfl=f\nfn=foo\n1 9\nfn=bar\n2 991\n"))], mapping)
     assert "Alpha" not in skewed.percentages
     assert skewed.other_bucket == ("Alpha",)
     assert sum(skewed.percentages.values()) == pytest.approx(100.0, abs=0.01)

@@ -1009,6 +1009,85 @@ class TestProfileCommand:
         assert [row[0] for row in pie_rows[1:]] == order
         assert [row[1] for row in csv_rows[1:]] == order
 
+    def test_failed_run_writes_no_pie(self, tmp_path, capsys):
+        # The pie is written once every input has been read, so a bad
+        # --timing row leaves no --pie-data file behind.
+        prof, timing = tmp_path / "hm.out", tmp_path / "bad.csv"
+        prof.write_text(CALLGRIND)
+        timing.write_text(TIMING_HEADER + "HM,s,22,-1,50,50,1\n")
+        pie = tmp_path / "pie.csv"
+        assert main(["profile", str(prof), "--pie-data", str(pie), "--timing", str(timing),
+                     "-q", "-o", str(tmp_path / "p.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"codecbench: format error: {timing}:2: wall_seconds must be positive, got -1.0\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "hm.out"]
+
+
+def stage_profile(*functions):
+    """A Callgrind profile of (function, self cost) pairs."""
+    return "events: Ir\n" + "".join(f"fn={fn}\n{i} {cost}\n"
+                                    for i, (fn, cost) in enumerate(functions, start=1))
+
+
+# HM- and VTM-shaped profiles under the built-in stage map: ALF is 0.8% of
+# the first (below the 1% threshold) and 6.0% of the second.
+HM_PROFILE = stage_profile(("TComTrQuant::transformNxN", 3000),
+                           ("TEncSearch::xTZSearch", 6920), ("TComAdaptiveLoopFilter::filter", 80))
+VTM_PROFILE = stage_profile(("TrQuant::transformNxN", 3000),
+                            ("InterSearch::xTZSearch", 6400), ("AdaptiveLoopFilter::filter", 600))
+
+
+class TestOneStageSetPerRun:
+    def run(self, tmp_path, texts, *flags):
+        """The JSON profiles and CSV report rows of one run over the texts."""
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"{i}.out")
+            paths[-1].write_text(text)
+        argv = ["profile", *map(str, paths), *flags, "-q"]
+        assert main([*argv, "-o", str(tmp_path / "p.json")]) == 0
+        assert main([*argv, "--format", "csv", "-o", str(tmp_path / "p.csv")]) == 0
+        with open(tmp_path / "p.csv", newline="") as fp:
+            rows = list(csv.reader(fp))
+        return json.loads((tmp_path / "p.json").read_text())["results"]["profiles"], rows
+
+    def test_a_stage_above_the_threshold_in_one_input_is_listed_in_all(self, tmp_path):
+        profiles, rows = self.run(tmp_path, [HM_PROFILE, VTM_PROFILE])
+        alf = [[s for s in p["stages"] if s["stage"] == "ALF"] for p in profiles]
+        assert alf == [[{"stage": "ALF", "cost": 80, "percent": 0.8}],
+                       [{"stage": "ALF", "cost": 600, "percent": 6.0}]]
+        assert [p["other_bucket"] for p in profiles] == [[], []]
+        assert rows[0] == ["file", "stage", "cost", "percent"]
+        assert [r[1:] for r in rows if r[1] == "ALF"] == [["ALF", "80", "0.8"],
+                                                           ["ALF", "600", "6.0"]]
+
+    def test_stage_costs_sum_to_each_total(self, tmp_path):
+        profiles, _ = self.run(tmp_path, [HM_PROFILE, VTM_PROFILE, CALLGRIND],
+                               "--threshold", "5")
+        for p in profiles:
+            assert sum(s["cost"] for s in p["stages"]) == p["total_cost"]
+        assert len({tuple(sorted(s["stage"] for s in p["stages"])) for p in profiles}) == 1
+
+    def test_a_stage_below_the_threshold_everywhere_folds_everywhere(self, tmp_path):
+        # At 7%, ALF (0.8% and 6.0%) is below the threshold in both inputs.
+        profiles, _ = self.run(tmp_path, [HM_PROFILE, VTM_PROFILE], "--threshold", "7")
+        assert [p["other_bucket"] for p in profiles] == [["ALF"], ["ALF"]]
+        assert [{s["stage"]: s["cost"] for s in p["stages"]} for p in profiles] == [
+            {"ME": 6920, "Tr/Inv.Tr": 3000, "Other": 80},
+            {"ME": 6400, "Tr/Inv.Tr": 3000, "Other": 600},
+        ]
+
+    def test_a_missing_stage_reads_zero(self, tmp_path):
+        # The second input has no ME: it reads 0 there. ALF, 0.8% of the
+        # first input and absent from the second, folds in both.
+        profiles, _ = self.run(tmp_path, [HM_PROFILE, stage_profile(("TrQuant::x", 1))])
+        assert profiles[1]["stages"] == [
+            {"stage": "Tr/Inv.Tr", "cost": 1, "percent": 100.0},
+            {"stage": "ME", "cost": 0, "percent": 0.0},
+            {"stage": "Other", "cost": 0, "percent": 0.0},
+        ]
+        assert [p["other_bucket"] for p in profiles] == [["ALF"], ["ALF"]]
+
 
 PIE_CALLGRIND = """\
 events: Ir
@@ -1416,25 +1495,18 @@ class TestFlagErrors:
             assert isinstance(row["mean"], float)
             assert row["mean"] == pytest.approx(clamp, rel=1e-12)
 
-    def test_pie_data_stem_collision_exit_2(self, tmp_path, capsys):
+    def test_pie_data_with_several_inputs_exit_2(self, tmp_path, capsys):
+        # One pie per run: with several inputs the CSV report holds them all,
+        # so --pie-data is refused before any file is opened.
         inputs = []
-        for name in ("a/enc.out", "b/enc.out", "b/dec.out"):
-            path = tmp_path / name
-            path.parent.mkdir(exist_ok=True)
-            path.write_text(CALLGRIND)
-            inputs.append(str(path))
+        for name in ("enc.out", "dec.out"):
+            (tmp_path / name).write_text(CALLGRIND)
+            inputs.append(str(tmp_path / name))
         pie, out = tmp_path / "pie.csv", tmp_path / "p.json"
-        tail = ["--pie-data", str(pie), "-q", "-o", str(out)]
-        assert main(["profile", *inputs, *tail]) == 2
-        pie_enc = tmp_path / "pie-enc.csv"
+        assert main(["profile", *inputs, "--pie-data", str(pie), "-q", "-o", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"codecbench: error: --pie-data {pie_enc} is the same file as "
-            f"--pie-data {pie_enc}\n"
-        )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
-        # Distinct stems still get one pie each.
-        assert main(["profile", inputs[0], inputs[2], *tail]) == 0
-        assert (tmp_path / "pie-enc.csv").exists() and (tmp_path / "pie-dec.csv").exists()
+            "codecbench: error: --pie-data takes one input; use --format csv for several\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dec.out", "enc.out"]
 
     def test_output_rule_compares_files(self, tmp_path, rng, capsys):
         # A hard link or another spelling of an input is that input; a
@@ -1494,14 +1566,14 @@ class TestOneWriterOnStdout:
 
     def test_pie_data_stdout_with_several_inputs_exit_2(self, tmp_path, capsys,
                                                         monkeypatch):
-        # Every pie would go to stdout: refused, and no file is made of the
-        # stem of '-' (such as --a.csv).
+        # --pie-data takes one input, on stdout too: refused, and nothing
+        # is written.
         for name in ("a.out", "b.out"):
             (tmp_path / name).write_text(CALLGRIND)
         monkeypatch.chdir(tmp_path)
         assert main(["profile", "a.out", "b.out", "--pie-data", "-", "-o", "r.json"]) == 2
         assert capsys.readouterr() == (
-            "", "codecbench: error: --pie-data - and --pie-data - both write to stdout\n")
+            "", "codecbench: error: --pie-data takes one input; use --format csv for several\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.out", "b.out"]
 
 
@@ -2095,7 +2167,7 @@ CSV_TABLES = {
     "bdrate": (["sequence", "metric", "bd_rate_percent", "bd_quality"],
                lambda results: results["deltas"] + results["averages"]),
     "mos": ([*RD_CSV_COLUMNS, "ci95", "n"], lambda results: results["mos"]),
-    "profile": (["file", "stage", "percent"],
+    "profile": (["file", "stage", "cost", "percent"],
                 lambda results: [{"file": p["file"], **s}
                                  for p in results["profiles"] for s in p["stages"]]),
 }

@@ -426,23 +426,29 @@ def test_parse_callgrind_matches_oracle(case):
     assert list(got.items()) == list(oracle_costs(text, event).items())
 
 
+def aggregate_one(costs, mapping, **kwargs):
+    """aggregate_stages over one input without a path: its one profile."""
+    [profile] = aggregate_stages([(None, costs)], mapping, **kwargs)
+    return profile
+
+
 class TestAggregateStages:
     MAPPING = StageMapping(rules=(("encIntra", "Intra"), ("encSearch", "ME")))
 
     def test_two_stage_split(self):
-        profile = aggregate_stages({"encIntra": 250, "encSearch": 750}, self.MAPPING)
+        profile = aggregate_one({"encIntra": 250, "encSearch": 750}, self.MAPPING)
         assert profile.percentages == {"Intra": 25.0, "ME": 75.0}
         assert profile.total_cost == 1000
 
     def test_sub_threshold_folds_into_other(self):
         costs = {"encIntra": 9, "encSearch": 991}
-        profile = aggregate_stages(costs, self.MAPPING, bucket_threshold=1.0)
+        profile = aggregate_one(costs, self.MAPPING, bucket_threshold=1.0)
         assert "Intra" not in profile.percentages
         assert profile.other_bucket == ("Intra",)
         assert profile.percentages["Other"] == pytest.approx(0.9)
 
     def test_unmatched_goes_to_other_directly(self):
-        profile = aggregate_stages({"misc": 100, "encSearch": 900}, self.MAPPING)
+        profile = aggregate_one({"misc": 100, "encSearch": 900}, self.MAPPING)
         assert profile.percentages["Other"] == 10.0
         assert profile.other_bucket == ()
 
@@ -450,7 +456,7 @@ class TestAggregateStages:
         mapping = StageMapping(rules=(("a", "A"), ("b", "B"), ("c", "C")))
         costs = {name: int(rng.integers(1, 10_000))
                  for name in ("a1", "a2", "b1", "c1", "zz")}
-        profile = aggregate_stages(costs, mapping)
+        profile = aggregate_one(costs, mapping)
         assert sum(profile.percentages.values()) == pytest.approx(100.0, abs=0.01)
         for stage, pct in profile.percentages.items():
             if stage != "Other":
@@ -458,16 +464,16 @@ class TestAggregateStages:
 
     def test_catch_all_rule(self):
         mapping = StageMapping(rules=(("", "Everything"),))
-        profile = aggregate_stages({"x": 5}, mapping)
+        profile = aggregate_one({"x": 5}, mapping)
         assert profile.percentages == {"Everything": 100.0}
 
     def test_first_match_wins(self):
         mapping = StageMapping(rules=(("ab", "First"), ("a", "Second")))
-        profile = aggregate_stages({"abc": 10}, mapping)
+        profile = aggregate_one({"abc": 10}, mapping)
         assert profile.percentages == {"First": 100.0}
 
     def test_split_function_merges_before_thresholding(self):
-        profile_a = aggregate_stages(costs_dict(MULTI_FILE), self.MAPPING)
+        profile_a = aggregate_one(costs_dict(MULTI_FILE), self.MAPPING)
         single = """\
 events: Ir
 fl=one.c
@@ -476,72 +482,98 @@ fn=shared
 fn=only_two
 7 50
 """
-        profile_b = aggregate_stages(costs_dict(single), self.MAPPING)
+        profile_b = aggregate_one(costs_dict(single), self.MAPPING)
         assert profile_a.totals == profile_b.totals
 
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="empty cost list"):
-            aggregate_stages({}, self.MAPPING)
+            aggregate_one({}, self.MAPPING)
+
+    @pytest.mark.parametrize(("costs", "message"), [
+        ({}, "bad.out: empty cost list"), ({"encIntra": 0}, "bad.out: total cost is zero"),
+    ])
+    def test_fault_names_its_input(self, costs, message):
+        inputs = [("good.out", {"encIntra": 5}), ("bad.out", costs)]
+        with pytest.raises(DataFormatError, match=f"^{message}$"):
+            aggregate_stages(inputs, self.MAPPING)
 
     def test_stages_in_report_order(self):
         # Descending percent, then name: equal stages keep no input order.
         mapping = StageMapping(rules=(("b", "Beta"), ("a", "Alpha"), ("g", "Gamma")))
-        profile = aggregate_stages({"b": 30, "a": 30, "g": 40, "zz": 0}, mapping)
+        profile = aggregate_one({"b": 30, "a": 30, "g": 40, "zz": 0}, mapping)
         assert list(profile.totals) == ["Gamma", "Alpha", "Beta", "Other"]
         assert list(profile.percentages) == list(profile.totals)
 
 
-def oracle_aggregate(costs, mapping, bucket_threshold):
-    """aggregate_stages as a two-branch loop: Other is skipped in the sorted
-    pass and its unmapped cost added after it."""
-    total = sum(costs.values())
-    raw = {}
-    for name, cost in costs.items():
-        stage = mapping.stage_for(name)
-        raw[stage] = raw.get(stage, 0) + cost
-    folded, bucket = {}, []
-    for stage in sorted(raw):
-        if stage == "Other":
-            continue
-        percent = 100.0 * raw[stage] / total
-        if percent < bucket_threshold:
-            bucket.append(stage)
-            folded["Other"] = folded.get("Other", 0) + raw[stage]
-        else:
-            folded[stage] = raw[stage]
-    if "Other" in raw:
-        folded["Other"] = folded.get("Other", 0) + raw["Other"]
-    percent = {s: 100.0 * c / total for s, c in folded.items()}
-    order = sorted(folded, key=lambda s: (-percent[s], s))
-    return [(s, folded[s]) for s in order], tuple(bucket), total
+def oracle_aggregate(inputs, mapping, bucket_threshold):
+    """aggregate_stages as a two-branch loop per input over the run's stages:
+    Other is skipped in the sorted pass and its unmapped cost added after
+    it. A stage folds when it is below the threshold in every input, and a
+    stage an input lacks reads 0 there."""
+    raws = []
+    for costs in inputs:
+        raw = {}
+        for name, cost in costs.items():
+            stage = mapping.stage_for(name)
+            raw[stage] = raw.get(stage, 0) + cost
+        raws.append((raw, sum(costs.values())))
+    run = set().union(*(raw for raw, _ in raws))
+    profiles = []
+    for raw, total in raws:
+        folded, bucket = {}, []
+        for stage in sorted(run):
+            if stage == "Other":
+                continue
+            if all(100.0 * r.get(stage, 0) / t < bucket_threshold for r, t in raws):
+                bucket.append(stage)
+                folded["Other"] = folded.get("Other", 0) + raw.get(stage, 0)
+            else:
+                folded[stage] = raw.get(stage, 0)
+        if "Other" in run:
+            folded["Other"] = folded.get("Other", 0) + raw.get("Other", 0)
+        percent = {s: 100.0 * c / total for s, c in folded.items()}
+        order = sorted(folded, key=lambda s: (-percent[s], s))
+        profiles.append(([(s, folded[s]) for s in order], tuple(bucket), total))
+    return profiles
 
 
 _STAGE_COSTS = st.one_of(
     st.integers(0, 3), st.integers(0, 10**15),
     st.floats(0, 1e15, allow_nan=False, allow_infinity=False),
 )
+# One input: its stages' function costs, and the costs of unmapped functions.
+_PROFILE = st.tuples(
+    st.dictionaries(
+        st.sampled_from(["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K", "Other"]),
+        st.lists(_STAGE_COSTS, min_size=1, max_size=3), max_size=12,
+    ),
+    st.lists(_STAGE_COSTS, max_size=3),
+)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    stages=st.dictionaries(
-        st.sampled_from(["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K", "Other"]),
-        st.lists(_STAGE_COSTS, min_size=1, max_size=3), max_size=12,
-    ),
-    unmapped=st.lists(_STAGE_COSTS, max_size=3),
+    inputs=st.lists(_PROFILE, min_size=1, max_size=3),
     threshold=st.one_of(st.sampled_from([0.0, 1.0, 100.0]), st.floats(0, 100)),
 )
-def test_aggregate_stages_matches_two_branch_fold(stages, unmapped, threshold):
+def test_aggregate_stages_matches_two_branch_fold(inputs, threshold):
     # A function "|S|k" maps to stage S alone, "xk" to no stage: Other.
-    mapping = StageMapping(rules=tuple((f"|{s}|", s) for s in stages))
-    costs = {f"|{s}|{k}": c for s, cs in stages.items() for k, c in enumerate(cs)}
-    costs.update((f"x{k}", c) for k, c in enumerate(unmapped))
-    assume(costs and sum(costs.values()) > 0)
-    profile = aggregate_stages(costs, mapping, bucket_threshold=threshold)
-    totals, bucket, total = oracle_aggregate(costs, mapping, threshold)
-    assert list(profile.totals.items()) == totals
-    assert profile.other_bucket == bucket
-    assert profile.total_cost == total
+    mapping = StageMapping(rules=tuple(
+        (f"|{s}|", s) for s in sorted({s for stages, _ in inputs for s in stages})))
+    runs = []
+    for stages, unmapped in inputs:
+        costs = {f"|{s}|{k}": c for s, cs in stages.items() for k, c in enumerate(cs)}
+        costs.update((f"x{k}", c) for k, c in enumerate(unmapped))
+        assume(costs and sum(costs.values()) > 0)
+        runs.append(costs)
+    profiles = aggregate_stages([(None, costs) for costs in runs], mapping,
+                                bucket_threshold=threshold)
+    expected = oracle_aggregate(runs, mapping, threshold)
+    assert len(profiles) == len(expected)
+    for profile, (totals, bucket, total) in zip(profiles, expected):
+        assert list(profile.totals.items()) == totals
+        assert profile.other_bucket == bucket
+        assert profile.total_cost == total
 
 
 def mapping_file(tmp_path, text):
